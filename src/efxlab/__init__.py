@@ -14,7 +14,7 @@ from .ciphers import (
     make_ideal_cipher,
     make_permutation,
 )
-from .gf2 import GF2Matrix, PeriodResult, dot, nullspace_basis, rank, recover_period
+from .gf2 import PeriodResult, dot, nullspace_basis, rank, recover_period
 from .offline_simon import (
     AttackReport,
     QueryDatabase,

@@ -7,6 +7,7 @@ whitened constructions, all with exact query and evaluation counters.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -14,11 +15,17 @@ import numpy as np
 
 from . import gf2
 from .ciphers import (
-    ENCRYPT_LAYERS,
+    SPECS,
     ConstructionInstance,
     ConstructionKind,
     KeyMaterial,
+    check_attack,
     encrypt_with,
+    key_material,
+    key_widths,
+    layer_inverse_table,
+    layer_table,
+    report_keys,
 )
 
 
@@ -73,31 +80,20 @@ def classical_period_find(f: Callable[[int], int], n: int, budget: int,
 
 
 def _key_space(kind: ConstructionKind, n: int, kappa: int):
-    if kind == ConstructionKind.EM:
-        for k1 in range(1 << n):
-            for k2 in range(1 << n):
-                yield KeyMaterial(k1=k1, k2=k2)
-    elif kind in (ConstructionKind.FX, ConstructionKind.EFX, ConstructionKind.DEFX):
-        for k in range(1 << kappa):
-            for k1 in range(1 << n):
-                for k2 in range(1 << n):
-                    yield KeyMaterial(k=k, k1=k1, k2=k2)
-    elif kind == ConstructionKind.TWO_XOR:
-        for k in range(1 << kappa):
-            for z in range(1 << n):
-                yield KeyMaterial(k=k, k1=z)
-    else:
-        raise ValueError(f"exhaustive search not implemented for {kind}")
+    names, widths = zip(*key_widths(kind, n, kappa))
+    for values in itertools.product(*(range(1 << bits) for bits in widths)):
+        yield KeyMaterial(**dict(zip(names, values)))
 
 
 def exhaustive_search(instance: ConstructionInstance,
                       known_pairs: Sequence[Tuple[int, int]],
                       seed: int = 0) -> ClassicalReport:
     """Try every key tuple, return the first consistent with all known pairs."""
+    kind = instance.kind
+    check_attack(kind, "exhaustive")
     if len(known_pairs) < 2:
         raise ValueError("need at least two known pairs to pin the key down")
-    kind = instance.kind
-    layers = ENCRYPT_LAYERS[kind]
+    layers = SPECS[kind].evals
     evals = 0
     for km in _key_space(kind, instance.n, instance.kappa):
         ok = True
@@ -108,9 +104,9 @@ def exhaustive_search(instance: ConstructionInstance,
                 ok = False
                 break
         if ok:
+            k, k1, k2 = report_keys(kind, km)
             return ClassicalReport(
-                success=True, k=km.k, k1=km.k1,
-                k2=km.k1 if kind == ConstructionKind.TWO_XOR else km.k2,
+                success=True, k=k, k1=k1, k2=k2,
                 online_queries=len(known_pairs), offline_evals=evals,
                 time_units=evals, mem_cells=len(known_pairs), seed=seed)
     return ClassicalReport(success=False, k=None, k1=None, k2=None,
@@ -132,9 +128,7 @@ def guess_and_em_attack(instance: ConstructionInstance, D: int,
     D-aligned block, covering every candidate whitening key with about
     D + 2^(n+1)/D evaluations per guess.
     """
-    if instance.kind not in (ConstructionKind.EFX, ConstructionKind.TWO_XOR,
-                             ConstructionKind.FX, ConstructionKind.EM):
-        raise ValueError(f"guess-and-peel attack not implemented for {instance.kind}")
+    check_attack(instance.kind, "guess_and_em")
     if D < 2:
         raise ValueError("need at least two chosen plaintexts")
     n = instance.n
@@ -146,36 +140,13 @@ def guess_and_em_attack(instance: ConstructionInstance, D: int,
     evals = 0
     mem_peak = 0
     kind = instance.kind
-    layers = ENCRYPT_LAYERS[kind]
-
-    def layer_tables(guess: int):
-        """(inner forward table accessor, outer inverse accessor) per kind."""
-        if kind == ConstructionKind.EM:
-            perm = instance.components[0]
-            return perm.table.__getitem__, None
-        if kind == ConstructionKind.FX:
-            e = instance.components[0]
-            return (lambda x: e.forward(guess, x)), None
-        if kind == ConstructionKind.EFX:
-            e1, e2 = instance.components
-            return (lambda x: e1.forward(guess, x)), (lambda y: e2.backward(guess, y))
-        e = instance.components[0]
-        from .ciphers import derive_related_key
-        kb = derive_related_key(instance.key_derivation, guess)
-        return (lambda x: e.forward(guess, x)), (lambda y: e.backward(kb, y))
+    layers = SPECS[kind].evals
 
     def report(km: KeyMaterial) -> ClassicalReport:
-        k2 = km.k1 if kind == ConstructionKind.TWO_XOR else km.k2
-        return ClassicalReport(success=True, k=km.k, k1=km.k1, k2=k2,
+        k, k1, k2 = report_keys(kind, km)
+        return ClassicalReport(success=True, k=k, k1=k1, k2=k2,
                                online_queries=D, offline_evals=evals,
                                time_units=evals + D, mem_cells=mem_peak, seed=seed)
-
-    def make_km(guess: Optional[int], k1: int, k2: int) -> KeyMaterial:
-        if kind == ConstructionKind.EM:
-            return KeyMaterial(k1=k1, k2=k2)
-        if kind == ConstructionKind.TWO_XOR:
-            return KeyMaterial(k=guess, k1=k1)
-        return KeyMaterial(k=guess, k1=k1, k2=k2)
 
     def verify(km: KeyMaterial) -> bool:
         nonlocal evals
@@ -188,7 +159,11 @@ def guess_and_em_attack(instance: ConstructionInstance, D: int,
 
     guesses = range(1 << instance.kappa) if instance.kappa else [None]
     for guess in guesses:
-        fwd, outer_inv = layer_tables(guess if guess is not None else 0)
+        # the attack accepts only kinds without a relabel layer
+        _, inner, outer = instance.layers(guess)
+        fwd = layer_table(inner).__getitem__
+        outer_table = layer_inverse_table(outer)
+        outer_inv = None if outer_table is None else outer_table.__getitem__
 
         wvals: Dict[int, int] = {}
 
@@ -217,7 +192,7 @@ def guess_and_em_attack(instance: ConstructionInstance, D: int,
             nonlocal evals
             evals += 1
             k2 = peel_cached(x) ^ fwd(x ^ k1)
-            km = make_km(guess, k1, k2)
+            km = key_material(kind, guess, k1, k2)
             if verify(km):
                 return report(km)
             return None

@@ -11,14 +11,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 
-@dataclass
-class GF2Matrix:
-    """Rows of n-bit vectors over GF(2)."""
-
-    n: int
-    rows: List[int]
-
-
 @dataclass(frozen=True)
 class PeriodResult:
     """Outcome of a period-recovery attempt.
@@ -61,18 +53,18 @@ def _reduced_rows(rows: Sequence[int], n: int) -> List[int]:
     return basis
 
 
-def rank(m: GF2Matrix) -> int:
-    """Dimension of the row span over GF(2)."""
-    return len(_reduced_rows(m.rows, m.n))
+def rank(rows: Sequence[int], n: int) -> int:
+    """Dimension of the span of n-bit rows over GF(2)."""
+    return len(_reduced_rows(rows, n))
 
 
-def nullspace_basis(m: GF2Matrix) -> List[int]:
+def nullspace_basis(rows: Sequence[int], n: int) -> List[int]:
     """Basis of the right nullspace {v : row . v = 0 for every row}."""
-    basis = _reduced_rows(m.rows, m.n)
+    basis = _reduced_rows(rows, n)
     pivot_of = {}
     for row in basis:
         pivot_of[row.bit_length() - 1] = row
-    free_cols = [c for c in range(m.n) if c not in pivot_of]
+    free_cols = [c for c in range(n) if c not in pivot_of]
     out = []
     for f in free_cols:
         v = 1 << f
@@ -89,19 +81,18 @@ def recover_period(samples: Sequence[int], n: int) -> PeriodResult:
     Anything below rank n-1 is reported as undetermined; callers decide how to
     treat that (the attack loop counts it as a suspicious pass).
     """
-    m = GF2Matrix(n, list(samples))
-    r = rank(m)
+    r = rank(samples, n)
     if r == n:
         return INJECTIVE
     if r == n - 1:
-        (s,) = nullspace_basis(m)
+        (s,) = nullspace_basis(samples, n)
         return PeriodResult("period", s)
     return UNDETERMINED
 
 
 def nullspace_members(samples: Sequence[int], n: int, cap: int = 256) -> List[int]:
     """Every vector orthogonal to all samples (including 0), up to cap entries."""
-    basis = nullspace_basis(GF2Matrix(n, list(samples)))
+    basis = nullspace_basis(samples, n)
     if 1 << len(basis) > cap:
         return []
     members = [0]

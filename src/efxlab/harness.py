@@ -16,12 +16,15 @@ import numpy as np
 
 from . import bounds, classical, gf2, offline_simon, qsim
 from .ciphers import (
+    SPECS,
     ConstructionKind,
     KeyMaterial,
     derive_seed,
+    key_widths,
     make_construction,
     make_ideal_cipher,
     make_permutation,
+    report_keys,
 )
 
 ATTACK_KINDS = ("offline_simon", "grover_meets_simon", "em_q2",
@@ -69,38 +72,36 @@ class ExperimentConfig:
             errors.append(f"trials: {self.trials} must be nonnegative")
         if self.max_searches < 1:
             errors.append(f"max_searches: {self.max_searches} must be at least 1")
-        if kind is not None and self.attack in ("offline_simon", "grover_meets_simon"):
-            if kind == ConstructionKind.ITERATED_EM:
-                errors.append("construction: no periodicity attack for ITERATED_EM")
-            if kind in (ConstructionKind.DEFX, ConstructionKind.ECBC3) \
-                    and self.attack == "offline_simon" and self.u != self.n \
-                    and self.alpha == 0.0:
+        if kind is not None:
+            spec = SPECS[kind]
+            if self.attack in ATTACK_KINDS and self.attack not in spec.attacks:
+                errors.append(f"construction: {self.attack} does not support {kind.value}")
+            if spec.full_domain and self.attack == "offline_simon" \
+                    and self.effective_u != self.n:
                 errors.append(f"u: {kind.value} needs the full domain (u = n)")
-            if self.attack == "grover_meets_simon" and kind in (
-                    ConstructionKind.DEFX, ConstructionKind.ECBC3):
-                errors.append("construction: superposition attack covers EM/FX/EFX/TWO_XOR")
-        if kind is not None and self.mode == "EXACT" and self.attack == "offline_simon":
-            u_eff = self.n if self.alpha > 0 else self.u
-            kappa_eff = 0 if kind == ConstructionKind.EM else self.kappa
-            search_bits = kappa_eff + (self.n - u_eff)
-            if search_bits == 0:
-                needed = u_eff + self.n
-            else:
-                needed = search_bits + self.c * (u_eff + self.n)
-            if needed > self.qubit_cap:
-                errors.append(f"mode: EXACT joint state needs {needed} qubits, "
-                              f"cap is {self.qubit_cap}")
-        if self.attack == "em_q2" and kind != ConstructionKind.EM:
-            errors.append("attack: em_q2 targets the EM construction")
-        if self.attack == "guess_and_em":
-            if self.data < 2:
-                errors.append("data: guess_and_em needs a query budget of at least 2")
-            if self.data > (1 << self.n):
-                errors.append("data: cannot exceed the codebook")
+            if self.mode == "EXACT" and self.attack == "offline_simon":
+                search_bits = self.effective_kappa + self.n - self.effective_u
+                register_bits = self.effective_u + self.n
+                needed = register_bits if search_bits == 0 else \
+                    search_bits + self.c * register_bits
+                if needed > self.qubit_cap:
+                    errors.append(f"mode: EXACT joint state needs {needed} qubits, "
+                                  f"cap is {self.qubit_cap}")
+        if self.attack == "guess_and_em" and self.data < 2:
+            errors.append("data: guess_and_em needs a query budget of at least 2")
+        if self.attack in ("guess_and_em", "exhaustive") and self.data > (1 << self.n):
+            errors.append("data: cannot exceed the codebook")
         return errors
 
+    @property
+    def effective_u(self) -> int:
+        """Input bits of the database: known-plaintext runs use the full domain."""
+        return self.n if self.alpha > 0 else self.u
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False}
+    @property
+    def effective_kappa(self) -> int:
+        """Inner-key bits the search guesses (0 for a kind without an inner key)."""
+        return self.kappa if SPECS[ConstructionKind(self.construction)].keyed else 0
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -133,47 +134,23 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def build_instance(kind: ConstructionKind, n: int, kappa: int, trial_seed: int):
     """Fresh construction with random components and keys for one trial."""
+    spec = SPECS[kind]
+    if not spec.components:
+        raise ValueError(f"cannot build random instance for {kind}")
     rng = np.random.default_rng(derive_seed(trial_seed, "keys"))
-
-    def rand(bits: int) -> int:
-        return int(rng.integers(1 << bits))
-
-    if kind == ConstructionKind.EM:
-        perm = make_permutation(n, derive_seed(trial_seed, "perm"))
-        km = KeyMaterial(k1=rand(n), k2=rand(n))
-        return make_construction(kind, [perm], km)
-    if kind == ConstructionKind.FX:
-        e = make_ideal_cipher(n, kappa, derive_seed(trial_seed, "E"))
-        km = KeyMaterial(k=rand(kappa), k1=rand(n), k2=rand(n))
-        return make_construction(kind, [e], km)
-    if kind == ConstructionKind.EFX:
-        e1 = make_ideal_cipher(n, kappa, derive_seed(trial_seed, "E1"))
-        e2 = make_ideal_cipher(n, kappa, derive_seed(trial_seed, "E2"))
-        km = KeyMaterial(k=rand(kappa), k1=rand(n), k2=rand(n))
-        return make_construction(kind, [e1, e2], km)
-    if kind == ConstructionKind.TWO_XOR:
-        e = make_ideal_cipher(n, kappa, derive_seed(trial_seed, "E"))
-        km = KeyMaterial(k=rand(kappa), k1=rand(n))
-        return make_construction(kind, [e], km)
-    if kind == ConstructionKind.DEFX:
-        comps = [make_ideal_cipher(n, kappa, derive_seed(trial_seed, f"E{i}"))
-                 for i in (1, 2, 3)]
-        km = KeyMaterial(k=rand(kappa), k1=rand(n), k2=rand(n))
-        return make_construction(kind, comps, km)
-    if kind == ConstructionKind.ECBC3:
-        e = make_ideal_cipher(n, kappa, derive_seed(trial_seed, "E"))
-        km = KeyMaterial(k=rand(kappa), m1=rand(n), m2=rand(n))
-        return make_construction(kind, [e], km)
-    raise ValueError(f"cannot build random instance for {kind}")
+    if spec.keyed:
+        comps = [make_ideal_cipher(n, kappa, derive_seed(trial_seed, label))
+                 for label in spec.components]
+    else:
+        comps = [make_permutation(n, derive_seed(trial_seed, label))
+                 for label in spec.components]
+    km = KeyMaterial(**{name: int(rng.integers(1 << bits))
+                        for name, bits in key_widths(kind, n, kappa)})
+    return make_construction(kind, comps, km)
 
 
 def true_keys(instance) -> Tuple[Optional[int], Optional[int], Optional[int]]:
-    km = instance.key_material
-    if instance.kind == ConstructionKind.ECBC3:
-        return km.k, km.m1, km.m2
-    if instance.kind == ConstructionKind.TWO_XOR:
-        return km.k, km.k1, km.k1
-    return km.k, km.k1, km.k2
+    return report_keys(instance.kind, instance.key_material)
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
@@ -261,8 +238,7 @@ SWEEP_COLUMNS = ["axis", "value", "attack", "construction", "n", "kappa", "u",
 
 
 def iterations_formula(n: int, kappa: int, u: int) -> int:
-    m = kappa + n - u
-    return 0 if m == 0 else qsim.grover_iterations(2.0 ** (-m))
+    return qsim.search_iterations(kappa + n - u)
 
 
 def reference_time(n: int, kappa: int, u: int) -> float:
@@ -317,11 +293,9 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> List[dic
             "mean_search_time": tmean("search_time_units"),
             "iterations": iters,
             "iterations_formula": iterations_formula(
-                point_cfg.n, 0 if point_cfg.construction == "EM" else point_cfg.kappa,
-                point_cfg.n if point_cfg.alpha > 0 else point_cfg.u),
+                point_cfg.n, point_cfg.effective_kappa, point_cfg.effective_u),
             "ref_time": reference_time(
-                point_cfg.n, 0 if point_cfg.construction == "EM" else point_cfg.kappa,
-                point_cfg.n if point_cfg.alpha > 0 else point_cfg.u),
+                point_cfg.n, point_cfg.effective_kappa, point_cfg.effective_u),
             "fidelity_bound": "",
             "bound_times_base": "",
             "bound_ok": "",

@@ -44,12 +44,15 @@ import numpy as np
 
 from . import gf2, qsim
 from .ciphers import (
-    ENCRYPT_LAYERS,
+    SPECS,
     ConstructionInstance,
-    ConstructionKind,
     KeyMaterial,
-    derive_related_key,
+    check_attack,
+    complete_key,
     encrypt_with,
+    layer_inverse_table,
+    layer_table,
+    report_keys,
 )
 
 MAX_SEARCH_BITS = 20
@@ -226,73 +229,29 @@ class GuessFamily:
         return m
 
 
-_SUPPORTED_KINDS = (ConstructionKind.EM, ConstructionKind.FX, ConstructionKind.EFX,
-                    ConstructionKind.TWO_XOR, ConstructionKind.DEFX,
-                    ConstructionKind.ECBC3)
-
-
 def guess_family_for(instance: ConstructionInstance, u: int) -> GuessFamily:
-    """Build the guess family matching the instance's construction kind."""
-    kind = instance.kind
-    if kind not in _SUPPORTED_KINDS:
-        raise ValueError(f"no periodicity attack for kind {kind}")
+    """Build the guess family of a layered construction.
+
+    Under guess (y1, y2) the maps invert the outer layer, relabel the input
+    and XOR in inner(x || y1), all with inner key y2.
+    """
+    spec = SPECS[instance.kind]
+    if spec.layers is None:
+        raise ValueError(f"no periodicity attack for kind {instance.kind}")
     n = instance.n
+    if spec.full_domain and u != n:
+        raise ValueError(f"{instance.kind.value} requires the full input domain (u = n)")
     shift = n - u
-    if kind in (ConstructionKind.DEFX, ConstructionKind.ECBC3) and u != n:
-        raise ValueError(f"{kind.value} requires the full input domain (u = n)")
-    kappa_bits = instance.kappa
-    comps = instance.components
-    kd = instance.key_derivation
     inputs = [(x << shift) for x in range(1 << u)]
 
-    if kind == ConstructionKind.EM:
-        perm = comps[0]
+    def maps_fn(guess: KeyGuess) -> GuessMaps:
+        relabel, inner, outer = instance.layers(guess.y2)
+        table = layer_table(inner)
+        return GuessMaps([table[px | guess.y1] for px in inputs],
+                         peel_table=layer_inverse_table(outer),
+                         relabel_table=layer_table(relabel), evals=spec.evals)
 
-        def maps_fn(guess: KeyGuess) -> GuessMaps:
-            xor = [perm.table[px | guess.y1] for px in inputs]
-            return GuessMaps(xor, evals=1)
-    elif kind == ConstructionKind.FX:
-        e = comps[0]
-
-        def maps_fn(guess: KeyGuess) -> GuessMaps:
-            xor = [e.forward(guess.y2, px | guess.y1) for px in inputs]
-            return GuessMaps(xor, evals=1)
-    elif kind == ConstructionKind.EFX:
-        e1, e2 = comps
-
-        def maps_fn(guess: KeyGuess) -> GuessMaps:
-            peel = e2.permutation(guess.y2).inverse_table
-            xor = [e1.forward(guess.y2, px | guess.y1) for px in inputs]
-            return GuessMaps(xor, peel_table=peel, evals=2)
-    elif kind == ConstructionKind.TWO_XOR:
-        e = comps[0]
-
-        def maps_fn(guess: KeyGuess) -> GuessMaps:
-            kb = derive_related_key(kd, guess.y2)
-            peel = e.permutation(kb).inverse_table
-            xor = [e.forward(guess.y2, px | guess.y1) for px in inputs]
-            return GuessMaps(xor, peel_table=peel, evals=2)
-    elif kind == ConstructionKind.DEFX:
-        e1, e2, e3 = comps
-
-        def maps_fn(guess: KeyGuess) -> GuessMaps:
-            relabel = e1.permutation(guess.y2).table
-            peel = e3.permutation(guess.y2).inverse_table
-            xor = [e2.forward(guess.y2, x) for x in range(1 << n)]
-            return GuessMaps(xor, peel_table=peel, relabel_table=relabel, evals=3)
-    else:  # ECBC3: cascade of the derived-key layer over the base layer
-        e = comps[0]
-
-        def maps_fn(guess: KeyGuess) -> GuessMaps:
-            kb = derive_related_key(kd, guess.y2)
-            relabel = e.permutation(guess.y2).table
-            outer_inv = e.permutation(kb).inverse_table
-            inner_inv = e.permutation(guess.y2).inverse_table
-            peel = [inner_inv[outer_inv[w]] for w in range(1 << n)]
-            xor = [e.forward(guess.y2, x) for x in range(1 << n)]
-            return GuessMaps(xor, peel_table=peel, relabel_table=relabel, evals=4)
-
-    return GuessFamily(u, n, kappa_bits, shift, maps_fn)
+    return GuessFamily(u, n, instance.kappa, shift, maps_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -364,28 +323,13 @@ def exact_pass_probability(dists: Sequence[np.ndarray], u: int) -> float:
     return sum(p for basis, p in dp.items() if len(basis) < u)
 
 
-def sampled_pass_probability(dists: Sequence[np.ndarray], u: int,
-                             rng: np.random.Generator, samples: int) -> float:
-    """Monte-Carlo estimate of the pass probability."""
-    size = 1 << u
-    hits = 0
-    for _ in range(samples):
-        ys = [int(rng.choice(size, p=d)) for d in dists]
-        if len(gf2._reduced_rows(ys, u)) < u:
-            hits += 1
-    return hits / samples
-
-
-def test_key_guess(db: QueryDatabase, guess, family: GuessFamily, *,
-                   exhaustive: bool = True, rng: Optional[np.random.Generator] = None,
-                   samples: int = 64) -> Tuple[bool, float]:
+def test_key_guess(db: QueryDatabase, guess, family: GuessFamily) -> Tuple[bool, float]:
     """Evaluate one key guess against the database.
 
-    Returns (passes, pass_probability) where pass_probability is the chance
-    that the c post-Hadamard samples have GF(2) rank below u (rank outcomes
-    below u-1 count as passes too; they never reject the true key). With
-    exhaustive=True the probability is exact; otherwise it is Monte-Carlo
-    estimated with the given rng. passes reports the majority outcome.
+    Returns (passes, pass_probability) where pass_probability is the exact
+    chance that the c post-Hadamard samples have GF(2) rank below u (rank
+    outcomes below u-1 count as passes too; they never reject the true key).
+    passes reports the majority outcome.
     """
     if isinstance(guess, KeyGuess):
         g = guess.y2 | (guess.y1 << family.kappa_bits)
@@ -394,13 +338,7 @@ def test_key_guess(db: QueryDatabase, guess, family: GuessFamily, *,
     maps = family.maps(g)
     if len(maps.xor_table) != (1 << db.u):
         raise ValueError("guess maps do not match the database input width")
-    dists = _register_dists(db, maps)
-    if exhaustive:
-        prob = exact_pass_probability(dists, db.u)
-    else:
-        if rng is None:
-            raise ValueError("Monte-Carlo mode needs an rng")
-        prob = sampled_pass_probability(dists, db.u, rng, samples)
+    prob = exact_pass_probability(_register_dists(db, maps), db.u)
     return prob >= 0.5, prob
 
 
@@ -478,6 +416,7 @@ class EngineOutcome:
     searches: int
     ambiguous: bool
     passing_count: int
+    iterations: int
     flags: List[str] = field(default_factory=list)
 
 
@@ -498,36 +437,7 @@ def _candidate_verifier(instance: ConstructionInstance, db: QueryDatabase,
     comps = instance.components
     kd = instance.key_derivation
     pairs = db.known_pairs()
-    layers = ENCRYPT_LAYERS[kind]
-
-    def recover_km(guess: KeyGuess, k1: int, pt: int, ct: int) -> KeyMaterial:
-        if kind == ConstructionKind.EM:
-            cost.offline_evals += 1
-            return KeyMaterial(k1=k1, k2=ct ^ comps[0].table[pt ^ k1])
-        if kind == ConstructionKind.FX:
-            cost.offline_evals += 1
-            return KeyMaterial(k=guess.y2, k1=k1,
-                               k2=ct ^ comps[0].forward(guess.y2, pt ^ k1))
-        if kind == ConstructionKind.EFX:
-            e1, e2 = comps
-            cost.offline_evals += 2
-            return KeyMaterial(k=guess.y2, k1=k1,
-                               k2=e2.backward(guess.y2, ct) ^ e1.forward(guess.y2, pt ^ k1))
-        if kind == ConstructionKind.TWO_XOR:
-            return KeyMaterial(k=guess.y2, k1=k1)
-        if kind == ConstructionKind.DEFX:
-            e1, e2, e3 = comps
-            cost.offline_evals += 3
-            inner = e2.forward(guess.y2, k1 ^ e1.forward(guess.y2, pt))
-            return KeyMaterial(k=guess.y2, k1=k1,
-                               k2=e3.backward(guess.y2, ct) ^ inner)
-        # ECBC3: k1 plays m1, the completed value is m2
-        e = comps[0]
-        kb = derive_related_key(kd, guess.y2)
-        cost.offline_evals += 4
-        peeled = e.backward(guess.y2, e.backward(kb, ct))
-        m2 = peeled ^ e.forward(guess.y2, k1 ^ e.forward(guess.y2, pt))
-        return KeyMaterial(k=guess.y2, m1=k1, m2=m2)
+    layers = SPECS[kind].evals
 
     def verify(km: KeyMaterial) -> bool:
         for pt, ct in pairs:
@@ -546,7 +456,8 @@ def _candidate_verifier(instance: ConstructionInstance, db: QueryDatabase,
         # those first; the zero prefix (a constant test function) comes last
         for prefix in [m for m in members if m] + ([0] if 0 in members else []):
             k1 = (prefix << db.embed_shift) | guess.y1
-            km = recover_km(guess, k1, pt0, ct0)
+            km, evals = complete_key(kind, comps, kd, guess.y2, k1, pt0, ct0)
+            cost.offline_evals += evals
             if verify(km):
                 return km
         return None
@@ -555,61 +466,44 @@ def _candidate_verifier(instance: ConstructionInstance, db: QueryDatabase,
 
 
 # ---------------------------------------------------------------------------
-# TENSOR-mode search
+# per-mode draw step: (measured guess, Simon samples) for one search
 
 
-def _tensor_search(db: QueryDatabase, family: GuessFamily,
-                   rng: np.random.Generator, iterations: int,
-                   max_searches: int, cost: _Cost,
-                   try_candidates, rebuild_time: int) -> EngineOutcome:
+def _tensor_draw(db: QueryDatabase, family: GuessFamily, rng: np.random.Generator,
+                 iterations: int, cap: int, passing: List[int],
+                 dists: List[List[np.ndarray]]):
+    """Land on an active passing guess with the closed-form success curve,
+    otherwise on a uniform other active guess; sample its registers exactly."""
     m = family.search_bits
-    if m > MAX_SEARCH_BITS:
-        raise ValueError(f"search space of {m} bits exceeds the desk-scale cap")
     space = 1 << m
-    c = db.c
-    passing: List[int] = []
-    dists_by_guess: Dict[int, List[np.ndarray]] = {}
-    for g in range(space):
-        maps = family.maps(g)
-        dists = _register_dists(db, maps)
-        dists_by_guess[g] = dists
-        if exact_pass_probability(dists, db.u) >= 0.5:
-            passing.append(g)
     passing_set = set(passing)
     curve = 1.0 if m == 0 else qsim.amplify_success_probability(2.0 ** (-m), iterations)
-    per_iter_evals = 2 * c * family.maps(0).evals
-    per_iter_time = db.n_out ** 3 + per_iter_evals
-    flags: List[str] = []
-    ambiguous = len(passing) > 1
-    if ambiguous:
-        flags.append("ambiguous-passing-set")
-    excluded: Set[int] = set()
-    searches = 0
-    while searches < max_searches:
+
+    def draw(excluded: Set[int]) -> Tuple[int, List[int]]:
         active_pass = [g for g in passing if g not in excluded]
         active_other = [g for g in range(space)
                         if g not in passing_set and g not in excluded]
-        if not active_pass and not active_other:
-            break
-        searches += 1
-        if searches > 1:
-            cost.sim_time += rebuild_time
-        cost.offline_evals += iterations * per_iter_evals
-        cost.sim_time += iterations * per_iter_time
         if active_pass and (not active_other or rng.random() < curve):
             g = int(active_pass[rng.integers(len(active_pass))])
         else:
             g = int(active_other[rng.integers(len(active_other))])
-        # sampling pass for period recovery on the measured guess
-        dists = dists_by_guess[g]
-        samples = [int(rng.choice(1 << db.u, p=d)) for d in dists]
-        cost.offline_evals += c * family.maps(g).evals
-        cost.sim_time += db.n_out ** 3 + c * family.maps(g).evals
-        km = try_candidates(g, samples)
-        if km is not None:
-            return EngineOutcome(km, g, searches, ambiguous, len(passing), flags)
-        excluded.add(g)
-    return EngineOutcome(None, None, searches, ambiguous, len(passing), flags)
+        return g, [int(rng.choice(1 << db.u, p=d)) for d in dists[g]]
+
+    return draw
+
+
+def _exact_draw(db: QueryDatabase, family: GuessFamily, rng: np.random.Generator,
+                iterations: int, cap: int, passing: List[int],
+                dists: List[List[np.ndarray]]):
+    """Simulate the joint state gate for gate and measure it."""
+    if family.search_bits == 0:
+        # no search register: the c registers stay unentangled, simulate each alone
+        return lambda excluded: (0, _independent_register_samples(db, family, rng, cap))
+    circuit = _JointCircuit(db, family, cap=cap)
+    return lambda excluded: circuit.run_search(rng, iterations, excluded)
+
+
+_DRAWS = {"TENSOR": _tensor_draw, "EXACT": _exact_draw}
 
 
 # ---------------------------------------------------------------------------
@@ -761,50 +655,6 @@ def _rank_deficient_table(u: int, c: int) -> np.ndarray:
     return out
 
 
-def _exact_search(db: QueryDatabase, family: GuessFamily,
-                  rng: np.random.Generator, iterations: int,
-                  max_searches: int, cost: _Cost,
-                  try_candidates, rebuild_time: int,
-                  cap: int = qsim.DEFAULT_QUBIT_CAP) -> EngineOutcome:
-    c = db.c
-    per_iter_evals = 2 * c * family.maps(0).evals
-    per_iter_time = db.n_out ** 3 + per_iter_evals
-    flags: List[str] = []
-    # threshold passing set, computed for reporting parity with TENSOR mode
-    passing = []
-    for g in range(1 << family.search_bits):
-        if exact_pass_probability(_register_dists(db, family.maps(g)), db.u) >= 0.5:
-            passing.append(g)
-    ambiguous = len(passing) > 1
-    if ambiguous:
-        flags.append("ambiguous-passing-set")
-
-    if family.search_bits == 0:
-        # no search register: the c registers stay unentangled, simulate each alone
-        samples = _independent_register_samples(db, family, rng, cap)
-        cost.offline_evals += c * family.maps(0).evals
-        cost.sim_time += db.n_out ** 3 + c * family.maps(0).evals
-        km = try_candidates(0, samples)
-        return EngineOutcome(km, 0 if km is not None else None, 1,
-                             ambiguous, len(passing), flags)
-
-    circuit = _JointCircuit(db, family, cap=cap)
-    excluded: Set[int] = set()
-    searches = 0
-    while searches < max_searches:
-        searches += 1
-        if searches > 1:
-            cost.sim_time += rebuild_time
-        cost.offline_evals += iterations * per_iter_evals + c * family.maps(0).evals
-        cost.sim_time += iterations * per_iter_time + db.n_out ** 3 + c * family.maps(0).evals
-        g, samples = circuit.run_search(rng, iterations, excluded)
-        km = try_candidates(g, samples)
-        if km is not None:
-            return EngineOutcome(km, g, searches, ambiguous, len(passing), flags)
-        excluded.add(g)
-    return EngineOutcome(None, None, searches, ambiguous, len(passing), flags)
-
-
 def _independent_register_samples(db: QueryDatabase, family: GuessFamily,
                                   rng: np.random.Generator, cap: int) -> List[int]:
     reg_bits = db.u + db.n_out
@@ -845,43 +695,95 @@ def generalized_offline_simon(db: QueryDatabase, family: GuessFamily,
                               cap: int = qsim.DEFAULT_QUBIT_CAP) -> EngineOutcome:
     """Generic engine: find the guess whose transformed database is periodic.
 
+    The one search loop of both modes. It scans the passing set once, then
+    searches until a candidate verifies, max_searches is spent or every
+    guess is excluded; each search charges the database rebuild (after the
+    first), the amplification iterations and the sampling pass. Only the
+    draw of the measured guess and its samples depends on the mode.
+
     try_candidates(guess, samples) turns a measured guess plus Simon samples
     into verified key material (None rejects the guess and the search
     repeats, excluding it). Without a callback, any guess in the passing set
     is accepted as the answer.
     """
+    if mode not in _DRAWS:
+        raise ValueError(f"unknown mode {mode!r}")
     if cost is None:
         cost = _Cost()
     m = family.search_bits
     if iterations is None:
-        iterations = 0 if m == 0 else qsim.grover_iterations(2.0 ** (-m))
+        iterations = qsim.search_iterations(m)
     if rebuild_time is None:
         rebuild_time = db.n_out * (1 << db.u)
     if try_candidates is None:
-        passing_cache: Dict[int, bool] = {}
-
         def try_candidates(g, samples):
-            if g not in passing_cache:
-                passing_cache[g] = test_key_guess(db, g, family)[0]
-            return KeyMaterial(k=g) if passing_cache[g] else None
+            return KeyMaterial(k=g) if test_key_guess(db, g, family)[0] else None
 
-    if mode == "TENSOR":
-        return _tensor_search(db, family, rng, iterations, max_searches, cost,
-                              try_candidates, rebuild_time)
-    if mode == "EXACT":
-        return _exact_search(db, family, rng, iterations, max_searches, cost,
-                             try_candidates, rebuild_time, cap=cap)
-    raise ValueError(f"unknown mode {mode!r}")
+    if m > MAX_SEARCH_BITS:
+        raise ValueError(f"search space of {m} bits exceeds the desk-scale cap")
+    space = 1 << m
+    dists: List[List[np.ndarray]] = []
+    passing: List[int] = []
+    for g in range(space):
+        dists.append(_register_dists(db, family.maps(g)))
+        if exact_pass_probability(dists[g], db.u) >= 0.5:
+            passing.append(g)
+    ambiguous = len(passing) > 1
+    flags = ["ambiguous-passing-set"] if ambiguous else []
+    draw = _DRAWS[mode](db, family, rng, iterations, cap, passing, dists)
+    c = db.c
+    evals = family.maps(0).evals
+    per_iter_evals = 2 * c * evals
+    excluded: Set[int] = set()
+    searches = 0
+    g = recovered = None
+    while searches < max_searches and len(excluded) < space:
+        searches += 1
+        if searches > 1:
+            cost.sim_time += rebuild_time
+        # the amplification iterations, then the sampling pass on the measured guess
+        cost.offline_evals += iterations * per_iter_evals + c * evals
+        cost.sim_time += (iterations * (db.n_out ** 3 + per_iter_evals)
+                          + db.n_out ** 3 + c * evals)
+        g, samples = draw(excluded)
+        recovered = try_candidates(g, samples)
+        if recovered is not None:
+            break
+        excluded.add(g)
+    return EngineOutcome(recovered, g if recovered is not None else None, searches,
+                         ambiguous, len(passing), iterations, flags)
 
 
-def _report_keys(kind: ConstructionKind, km: Optional[KeyMaterial]):
-    if km is None:
-        return None, None, None
-    if kind == ConstructionKind.ECBC3:
-        return km.k, km.m1, km.m2
-    if kind == ConstructionKind.TWO_XOR:
-        return km.k, km.k1, km.k1
-    return km.k, km.k1, km.k2
+def _search_attack(instance: ConstructionInstance, db: QueryDatabase, u: int,
+                   rng: np.random.Generator, *, build_time: int, mode: str,
+                   max_searches: int, cap: int, seed: int, **fields) -> AttackReport:
+    """Search the database for the key and report; shared by both database attacks.
+
+    build_time is charged once before the search and again for every
+    rebuild between searches; search_time_units leaves out the first charge.
+    """
+    cost = _Cost(sim_time=build_time)
+    family = guess_family_for(instance, u)
+    outcome = generalized_offline_simon(
+        db, family, rng, mode=mode, max_searches=max_searches,
+        try_candidates=_candidate_verifier(instance, db, family, cost),
+        cost=cost, rebuild_time=build_time, cap=cap)
+    k, k1, k2 = report_keys(instance.kind, outcome.recovered)
+    return AttackReport(
+        success=outcome.recovered is not None,
+        k=k, k1=k1, k2=k2,
+        offline_evals=cost.offline_evals,
+        amplification_iterations=outcome.iterations,
+        sim_time_units=cost.sim_time,
+        mode=mode,
+        seed=seed,
+        searches=outcome.searches,
+        ambiguous=outcome.ambiguous,
+        passing_count=outcome.passing_count,
+        flags=outcome.flags,
+        search_time_units=cost.sim_time - build_time,
+        **fields,
+    )
 
 
 def offline_simon_attack(instance: ConstructionInstance, u: int, c: int,
@@ -903,35 +805,10 @@ def offline_simon_attack(instance: ConstructionInstance, u: int, c: int,
         u = instance.n
     else:
         db = build_database_cpa(instance, u, c)
-    family = guess_family_for(instance, u)
-    m = family.search_bits
-    iterations = 0 if m == 0 else qsim.grover_iterations(2.0 ** (-m))
-    cost = _Cost()
-    build_time = db.n_out * (1 << db.u)
-    cost.sim_time += build_time
-    search_start = cost.sim_time
-    try_candidates = _candidate_verifier(instance, db, family, cost)
-    outcome = generalized_offline_simon(
-        db, family, rng, iterations=iterations, mode=mode,
-        max_searches=max_searches, try_candidates=try_candidates,
-        cost=cost, rebuild_time=build_time, cap=cap)
-    k, k1, k2 = _report_keys(instance.kind, outcome.recovered)
-    return AttackReport(
-        success=outcome.recovered is not None,
-        k=k, k1=k1, k2=k2,
-        online_queries=instance.online_forward - forward_before,
-        offline_evals=cost.offline_evals,
-        amplification_iterations=iterations,
-        sim_time_units=cost.sim_time,
-        mode=mode,
-        seed=seed,
-        query_model="Q1",
-        searches=outcome.searches,
-        ambiguous=outcome.ambiguous,
-        passing_count=outcome.passing_count,
-        flags=outcome.flags,
-        search_time_units=cost.sim_time - search_start,
-    )
+    return _search_attack(
+        instance, db, u, rng, build_time=db.n_out * (1 << db.u), mode=mode,
+        max_searches=max_searches, cap=cap, seed=seed, query_model="Q1",
+        online_queries=instance.online_forward - forward_before)
 
 
 def grover_meets_simon_attack(instance: ConstructionInstance, c: int,
@@ -947,39 +824,14 @@ def grover_meets_simon_attack(instance: ConstructionInstance, c: int,
     that extracts the period is drawn from the stored test statistics and its
     c construction queries are reported separately in the metadata.
     """
-    if instance.kind not in (ConstructionKind.EM, ConstructionKind.FX,
-                             ConstructionKind.EFX, ConstructionKind.TWO_XOR):
-        raise ValueError(f"no superposition attack for kind {instance.kind}")
-    n = instance.n
-    db = _database_from_oracle(instance, n, c)
-    family = guess_family_for(instance, n)
-    m = family.search_bits
-    iterations = 0 if m == 0 else qsim.grover_iterations(2.0 ** (-m))
-    cost = _Cost()
-    try_candidates = _candidate_verifier(instance, db, family, cost)
-    outcome = generalized_offline_simon(
-        db, family, rng, iterations=iterations, mode=mode,
-        max_searches=max_searches, try_candidates=try_candidates,
-        cost=cost, rebuild_time=0, cap=cap)
-    k, k1, k2 = _report_keys(instance.kind, outcome.recovered)
-    quantum_queries = 2 * c * iterations * max(outcome.searches, 0)
-    return AttackReport(
-        success=outcome.recovered is not None,
-        k=k, k1=k1, k2=k2,
-        online_queries=quantum_queries,
-        offline_evals=cost.offline_evals,
-        amplification_iterations=iterations,
-        sim_time_units=cost.sim_time,
-        mode=mode,
-        seed=seed,
-        query_model="Q2",
-        searches=outcome.searches,
-        ambiguous=outcome.ambiguous,
-        passing_count=outcome.passing_count,
-        flags=outcome.flags,
-        search_time_units=cost.sim_time,
-        recovery_queries=c,
-    )
+    check_attack(instance.kind, "grover_meets_simon")
+    db = _database_from_oracle(instance, instance.n, c)
+    report = _search_attack(
+        instance, db, instance.n, rng, build_time=0, mode=mode,
+        max_searches=max_searches, cap=cap, seed=seed, query_model="Q2",
+        online_queries=0, recovery_queries=c)
+    report.online_queries = 2 * c * report.amplification_iterations * report.searches
+    return report
 
 
 def em_q2_attack(instance: ConstructionInstance, c: int,
@@ -991,8 +843,7 @@ def em_q2_attack(instance: ConstructionInstance, c: int,
     query. A constant or rank-deficient sample set is reported as a flagged
     failure (the degenerate k1 = 0 instance lands here).
     """
-    if instance.kind != ConstructionKind.EM:
-        raise ValueError("this attack targets the EM construction")
+    check_attack(instance.kind, "em_q2")
     n = instance.n
     perm = instance.components[0]
     f = [instance._raw_encrypt(x) ^ perm.table[x] for x in range(1 << n)]

@@ -82,10 +82,6 @@ class StateVector:
         except KeyError:
             raise ValueError(f"unknown register {name!r}") from None
 
-    def register_values(self, name: str) -> np.ndarray:
-        start, size = self.register_range(name)
-        return (_arange(self.amps.size) >> start) & ((1 << size) - 1)
-
     def norm_squared(self) -> float:
         nz = self.nonzero_hint()
         if nz.size <= self._amps.size // 4:
@@ -106,15 +102,6 @@ class StateVector:
                          for nm in names)
             rows.append(vals + (i, a.real, a.imag))
         return rows
-
-    def dump_csv(self) -> str:
-        """State dump as CSV: one row per basis index with register values."""
-        names = list(self.layout)
-        lines = [",".join(names + ["basis_index", "real", "imag"])]
-        for row in self.dump_rows():
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                                  for v in row))
-        return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=32)
@@ -349,16 +336,16 @@ def simon_full(f: Sequence[int], c: int, rng: np.random.Generator,
     return recover_period_verified(f, samples)
 
 
-def default_sample_count(n: int) -> int:
-    """Samples per periodicity test; n + 4 keeps the failure rate below 2^-4."""
-    return n + 4
-
-
 def grover_iterations(p: float) -> int:
     """Iteration count floor((pi/4) / arcsin(sqrt(p))) for success probability p."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"probability p={p} out of (0, 1]")
     return int(math.floor((math.pi / 4.0) / math.asin(math.sqrt(p))))
+
+
+def search_iterations(m: int) -> int:
+    """Iterations of a search for one marked guess among 2^m (0 when m = 0)."""
+    return grover_iterations(2.0 ** -m)
 
 
 def amplify_success_probability(p: float, iterations: int) -> float:

@@ -5,16 +5,23 @@ import pytest
 
 from efxlab import ciphers
 from efxlab.ciphers import (
+    SPECS,
     ConstructionKind,
     KeyDerivation,
     KeyMaterial,
+    complete_key,
+    decrypt_with,
     derive_related_key,
+    encrypt_with,
     identity_cipher,
     identity_permutation,
     make_construction,
     make_ideal_cipher,
     make_permutation,
+    report_keys,
 )
+from efxlab.harness import build_instance
+from efxlab.offline_simon import RegisterState, guess_family_for, transformed_payload
 
 
 def test_permutation_one_bit():
@@ -179,11 +186,14 @@ def _all_kind_instances(n=4, seed=515):
         make_construction(ConstructionKind.DEFX, comps3, KeyMaterial(k=7, k1=3, k2=9)),
         make_construction(ConstructionKind.ITERATED_EM, perms,
                           KeyMaterial(keys=[4, 11], schedule=[0, 0, 1, 0, 1, 0])),
+        make_construction(ConstructionKind.ECBC3, [e], KeyMaterial(k=7, m1=3, m2=9)),
     ]
 
 
 def test_encrypt_decrypt_roundtrip_all_kinds():
     for inst in _all_kind_instances():
+        if inst.kind == ConstructionKind.ECBC3:  # forward-only
+            continue
         for x in range(16):
             assert inst._raw_decrypt(inst._raw_encrypt(x)) == x
             assert inst._raw_encrypt(inst._raw_decrypt(x)) == x
@@ -241,3 +251,126 @@ def test_make_construction_validation():
         make_construction(ConstructionKind.ITERATED_EM,
                           [make_permutation(4, 1)],
                           KeyMaterial(keys=[1], schedule=[0, 5]))
+
+
+# ---------------------------------------------------------------------------
+# the construction registry against hand-written reference formulas
+
+
+def reference_encrypt(kind, comps, km, kd, x):
+    if kind == ConstructionKind.EM:
+        return comps[0].table[x ^ km.k1] ^ km.k2
+    if kind == ConstructionKind.FX:
+        return comps[0].forward(km.k, x ^ km.k1) ^ km.k2
+    if kind == ConstructionKind.EFX:
+        e1, e2 = comps
+        return e2.forward(km.k, km.k2 ^ e1.forward(km.k, km.k1 ^ x))
+    if kind == ConstructionKind.TWO_XOR:
+        e = comps[0]
+        kb = derive_related_key(kd, km.k)
+        return e.forward(kb, e.forward(km.k, x ^ km.k1) ^ km.k1)
+    if kind == ConstructionKind.DEFX:
+        e1, e2, e3 = comps
+        return e3.forward(km.k, km.k2 ^ e2.forward(km.k, km.k1 ^ e1.forward(km.k, x)))
+    assert kind == ConstructionKind.ECBC3
+    e = comps[0]
+    kb = derive_related_key(kd, km.k)
+    v = e.forward(km.k, x)
+    v = e.forward(km.k, km.m1 ^ v)
+    v = e.forward(km.k, km.m2 ^ v)
+    return e.forward(kb, v)
+
+
+def reference_decrypt(kind, comps, km, kd, y):
+    if kind == ConstructionKind.EM:
+        return comps[0].inverse_table[y ^ km.k2] ^ km.k1
+    if kind == ConstructionKind.FX:
+        return comps[0].backward(km.k, y ^ km.k2) ^ km.k1
+    if kind == ConstructionKind.EFX:
+        e1, e2 = comps
+        return km.k1 ^ e1.backward(km.k, km.k2 ^ e2.backward(km.k, y))
+    if kind == ConstructionKind.TWO_XOR:
+        e = comps[0]
+        kb = derive_related_key(kd, km.k)
+        return e.backward(km.k, e.backward(kb, y) ^ km.k1) ^ km.k1
+    assert kind == ConstructionKind.DEFX
+    e1, e2, e3 = comps
+    return e1.backward(km.k, km.k1 ^ e2.backward(km.k, km.k2 ^ e3.backward(km.k, y)))
+
+
+REFERENCE_LAYERS = {ConstructionKind.EM: 1, ConstructionKind.FX: 1, ConstructionKind.EFX: 2,
+                    ConstructionKind.TWO_XOR: 2, ConstructionKind.DEFX: 3,
+                    ConstructionKind.ECBC3: 4}
+
+REFERENCE_ATTACKS = {
+    ConstructionKind.EM: {"offline_simon", "grover_meets_simon", "em_q2",
+                          "guess_and_em", "exhaustive"},
+    ConstructionKind.FX: {"offline_simon", "grover_meets_simon", "guess_and_em", "exhaustive"},
+    ConstructionKind.EFX: {"offline_simon", "grover_meets_simon", "guess_and_em", "exhaustive"},
+    ConstructionKind.TWO_XOR: {"offline_simon", "grover_meets_simon", "guess_and_em",
+                               "exhaustive"},
+    ConstructionKind.DEFX: {"offline_simon", "exhaustive"},
+    ConstructionKind.ITERATED_EM: set(),
+    ConstructionKind.ECBC3: {"offline_simon"},
+}
+
+
+def _random_instances():
+    for kind in REFERENCE_LAYERS:
+        for n, kappa in ((3, 2), (4, 4), (5, 3)):
+            for seed in range(4):
+                yield build_instance(kind, n, kappa, ciphers.derive_seed("registry", n, seed))
+
+
+def test_registry_covers_every_kind():
+    assert set(SPECS) == set(ConstructionKind)
+    for kind, spec in SPECS.items():
+        assert set(spec.attacks) == REFERENCE_ATTACKS[kind], kind
+        if kind in REFERENCE_LAYERS:
+            assert spec.evals == REFERENCE_LAYERS[kind]
+
+
+def test_spec_encrypt_decrypt_match_reference_formulas():
+    for inst in _random_instances():
+        kind, comps, km, kd = inst.kind, inst.components, inst.key_material, inst.key_derivation
+        assert sum(len(layer) for layer in inst.layers(km.k)) == SPECS[kind].evals
+        for x in range(1 << inst.n):
+            y = reference_encrypt(kind, comps, km, kd, x)
+            assert encrypt_with(kind, comps, km, kd, x) == y
+            if kind != ConstructionKind.ECBC3:
+                assert decrypt_with(kind, comps, km, kd, y) == x
+                assert decrypt_with(kind, comps, km, kd, x) == \
+                    reference_decrypt(kind, comps, km, kd, x)
+
+
+def test_guess_maps_at_planted_guess_make_the_database_periodic():
+    for inst in _random_instances():
+        kind, km = inst.kind, inst.key_material
+        k, w1, _ = report_keys(kind, km)
+        for u in range(inst.n + 1):
+            if SPECS[kind].full_domain and u != inst.n:
+                continue
+            shift = inst.n - u
+            payload = tuple(reference_encrypt(kind, inst.components, km,
+                                              inst.key_derivation, x << shift)
+                            for x in range(1 << u))
+            family = guess_family_for(inst, u)
+            planted = (k or 0) | ((w1 & ((1 << shift) - 1)) << family.kappa_bits)
+            maps = family.maps(planted)
+            assert maps.evals == SPECS[kind].evals
+            h = transformed_payload(RegisterState(payload, frozenset()), maps)
+            period = w1 >> shift
+            assert all(h[x] == h[x ^ period] for x in range(1 << u)), (kind, u)
+
+
+def test_key_completion_from_one_pair_recovers_planted_key():
+    for inst in _random_instances():
+        kind, comps, km, kd = inst.kind, inst.components, inst.key_material, inst.key_derivation
+        k, w1, w2 = report_keys(kind, km)
+        pt = 5 % (1 << inst.n)
+        ct = reference_encrypt(kind, comps, km, kd, pt)
+        completed, evals = complete_key(kind, comps, kd, k, w1, pt, ct)
+        assert report_keys(kind, completed) == (k, w1, w2)
+        assert evals == (0 if kind == ConstructionKind.TWO_XOR else REFERENCE_LAYERS[kind])
+        assert all(reference_encrypt(kind, comps, completed, kd, x) ==
+                   reference_encrypt(kind, comps, km, kd, x) for x in range(1 << inst.n))

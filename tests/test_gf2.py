@@ -14,25 +14,22 @@ def span_enumeration_rank(rows, n):
 
 
 def test_rank_identity():
-    m = gf2.GF2Matrix(5, [1 << i for i in range(5)])
-    assert gf2.rank(m) == 5
+    assert gf2.rank([1 << i for i in range(5)], 5) == 5
 
 
 def test_rank_dependent_row():
-    m = gf2.GF2Matrix(3, [0b011, 0b101, 0b110])
-    assert gf2.rank(m) == 2
+    assert gf2.rank([0b011, 0b101, 0b110], 3) == 2
 
 
 def test_rank_matches_span_enumeration():
     rng = np.random.default_rng(7)
     for _ in range(50):
         rows = [int(rng.integers(256)) for _ in range(20)]
-        m = gf2.GF2Matrix(8, rows)
-        assert gf2.rank(m) == span_enumeration_rank(rows, 8)
+        assert gf2.rank(rows, 8) == span_enumeration_rank(rows, 8)
 
 
 def test_nullspace_empty_matrix():
-    basis = gf2.nullspace_basis(gf2.GF2Matrix(3, []))
+    basis = gf2.nullspace_basis([], 3)
     assert len(basis) == 3
     span = {0}
     for b in basis:
@@ -43,22 +40,20 @@ def test_nullspace_empty_matrix():
 def test_nullspace_orthogonal_rows():
     # rows = every y with y . 101 = 0; the nullspace must be exactly {101}
     rows = [y for y in range(8) if gf2.dot(y, 0b101) == 0]
-    basis = gf2.nullspace_basis(gf2.GF2Matrix(3, rows))
+    basis = gf2.nullspace_basis(rows, 3)
     assert basis == [0b101]
 
 
 def test_nullspace_identity_rows():
-    m = gf2.GF2Matrix(4, [1, 2, 4, 8])
-    assert gf2.nullspace_basis(m) == []
+    assert gf2.nullspace_basis([1, 2, 4, 8], 4) == []
 
 
 def test_nullspace_vectors_are_orthogonal_to_rows():
     rng = np.random.default_rng(11)
     for _ in range(50):
         rows = [int(rng.integers(64)) for _ in range(7)]
-        m = gf2.GF2Matrix(6, rows)
-        basis = gf2.nullspace_basis(m)
-        assert gf2.rank(m) + len(basis) == 6
+        basis = gf2.nullspace_basis(rows, 6)
+        assert gf2.rank(rows, 6) + len(basis) == 6
         for v in basis:
             assert all(gf2.dot(row, v) == 0 for row in rows)
 

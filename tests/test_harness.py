@@ -153,6 +153,27 @@ def test_cli_config_error_exit_code(tmp_path):
         cli.EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize("config", [
+    "attack = exhaustive\nconstruction = EFX\nn = 3\nkappa = 2\ndata = 9",
+    "attack = exhaustive\nconstruction = ECBC3\nn = 3\nkappa = 2\ndata = 4",
+    "attack = guess_and_em\nconstruction = DEFX\nn = 3\nkappa = 2\ndata = 4",
+    "attack = guess_and_em\nconstruction = ITERATED_EM\nn = 3\nkappa = 2\ndata = 4",
+    "attack = exhaustive\nconstruction = ITERATED_EM\nn = 3\nkappa = 2\ndata = 4",
+])
+def test_cli_rejects_unsupported_config_before_running(tmp_path, capsys, monkeypatch,
+                                                       config):
+    def no_trials(cfg, trial):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", no_trials)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(config + "\n")
+    assert cli.main(["attack", "--config", str(cfg_path)]) == cli.EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_cli_curves_and_plot(tmp_path):
     csv_path = tmp_path / "curves.csv"
     svg_path = tmp_path / "curves.svg"

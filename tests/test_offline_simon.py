@@ -205,17 +205,6 @@ def test_single_register_single_bit_hand_enumeration():
     assert exact_pass_probability([dist], 1) == 1.0
 
 
-def test_monte_carlo_mode_agrees_roughly():
-    rng = np.random.default_rng(13)
-    inst = efx_instance(4, 4, 400)
-    db = build_database_cpa(inst, 2, 6)
-    fam = guess_family_for(inst, 2)
-    km = inst.key_material
-    guess = KeyGuess(y1=km.k1 & 3, y2=km.k)
-    passes, prob = check_key_guess(db, guess, fam, exhaustive=False, rng=rng, samples=32)
-    assert passes and prob == 1.0
-
-
 # ---------------------------------------------------------------------------
 # attacks
 
