@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -31,10 +30,6 @@ class Permutation:
     n: int
     table: List[int]
     inverse_table: List[int]
-
-    def to_bytes(self) -> bytes:
-        """Dump the forward table as little-endian 16-bit entries."""
-        return struct.pack("<%dH" % len(self.table), *self.table)
 
 
 def make_permutation(n: int, seed: int) -> Permutation:
@@ -166,21 +161,17 @@ def _unapply(layer: Layer, v: int) -> int:
     return v
 
 
-def layer_table(layer: Layer) -> Optional[List[int]]:
-    """Forward table of a layer, None for the identity."""
-    if not layer:
-        return None
-    table = layer[0].table
+def layer_table(layer: Layer, n: int) -> List[int]:
+    """Forward table of a layer on n-bit values, the identity when empty."""
+    table = layer[0].table if layer else list(range(1 << n))
     for perm in layer[1:]:
         table = [perm.table[v] for v in table]
     return table
 
 
-def layer_inverse_table(layer: Layer) -> Optional[List[int]]:
-    """Inverse table of a layer, None for the identity."""
-    if not layer:
-        return None
-    table = layer[-1].inverse_table
+def layer_inverse_table(layer: Layer, n: int) -> List[int]:
+    """Inverse table of a layer on n-bit values, the identity when empty."""
+    table = layer[-1].inverse_table if layer else list(range(1 << n))
     for perm in reversed(layer[:-1]):
         table = [perm.inverse_table[v] for v in table]
     return table

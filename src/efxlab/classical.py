@@ -161,9 +161,8 @@ def guess_and_em_attack(instance: ConstructionInstance, D: int,
     for guess in guesses:
         # the attack accepts only kinds without a relabel layer
         _, inner, outer = instance.layers(guess)
-        fwd = layer_table(inner).__getitem__
-        outer_table = layer_inverse_table(outer)
-        outer_inv = None if outer_table is None else outer_table.__getitem__
+        fwd = layer_table(inner, n).__getitem__
+        outer_inv = layer_inverse_table(outer, n).__getitem__ if outer else None
 
         wvals: Dict[int, int] = {}
 

@@ -90,11 +90,9 @@ def recover_period(samples: Sequence[int], n: int) -> PeriodResult:
     return UNDETERMINED
 
 
-def nullspace_members(samples: Sequence[int], n: int, cap: int = 256) -> List[int]:
-    """Every vector orthogonal to all samples (including 0), up to cap entries."""
+def nullspace_members(samples: Sequence[int], n: int) -> List[int]:
+    """Every vector orthogonal to all samples, including 0."""
     basis = nullspace_basis(samples, n)
-    if 1 << len(basis) > cap:
-        return []
     members = [0]
     for b in basis:
         members += [v ^ b for v in members]

@@ -1,11 +1,15 @@
 """Offline key recovery through periodicity search on a stored query database.
 
-The attack queries the construction once up front, stores the answers as c
-identical query registers (a compressed quantum database), then runs an
-amplified search over the inner-key and whitening-suffix guesses. Testing a
-guess transforms each register in place (undo the outer cipher layer, XOR a
-guess-keyed value) and checks whether the resulting function is periodic via
-the rank of Hadamard samples.
+The attack queries the construction once up front and stores the answers as
+c identical query registers (a compressed quantum database); since the
+copies are identical, the database holds one payload table, its missing
+inputs and c. It then runs an amplified search over the inner-key and
+whitening-suffix guesses. Testing a guess transforms each register in place
+(relabel the input, undo the outer cipher layer, XOR a guess-keyed value)
+and checks whether the resulting function is periodic via the rank of
+Hadamard samples. A guess family keeps each layer as one dense table per
+inner key and gathers a guess's maps, or the stacked maps of many guesses,
+from them; GuessMaps.apply is the one place that applies them.
 
 Two fidelity modes are provided:
 
@@ -17,7 +21,9 @@ Two fidelity modes are provided:
   the scalable idealization.
 * EXACT simulates the joint state (guess register plus all c query registers)
   gate for gate, including the disturbance that imperfect tests inflict on
-  the shared database within a search.
+  the shared database within a search. With no search register the c
+  registers never entangle, so EXACT samples each register's exact
+  distribution, as TENSOR does.
 
 Both modes verify measured candidates against the recorded plaintext pairs
 and may re-run the search a bounded number of times, excluding candidates
@@ -38,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -63,44 +69,37 @@ MAX_SEARCH_BITS = 20
 
 
 @dataclass
-class RegisterState:
-    """One query register: payload table over all 2^u inputs, 0 at missing ones."""
-
-    payload: Tuple[int, ...]
-    missing: frozenset
-
-    @property
-    def alpha(self) -> float:
-        return len(self.missing) / len(self.payload)
-
-
-@dataclass
 class QueryDatabase:
-    """c-fold tensor database of uniform query superpositions.
+    """c identical copies of one query register over u-bit inputs.
 
     Inputs are u-bit values x embedded into n-bit plaintexts as the high
-    bits, x || 0^(n-u); embed_shift = n - u. Register i represents the state
-    sum_x |x>|payload_i(x)> with uniform amplitudes 2^(-u/2).
+    bits, x || 0^(n-u). Each copy holds the state sum_x |x>|payload(x)> with
+    uniform amplitudes 2^(-u/2); payload has one entry per input, 0 at the
+    inputs in missing (known-plaintext placeholders). The entries are Python
+    ints, so the pairs and the keys completed from them are too.
     """
 
     u: int
     n_out: int
     c: int
-    registers: List[RegisterState]
-    embed_shift: int
+    payload: Tuple[int, ...]
+    missing: frozenset = frozenset()
+
+    @property
+    def embed_shift(self) -> int:
+        return self.n_out - self.u
 
     def embed(self, x: int) -> int:
         return x << self.embed_shift
 
     @property
     def alpha(self) -> float:
-        return self.registers[0].alpha
+        return len(self.missing) / len(self.payload)
 
     def known_pairs(self) -> List[Tuple[int, int]]:
         """(plaintext, ciphertext) pairs actually obtained from the oracle."""
-        reg = self.registers[0]
-        return [(self.embed(x), reg.payload[x])
-                for x in range(1 << self.u) if x not in reg.missing]
+        return [(self.embed(x), self.payload[x])
+                for x in range(1 << self.u) if x not in self.missing]
 
 
 def build_database_cpa(instance: ConstructionInstance, u: int, c: int) -> QueryDatabase:
@@ -111,9 +110,7 @@ def build_database_cpa(instance: ConstructionInstance, u: int, c: int) -> QueryD
     if c < 1:
         raise ValueError("need at least one register")
     shift = n - u
-    payload = tuple(instance.encrypt(x << shift) for x in range(1 << u))
-    reg = RegisterState(payload, frozenset())
-    return QueryDatabase(u, n, c, [reg] * c, shift)
+    return QueryDatabase(u, n, c, tuple(instance.encrypt(x << shift) for x in range(1 << u)))
 
 
 def build_database_kpa(instance: ConstructionInstance, known_inputs, c: int) -> QueryDatabase:
@@ -127,16 +124,15 @@ def build_database_kpa(instance: ConstructionInstance, known_inputs, c: int) -> 
             raise ValueError(f"known input {x} out of range")
     payload = tuple(instance.encrypt(x) if x in known else 0 for x in range(1 << n))
     missing = frozenset(x for x in range(1 << n) if x not in known)
-    reg = RegisterState(payload, missing)
-    return QueryDatabase(n, n, c, [reg] * c, 0)
+    return QueryDatabase(n, n, c, payload, missing)
 
 
 def _database_from_oracle(instance: ConstructionInstance, u: int, c: int) -> QueryDatabase:
     """Database content under superposition access (no classical counters)."""
     n = instance.n
     shift = n - u
-    payload = tuple(instance._raw_encrypt(x << shift) for x in range(1 << u))
-    return QueryDatabase(u, n, c, [RegisterState(payload, frozenset())] * c, shift)
+    return QueryDatabase(u, n, c, tuple(instance._raw_encrypt(x << shift)
+                                        for x in range(1 << u)))
 
 
 def database_overlap(full: QueryDatabase, partial: QueryDatabase) -> float:
@@ -149,17 +145,14 @@ def database_overlap(full: QueryDatabase, partial: QueryDatabase) -> float:
     if (full.u, full.c, full.n_out) != (partial.u, partial.c, partial.n_out):
         raise ValueError("database shapes differ")
     size = 1 << full.u
-    result = 1.0
-    for reg_f, reg_p in zip(full.registers, partial.registers):
-        mismatches = 0
-        for x in range(size):
-            if x in reg_p.missing:
-                if reg_f.payload[x] != 0:
-                    mismatches += 1
-            elif reg_f.payload[x] != reg_p.payload[x]:
-                raise ValueError("known payloads disagree between databases")
-        result *= 1.0 - mismatches / size
-    return result
+    mismatches = 0
+    for x in range(size):
+        if x in partial.missing:
+            if full.payload[x] != 0:
+                mismatches += 1
+        elif full.payload[x] != partial.payload[x]:
+            raise ValueError("known payloads disagree between databases")
+    return (1.0 - mismatches / size) ** full.c
 
 
 def fidelity_bound(c: int, alpha: float) -> float:
@@ -184,49 +177,64 @@ class KeyGuess:
     y2: int
 
 
-@dataclass
-class GuessMaps:
-    """In-place transforms a guess applies to one register.
+class GuessMaps(NamedTuple):
+    """In-place transforms a guess applies to one register, as int64 tables.
 
-    relabel_table permutes the input value (u bits), peel_table is the
-    already-inverted outer layer applied to the payload, xor_table is XORed
-    into the payload at the (relabeled) input. evals is the cipher-evaluation
-    charge for applying the transform to one register once.
+    relabel permutes the input value (u bits), peel is the already-inverted
+    outer layer applied to the payload, xor is XORed into the payload at the
+    relabeled input. Stacked maps carry one row per guess.
     """
 
-    xor_table: Sequence[int]
-    peel_table: Optional[Sequence[int]] = None
-    relabel_table: Optional[Sequence[int]] = None
-    evals: int = 1
+    relabel: np.ndarray
+    peel: np.ndarray
+    xor: np.ndarray
+
+    def apply(self, x, w, *rows):
+        """Image (relabel(x), peel(w) ^ xor(relabel(x))) of input x and payload w.
+
+        rows selects the guess row of each entry when the maps are stacked.
+        """
+        x2 = self.relabel[rows + (x,)]
+        return x2, self.peel[rows + (w,)] ^ self.xor[rows + (x2,)]
 
 
+@dataclass
 class GuessFamily:
     """Guess-indexed register transforms for one construction instance.
 
-    A guess integer packs y2 in the low kappa_bits and y1 above it. Subclass
-    or construct directly with a maps callback to plug in new constructions
-    without touching the search loop.
+    A guess integer packs y2 in the low kappa_bits and y1 above it. The
+    tables are dense and indexed by the inner key y2: relabel over the u-bit
+    input, inner and peel (the inverted outer layer) over n_out-bit values,
+    each the identity where the construction has no such layer. evals is
+    the cipher-evaluation charge for transforming one register once.
     """
 
-    def __init__(self, u: int, n_out: int, kappa_bits: int, suffix_bits: int,
-                 maps_fn: Callable[[KeyGuess], GuessMaps]):
-        self.u = u
-        self.n_out = n_out
-        self.kappa_bits = kappa_bits
-        self.suffix_bits = suffix_bits
-        self.search_bits = kappa_bits + suffix_bits
-        self._maps_fn = maps_fn
-        self._cache: Dict[int, GuessMaps] = {}
+    u: int
+    n_out: int
+    kappa_bits: int
+    suffix_bits: int
+    relabel: np.ndarray
+    inner: np.ndarray
+    peel: np.ndarray
+    evals: int = 1
+
+    @property
+    def search_bits(self) -> int:
+        return self.kappa_bits + self.suffix_bits
 
     def split(self, g: int) -> KeyGuess:
         return KeyGuess(y1=g >> self.kappa_bits, y2=g & ((1 << self.kappa_bits) - 1))
 
-    def maps(self, g: int) -> GuessMaps:
-        m = self._cache.get(g)
-        if m is None:
-            m = self._maps_fn(self.split(g))
-            self._cache[g] = m
-        return m
+    def maps(self, g) -> GuessMaps:
+        """Maps of guess g; an array of guesses gives stacked maps, one row each.
+
+        The XOR table is inner(x || y1) under inner key y2.
+        """
+        g = np.asarray(g, dtype=np.int64)
+        y2 = g & ((1 << self.kappa_bits) - 1)
+        inputs = (np.arange(1 << self.u, dtype=np.int64) << self.suffix_bits) \
+            | (g[..., None] >> self.kappa_bits)
+        return GuessMaps(self.relabel[y2], self.peel[y2], self.inner[y2[..., None], inputs])
 
 
 def guess_family_for(instance: ConstructionInstance, u: int) -> GuessFamily:
@@ -241,62 +249,59 @@ def guess_family_for(instance: ConstructionInstance, u: int) -> GuessFamily:
     n = instance.n
     if spec.full_domain and u != n:
         raise ValueError(f"{instance.kind.value} requires the full input domain (u = n)")
-    shift = n - u
-    inputs = [(x << shift) for x in range(1 << u)]
-
-    def maps_fn(guess: KeyGuess) -> GuessMaps:
-        relabel, inner, outer = instance.layers(guess.y2)
-        table = layer_table(inner)
-        return GuessMaps([table[px | guess.y1] for px in inputs],
-                         peel_table=layer_inverse_table(outer),
-                         relabel_table=layer_table(relabel), evals=spec.evals)
-
-    return GuessFamily(u, n, instance.kappa, shift, maps_fn)
+    if instance.kappa + n - u > MAX_SEARCH_BITS:
+        raise ValueError(f"search space of {instance.kappa + n - u} bits "
+                         "exceeds the desk-scale cap")
+    keys = [instance.layers(k) for k in range(1 << instance.kappa)]
+    # a relabel layer forces u = n, so the identity is all a shorter input sees
+    relabel = np.array([layer_table(r, n)[:1 << u] for r, _, _ in keys], dtype=np.int64)
+    inner = np.array([layer_table(i, n) for _, i, _ in keys], dtype=np.int64)
+    peel = np.array([layer_inverse_table(o, n) for _, _, o in keys], dtype=np.int64)
+    return GuessFamily(u, n, instance.kappa, n - u, relabel, inner, peel, spec.evals)
 
 
 # ---------------------------------------------------------------------------
 # per-register test statistics
 
 
-@lru_cache(maxsize=None)
-def _sign_matrix(u: int) -> np.ndarray:
-    size = 1 << u
-    xs = np.arange(size, dtype=np.int64)
-    overlap = xs[:, None] & xs[None, :]
-    par = np.zeros_like(overlap)
-    for b in range(u):
-        par ^= (overlap >> b) & 1
-    return np.where(par == 0, 1, -1).astype(np.int64)
-
-
-def transformed_payload(reg: RegisterState, maps: GuessMaps) -> List[int]:
-    """Apply the guess maps to one register's payload table, indexed by the
-    (relabeled) input."""
-    size = len(reg.payload)
-    h = [0] * size
-    for x in range(size):
-        xp = maps.relabel_table[x] if maps.relabel_table is not None else x
-        w = reg.payload[x]
-        if maps.peel_table is not None:
-            w = maps.peel_table[w]
-        h[xp] = w ^ maps.xor_table[xp]
+def transformed_payload(payload: Sequence[int], maps: GuessMaps) -> np.ndarray:
+    """The payload table after the guess maps, indexed by the relabeled input;
+    stacked maps give one row per guess."""
+    rows = (np.arange(len(maps.xor))[:, None],) if maps.xor.ndim == 2 else ()
+    x2, w2 = maps.apply(np.arange(len(payload)), np.asarray(payload, dtype=np.int64), *rows)
+    h = np.empty_like(w2)
+    h[rows + (x2,)] = w2
     return h
 
 
-def register_distribution(reg: RegisterState, maps: GuessMaps, u: int) -> np.ndarray:
-    """Exact distribution of the post-Hadamard input measurement for one register."""
-    size = 1 << u
-    h = transformed_payload(reg, maps)
-    sign = _sign_matrix(u)
-    groups: Dict[int, List[int]] = {}
-    for xp, v in enumerate(h):
-        groups.setdefault(v, []).append(xp)
-    probs = np.zeros(size, dtype=np.float64)
-    for members in groups.values():
-        chi = sign[members].sum(axis=0).astype(np.float64)
-        probs += chi * chi
-    probs /= probs.sum()
-    return probs
+def register_distribution(h: np.ndarray, u: int) -> np.ndarray:
+    """Exact distribution of the post-Hadamard input measurement of the
+    register sum_x |x>|h(x)>; a stack of tables gives one row per table.
+
+    The mass at y is 2^(-2u) * sum_s A(s) (-1)^(s.y), where the
+    autocorrelation A(s) counts the inputs x with h(x) = h(x ^ s). Every sum
+    is an integer below 2^53, so the floats are exact.
+    """
+    xs = np.arange(1 << u)
+    signs = qsim._walsh_signs(u)
+    probs = np.zeros(h.shape, dtype=np.float64)
+    for s in xs:
+        probs += (h == h[..., xs ^ s]).sum(axis=-1)[..., None] * signs[s]
+    return probs / float(1 << (2 * u))
+
+
+def _scan_distributions(db: QueryDatabase, family: GuessFamily) -> np.ndarray:
+    """register_distribution of every guess, one row per guess.
+
+    Guesses are gathered in chunks that keep the stacked peel tables near
+    2^20 entries.
+    """
+    space = 1 << family.search_bits
+    step = max(1, (1 << 20) >> db.n_out)
+    return np.concatenate([
+        register_distribution(transformed_payload(
+            db.payload, family.maps(np.arange(start, min(start + step, space)))), db.u)
+        for start in range(0, space, step)])
 
 
 @lru_cache(maxsize=None)
@@ -336,21 +341,11 @@ def test_key_guess(db: QueryDatabase, guess, family: GuessFamily) -> Tuple[bool,
     else:
         g = int(guess)
     maps = family.maps(g)
-    if len(maps.xor_table) != (1 << db.u):
+    if len(maps.xor) != (1 << db.u):
         raise ValueError("guess maps do not match the database input width")
-    prob = exact_pass_probability(_register_dists(db, maps), db.u)
+    dist = register_distribution(transformed_payload(db.payload, maps), db.u)
+    prob = exact_pass_probability([dist] * db.c, db.u)
     return prob >= 0.5, prob
-
-
-def _register_dists(db: QueryDatabase, maps: GuessMaps) -> List[np.ndarray]:
-    dists = []
-    cache: Dict[int, np.ndarray] = {}
-    for reg in db.registers:
-        key = id(reg)
-        if key not in cache:
-            cache[key] = register_distribution(reg, maps, db.u)
-        dists.append(cache[key])
-    return dists
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +449,7 @@ def _candidate_verifier(instance: ConstructionInstance, db: QueryDatabase,
         members = gf2.nullspace_members(samples, db.u)
         # rank-deficient nonzero samples point at a nonzero period, so try
         # those first; the zero prefix (a constant test function) comes last
-        for prefix in [m for m in members if m] + ([0] if 0 in members else []):
+        for prefix in [m for m in members if m] + [0]:
             k1 = (prefix << db.embed_shift) | guess.y1
             km, evals = complete_key(kind, comps, kd, guess.y2, k1, pt0, ct0)
             cost.offline_evals += evals
@@ -470,8 +465,7 @@ def _candidate_verifier(instance: ConstructionInstance, db: QueryDatabase,
 
 
 def _tensor_draw(db: QueryDatabase, family: GuessFamily, rng: np.random.Generator,
-                 iterations: int, cap: int, passing: List[int],
-                 dists: List[List[np.ndarray]]):
+                 iterations: int, cap: int, passing: List[int], dists: np.ndarray):
     """Land on an active passing guess with the closed-form success curve,
     otherwise on a uniform other active guess; sample its registers exactly."""
     m = family.search_bits
@@ -487,18 +481,20 @@ def _tensor_draw(db: QueryDatabase, family: GuessFamily, rng: np.random.Generato
             g = int(active_pass[rng.integers(len(active_pass))])
         else:
             g = int(active_other[rng.integers(len(active_other))])
-        return g, [int(rng.choice(1 << db.u, p=d)) for d in dists[g]]
+        return g, [int(rng.choice(1 << db.u, p=dists[g])) for _ in range(db.c)]
 
     return draw
 
 
 def _exact_draw(db: QueryDatabase, family: GuessFamily, rng: np.random.Generator,
-                iterations: int, cap: int, passing: List[int],
-                dists: List[List[np.ndarray]]):
+                iterations: int, cap: int, passing: List[int], dists: np.ndarray):
     """Simulate the joint state gate for gate and measure it."""
     if family.search_bits == 0:
-        # no search register: the c registers stay unentangled, simulate each alone
-        return lambda excluded: (0, _independent_register_samples(db, family, rng, cap))
+        # no search register: the c registers stay unentangled, so each
+        # measurement samples the exact register distribution of the scan
+        if db.u + db.n_out > cap:
+            raise ValueError(f"register state needs {db.u + db.n_out} qubits, cap is {cap}")
+        return _tensor_draw(db, family, rng, iterations, cap, passing, dists)
     circuit = _JointCircuit(db, family, cap=cap)
     return lambda excluded: circuit.run_search(rng, iterations, excluded)
 
@@ -529,28 +525,10 @@ class _JointCircuit:
         self.total = total
         space = 1 << self.m
         u_size = 1 << db.u
-        w_size = 1 << db.n_out
-        rel = np.empty((space, u_size), dtype=np.int64)
-        peel = np.empty((space, w_size), dtype=np.int64)
-        xor = np.empty((space, u_size), dtype=np.int64)
-        for g in range(space):
-            maps = family.maps(g)
-            rel[g] = maps.relabel_table if maps.relabel_table is not None else np.arange(u_size)
-            peel[g] = maps.peel_table if maps.peel_table is not None else np.arange(w_size)
-            xor[g] = maps.xor_table
         idx = np.arange(1 << total, dtype=np.int64)
         g_part = idx & (space - 1)
-        fwd = g_part.copy()
-        ykey = np.zeros_like(idx)
-        for i in range(db.c):
-            off = self.m + i * self.reg_bits
-            x = (idx >> off) & (u_size - 1)
-            w = (idx >> (off + db.u)) & (w_size - 1)
-            x2 = rel[g_part, x]
-            w2 = peel[g_part, w] ^ xor[g_part, x2]
-            fwd |= x2 << off
-            fwd |= w2 << (off + db.u)
-            ykey |= x << (i * db.u)
+        fwd, ykey = self._forward(family.maps(np.arange(space)), idx, self.m, g_part)
+        fwd |= g_part
         self.fwd = fwd
         self.bwd = np.empty_like(fwd)
         self.bwd[fwd] = idx
@@ -560,15 +538,29 @@ class _JointCircuit:
         self.in_qubits = [self.m + i * self.reg_bits + j
                           for i in range(db.c) for j in range(db.u)]
         # initial state: uniform guesses tensor the database registers
-        guess_vec = np.full(space, space ** -0.5, dtype=np.complex128)
-        joint = guess_vec
-        for reg in db.registers:
-            vec = np.zeros(1 << self.reg_bits, dtype=np.complex128)
-            amp = (1 << db.u) ** -0.5
-            for x in range(u_size):
-                vec[x | (reg.payload[x] << db.u)] = amp
+        vec = np.zeros(1 << self.reg_bits, dtype=np.complex128)
+        vec[np.arange(u_size) | (np.asarray(db.payload, dtype=np.int64) << db.u)] = \
+            u_size ** -0.5
+        joint = np.full(space, space ** -0.5, dtype=np.complex128)
+        for _ in range(db.c):
             joint = np.kron(vec, joint)
         self.initial = joint
+
+    def _forward(self, maps: GuessMaps, idx: np.ndarray, base: int,
+                 *rows) -> Tuple[np.ndarray, np.ndarray]:
+        """Index map of the guess transform on the c registers from bit base
+        up, and the c input values packed u bits each."""
+        u = self.db.u
+        fwd = np.zeros_like(idx)
+        ykey = np.zeros_like(idx)
+        for i in range(self.db.c):
+            off = base + i * self.reg_bits
+            x = (idx >> off) & ((1 << u) - 1)
+            x2, w2 = maps.apply(x, (idx >> (off + u)) & ((1 << self.db.n_out) - 1), *rows)
+            fwd |= x2 << off
+            fwd |= w2 << (off + u)
+            ykey |= x << (i * u)
+        return fwd, ykey
 
     def run_search(self, rng: np.random.Generator, iterations: int,
                    excluded: Set[int]) -> Tuple[int, List[int]]:
@@ -604,23 +596,8 @@ class _JointCircuit:
                        rng: np.random.Generator) -> List[int]:
         db = self.db
         u_size = 1 << db.u
-        w_size = 1 << db.n_out
-        maps = self.family.maps(g)
-        rel = np.asarray(maps.relabel_table if maps.relabel_table is not None
-                         else range(u_size), dtype=np.int64)
-        peel = np.asarray(maps.peel_table if maps.peel_table is not None
-                          else range(w_size), dtype=np.int64)
-        xor = np.asarray(maps.xor_table, dtype=np.int64)
         idx = np.arange(branch.size, dtype=np.int64)
-        fwd = np.zeros_like(idx)
-        for i in range(db.c):
-            off = i * self.reg_bits
-            x = (idx >> off) & (u_size - 1)
-            w = (idx >> (off + db.u)) & (w_size - 1)
-            x2 = rel[x]
-            w2 = peel[w] ^ xor[x2]
-            fwd |= x2 << off
-            fwd |= w2 << (off + db.u)
+        fwd, _ = self._forward(self.family.maps(g), idx, 0)
         bwd = np.empty_like(fwd)
         bwd[fwd] = idx
         state = branch[bwd]
@@ -653,31 +630,6 @@ def _rank_deficient_table(u: int, c: int) -> np.ndarray:
         rows = [(key >> (i * u)) & mask for i in range(c)]
         out[key] = len(gf2._reduced_rows(rows, u)) < u
     return out
-
-
-def _independent_register_samples(db: QueryDatabase, family: GuessFamily,
-                                  rng: np.random.Generator, cap: int) -> List[int]:
-    reg_bits = db.u + db.n_out
-    if reg_bits > cap:
-        raise ValueError(f"register state needs {reg_bits} qubits, cap is {cap}")
-    maps = family.maps(0)
-    u_size = 1 << db.u
-    samples = []
-    for reg in db.registers:
-        h = transformed_payload(reg, maps)
-        vec = np.zeros(1 << reg_bits, dtype=np.complex128)
-        amp = u_size ** -0.5
-        for xp, v in enumerate(h):
-            vec[xp | (v << db.u)] = amp
-        for q in range(db.u):
-            qsim.hadamard_qubit(vec, q)
-        idx = np.arange(vec.size, dtype=np.int64)
-        values = idx & (u_size - 1)
-        probs = np.bincount(values, weights=np.abs(vec) ** 2, minlength=u_size)
-        probs = np.maximum(probs, 0.0)
-        probs /= probs.sum()
-        samples.append(int(rng.choice(u_size, p=probs)))
-    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -715,24 +667,20 @@ def generalized_offline_simon(db: QueryDatabase, family: GuessFamily,
         iterations = qsim.search_iterations(m)
     if rebuild_time is None:
         rebuild_time = db.n_out * (1 << db.u)
-    if try_candidates is None:
-        def try_candidates(g, samples):
-            return KeyMaterial(k=g) if test_key_guess(db, g, family)[0] else None
-
     if m > MAX_SEARCH_BITS:
         raise ValueError(f"search space of {m} bits exceeds the desk-scale cap")
     space = 1 << m
-    dists: List[List[np.ndarray]] = []
-    passing: List[int] = []
-    for g in range(space):
-        dists.append(_register_dists(db, family.maps(g)))
-        if exact_pass_probability(dists[g], db.u) >= 0.5:
-            passing.append(g)
+    dists = _scan_distributions(db, family)
+    passing = [g for g in range(space)
+               if exact_pass_probability([dists[g]] * db.c, db.u) >= 0.5]
+    if try_candidates is None:
+        def try_candidates(g, samples):
+            return KeyMaterial(k=g) if g in passing else None
     ambiguous = len(passing) > 1
     flags = ["ambiguous-passing-set"] if ambiguous else []
     draw = _DRAWS[mode](db, family, rng, iterations, cap, passing, dists)
     c = db.c
-    evals = family.maps(0).evals
+    evals = family.evals
     per_iter_evals = 2 * c * evals
     excluded: Set[int] = set()
     searches = 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -92,16 +92,6 @@ class StateVector:
     def check_norm(self) -> None:
         if abs(self.norm_squared() - 1.0) > NORM_TOL:
             raise AssertionError("state norm drifted beyond tolerance")
-
-    def dump_rows(self) -> List[tuple]:
-        """(register value columns..., basis index, real, imag) for debugging dumps."""
-        names = list(self.layout)
-        rows = []
-        for i, a in enumerate(self.amps):
-            vals = tuple((i >> self.layout[nm][0]) & ((1 << self.layout[nm][1]) - 1)
-                         for nm in names)
-            rows.append(vals + (i, a.real, a.imag))
-        return rows
 
 
 @lru_cache(maxsize=32)

@@ -97,3 +97,7 @@ def test_nullspace_members_contains_every_orthogonal_vector():
     expected = {v for v in range(16)
                 if all(gf2.dot(s, v) == 0 for s in samples)}
     assert set(members) == expected
+
+
+def test_nullspace_members_has_no_size_cap():
+    assert sorted(gf2.nullspace_members([1], 10)) == list(range(0, 1024, 2))

@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efxlab import ciphers, gf2, offline_simon, qsim
 from efxlab.ciphers import ConstructionKind, KeyMaterial, derive_seed, make_construction
@@ -11,7 +14,6 @@ from efxlab.offline_simon import (
     GuessFamily,
     GuessMaps,
     KeyGuess,
-    RegisterState,
     build_database_cpa,
     build_database_kpa,
     database_overlap,
@@ -40,22 +42,24 @@ def test_cpa_database_full_codebook():
     db = build_database_cpa(inst, 4, 3)
     assert inst.online_forward == 16
     assert db.alpha == 0.0
-    assert len(db.registers) == 3
-    assert db.registers[0] is db.registers[1]
+    assert db.c == 3
+    assert db.payload == tuple(inst._raw_encrypt(x) for x in range(16))
+    # report keys are completed from these pairs, so they must stay Python ints
+    assert all(type(v) is int for pair in db.known_pairs() for v in pair)
 
 
 def test_cpa_database_single_point():
     inst = efx_instance(4, 4, 2)
     db = build_database_cpa(inst, 0, 2)
     assert inst.online_forward == 1
-    assert db.registers[0].payload == (inst._raw_encrypt(0),)
+    assert db.payload == (inst._raw_encrypt(0),)
 
 
 def test_cpa_database_payload_matches_direct_reencryption():
     inst = efx_instance(4, 4, 3)
     db = build_database_cpa(inst, 3, 2)
     for x in range(8):
-        assert db.registers[0].payload[x] == inst._raw_encrypt(x << 1)
+        assert db.payload[x] == inst._raw_encrypt(x << 1)
 
 
 def test_kpa_database_matches_cpa_when_everything_known():
@@ -63,7 +67,7 @@ def test_kpa_database_matches_cpa_when_everything_known():
     b = efx_instance(4, 4, 4)
     full = build_database_cpa(a, 4, 2)
     known = build_database_kpa(b, range(16), 2)
-    assert known.registers[0].payload == full.registers[0].payload
+    assert known.payload == full.payload
     assert known.alpha == 0.0
 
 
@@ -71,10 +75,10 @@ def test_kpa_database_degenerate_and_partial():
     inst = efx_instance(4, 4, 5)
     db = build_database_kpa(inst, [], 2)
     assert db.alpha == 1.0
-    assert all(v == 0 for v in db.registers[0].payload)
+    assert all(v == 0 for v in db.payload)
     inst2 = efx_instance(4, 4, 6)
     db2 = build_database_kpa(inst2, [x for x in range(16) if x != 7], 3)
-    assert len(db2.registers[0].missing) == 1
+    assert db2.missing == {7}
     assert db2.alpha == 1 / 16
 
 
@@ -83,7 +87,7 @@ def test_database_overlap_closed_form():
     full = build_database_kpa(inst, range(16), 4)
     inst2 = efx_instance(4, 4, 7)
     partial = build_database_kpa(inst2, [x for x in range(16) if x not in (3, 9)], 4)
-    zeros_hit = sum(1 for x in (3, 9) if full.registers[0].payload[x] == 0)
+    zeros_hit = sum(1 for x in (3, 9) if full.payload[x] == 0)
     expected = (1 - (2 - zeros_hit) / 16) ** 4
     assert abs(database_overlap(full, partial) - expected) < 1e-12
 
@@ -95,15 +99,13 @@ def test_database_overlap_against_explicit_tensor_states():
     inst2 = efx_instance(2, 2, 8)
     partial = build_database_kpa(inst2, [0, 2], 2)
 
-    def reg_vector(reg):
+    def reg_vector(db):
         v = np.zeros(4 * 4)
         for x in range(4):
-            v[x | (reg.payload[x] << 2)] = 0.5
+            v[x | (db.payload[x] << 2)] = 0.5
         return v
 
-    expected = 1.0
-    for rf, rp in zip(full.registers, partial.registers):
-        expected *= float(reg_vector(rf) @ reg_vector(rp))
+    expected = float(reg_vector(full) @ reg_vector(partial)) ** full.c
     assert abs(database_overlap(full, partial) - expected) < 1e-12
 
 
@@ -189,8 +191,7 @@ def test_wrong_inner_key_pass_probability_small():
         db8 = build_database_cpa(inst, 4, 8)
         _, prob8 = check_key_guess(db8, KeyGuess(y1=0, y2=wrong), fam)
         assert prob8 <= 0.40
-        db16 = offline_simon.QueryDatabase(db8.u, db8.n_out, 16,
-                                           [db8.registers[0]] * 16, db8.embed_shift)
+        db16 = dataclasses.replace(db8, c=16)
         _, prob16 = check_key_guess(db16, KeyGuess(y1=0, y2=wrong), fam)
         assert prob16 <= 0.05
         assert prob16 <= prob8
@@ -198,9 +199,7 @@ def test_wrong_inner_key_pass_probability_small():
 
 def test_single_register_single_bit_hand_enumeration():
     # u=1, c=1: a periodic register samples y=0 always, so rank<1 always holds
-    reg = RegisterState((5, 5), frozenset())
-    maps = GuessMaps(xor_table=[0, 0], evals=1)
-    dist = register_distribution(reg, maps, 1)
+    dist = register_distribution(np.array([5, 5]), 1)
     assert np.allclose(dist, [1.0, 0.0])
     assert exact_pass_probability([dist], 1) == 1.0
 
@@ -400,11 +399,10 @@ def test_generalized_engine_reproduces_fx_attack():
     e = inst.components[0]
     db = build_database_cpa(inst, 4, 8)
 
-    def maps_fn(guess):
-        return GuessMaps(xor_table=[e.forward(guess.y2, x) for x in range(16)],
-                         evals=1)
-
-    family = GuessFamily(u=4, n_out=4, kappa_bits=4, suffix_bits=0, maps_fn=maps_fn)
+    inner = np.array([[e.forward(k, x) for x in range(16)] for k in range(16)])
+    identity = np.tile(np.arange(16), (16, 1))
+    family = GuessFamily(u=4, n_out=4, kappa_bits=4, suffix_bits=0,
+                         relabel=identity, inner=inner, peel=identity)
     rng = np.random.default_rng(3)
     outcome = generalized_offline_simon(db, family, rng)
     assert outcome.recovered is not None
@@ -414,13 +412,10 @@ def test_generalized_engine_reproduces_fx_attack():
 def test_generalized_engine_no_periodic_member_fails():
     rng = np.random.default_rng(4)
     # payloads drawn to be injective; XOR masks constant so nothing is periodic
-    reg = RegisterState(tuple(range(16)), frozenset())
-    db = offline_simon.QueryDatabase(4, 4, 6, [reg] * 6, 0)
-
-    def maps_fn(guess):
-        return GuessMaps(xor_table=[guess.y2] * 16, evals=1)
-
-    family = GuessFamily(u=4, n_out=4, kappa_bits=2, suffix_bits=0, maps_fn=maps_fn)
+    db = offline_simon.QueryDatabase(4, 4, 6, tuple(range(16)))
+    identity = np.tile(np.arange(16), (4, 1))
+    family = GuessFamily(u=4, n_out=4, kappa_bits=2, suffix_bits=0, relabel=identity,
+                         inner=np.repeat(np.arange(4)[:, None], 16, axis=1), peel=identity)
     outcome = generalized_offline_simon(db, family, rng)
     assert outcome.recovered is None
 
@@ -434,3 +429,62 @@ def test_attack_report_json_stable_fields():
                          "iterations", "sim_time_units", "mode", "seed", "meta"}
     json.dumps(blob)  # serializable
     assert blob["seed"] == 77 and blob["mode"] == "TENSOR"
+
+
+def test_verifier_tries_every_nullspace_member():
+    # one register at u = 10 leaves at least a 9-dimensional nullspace, so the
+    # period is one of 512 or more candidates
+    from efxlab.harness import parse_config, run_attack
+    cfg = parse_config("attack = offline_simon\nconstruction = EFX\nn = 10\n"
+                       "kappa = 1\nu = 10\nc = 1\nmode = TENSOR\ntrials = 3\nseed = 5")
+    assert cfg.validate() == []
+    assert run_attack(cfg)["summary"]["successes"] == 3
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@st.composite
+def register_and_maps(draw):
+    u = draw(st.integers(0, 5))
+    n_out = draw(st.integers(1, 4))
+    values = st.integers(0, (1 << n_out) - 1)
+    payload = draw(st.lists(values, min_size=1 << u, max_size=1 << u))
+    maps = GuessMaps(relabel=np.array(draw(st.permutations(range(1 << u)))),
+                     peel=np.array(draw(st.permutations(range(1 << n_out)))),
+                     xor=np.array(draw(st.lists(values, min_size=1 << u, max_size=1 << u))))
+    return u, n_out, payload, maps
+
+
+@settings(max_examples=150, deadline=None)
+@given(register_and_maps())
+def test_register_distribution_matches_gate_level_simulation(case):
+    u, n_out, payload, maps = case
+    # gate level: write the transformed register, Hadamard every input qubit
+    vec = np.zeros(1 << (u + n_out), dtype=np.complex128)
+    for x, w in enumerate(payload):
+        xp = int(maps.relabel[x])
+        vec[xp | ((int(maps.peel[w]) ^ int(maps.xor[xp])) << u)] = (1 << u) ** -0.5
+    for q in range(u):
+        qsim.hadamard_qubit(vec, q)
+    born = np.bincount(np.arange(vec.size) & ((1 << u) - 1),
+                       weights=np.abs(vec) ** 2, minlength=1 << u)
+    dist = register_distribution(offline_simon.transformed_payload(payload, maps), u)
+    assert np.allclose(dist, born, atol=1e-12)
+    # stacked maps give the same row for every guess they hold
+    stacked = GuessMaps(*(np.stack([t, t]) for t in maps))
+    rows = register_distribution(offline_simon.transformed_payload(payload, stacked), u)
+    assert np.array_equal(rows, np.stack([dist, dist]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_exact_and_tensor_agree_without_search_register(n, c, seed):
+    # EM at u = n guesses nothing, so EXACT samples the scan's distribution
+    reports = {}
+    for mode in ("TENSOR", "EXACT"):
+        inst = build_instance(ConstructionKind.EM, n, 1, seed)
+        rep = offline_simon_attack(inst, n, c, mode, np.random.default_rng(seed), seed=seed)
+        reports[mode] = {k: v for k, v in rep.to_json_dict().items() if k != "mode"}
+    assert reports["TENSOR"] == reports["EXACT"]

@@ -305,5 +305,3 @@ def test_state_vector_validation_and_dump():
     sv = qsim.StateVector([("a", 1), ("b", 1)])
     with pytest.raises(ValueError):
         sv.register_range("c")
-    rows = sv.dump_rows()
-    assert rows[0][:2] == (0, 0) and rows[0][3] == 1.0
