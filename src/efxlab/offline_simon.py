@@ -279,15 +279,21 @@ def register_distribution(h: np.ndarray, u: int) -> np.ndarray:
     register sum_x |x>|h(x)>; a stack of tables gives one row per table.
 
     The mass at y is 2^(-2u) * sum_s A(s) (-1)^(s.y), where the
-    autocorrelation A(s) counts the inputs x with h(x) = h(x ^ s). Every sum
-    is an integer below 2^53, so the floats are exact.
+    autocorrelation A(s) counts the inputs x with h(x) = h(x ^ s); the sums
+    are an integer Walsh butterfly over A, so the floats are exact and the
+    memory is O(2^u) per table.
     """
     xs = np.arange(1 << u)
-    signs = qsim._walsh_signs(u)
-    probs = np.zeros(h.shape, dtype=np.float64)
-    for s in xs:
-        probs += (h == h[..., xs ^ s]).sum(axis=-1)[..., None] * signs[s]
-    return probs / float(1 << (2 * u))
+    walsh = np.stack([(h == h[..., xs ^ s]).sum(axis=-1) for s in xs], axis=-1)
+    step = 1
+    while step < xs.size:
+        pairs = walsh.reshape(walsh.shape[:-1] + (-1, 2, step))
+        zero, one = pairs[..., 0, :], pairs[..., 1, :]
+        total = zero + one
+        np.subtract(zero, one, out=one)
+        zero[...] = total
+        step *= 2
+    return walsh / float(1 << (2 * u))
 
 
 def _scan_distributions(db: QueryDatabase, family: GuessFamily) -> np.ndarray:
@@ -509,113 +515,102 @@ _DRAWS = {"TENSOR": _tensor_draw, "EXACT": _exact_draw}
 class _JointCircuit:
     """Joint state of the guess register and the c query registers.
 
-    Layout (low bits first): guess register (search_bits), then per register
-    i its input value (u bits) followed by its payload (n_out bits).
+    Every gate is real, so the state is one float64 vector. Work layout (low
+    bits first): the guess register (search_bits), the c payloads (n_out bits
+    each), then the c inputs (u bits each, register 0 lowest). With the inputs
+    on top each input Hadamard acts on two contiguous halves, and the state as
+    a (2^(c*u), -1) matrix has one row per input tuple, packed as
+    _rank_deficient_table indexes it. fwd and bwd gather the guess transform
+    and its inverse, broadcast from per-guess tables over one register.
     """
 
     def __init__(self, db: QueryDatabase, family: GuessFamily,
                  cap: int = qsim.DEFAULT_QUBIT_CAP):
         self.db = db
-        self.family = family
-        self.m = family.search_bits
-        self.reg_bits = db.u + db.n_out
-        total = self.m + db.c * self.reg_bits
+        self.m = m = family.search_bits
+        total = m + db.c * (db.u + db.n_out)
         if total > cap:
             raise ValueError(f"joint state needs {total} qubits, cap is {cap}")
         self.total = total
-        space = 1 << self.m
-        u_size = 1 << db.u
-        idx = np.arange(1 << total, dtype=np.int64)
-        g_part = idx & (space - 1)
-        fwd, ykey = self._forward(family.maps(np.arange(space)), idx, self.m, g_part)
-        fwd |= g_part
-        self.fwd = fwd
-        self.bwd = np.empty_like(fwd)
-        self.bwd[fwd] = idx
-        self.g_part = g_part
-        rank_lt = _rank_deficient_table(db.u, db.c)
-        self.rank_flag = rank_lt[ykey]
-        self.in_qubits = [self.m + i * self.reg_bits + j
-                          for i in range(db.c) for j in range(db.u)]
+        space = 1 << m
+        guesses = np.arange(space)[:, None, None]
+        # every register state (x, w) and its image under each guess, [g, x, w]
+        self.states = (np.arange(1 << db.u)[:, None], np.arange(1 << db.n_out))
+        self.maps = family.maps(np.arange(space))
+        x2, w2 = self.maps.apply(*self.states, guesses)
+        self.fwd = self._layout_indices(x2, w2, m)
+        inv_x, inv_w = np.empty_like(w2), np.empty_like(w2)
+        inv_x[guesses, x2, w2], inv_w[guesses, x2, w2] = self.states
+        self.bwd = self._layout_indices(inv_x, inv_w, m)
         # initial state: uniform guesses tensor the database registers
-        vec = np.zeros(1 << self.reg_bits, dtype=np.complex128)
-        vec[np.arange(u_size) | (np.asarray(db.payload, dtype=np.int64) << db.u)] = \
-            u_size ** -0.5
-        joint = np.full(space, space ** -0.5, dtype=np.complex128)
+        amp = space ** -0.5
         for _ in range(db.c):
-            joint = np.kron(vec, joint)
-        self.initial = joint
+            amp = (1 << db.u) ** -0.5 * amp
+        payload = np.asarray(db.payload, dtype=np.int64)[None, :, None]
+        self.initial = np.zeros(1 << total)
+        self.initial[self._layout_indices(self.states[0][None], payload, m)] = amp
 
-    def _forward(self, maps: GuessMaps, idx: np.ndarray, base: int,
-                 *rows) -> Tuple[np.ndarray, np.ndarray]:
-        """Index map of the guess transform on the c registers from bit base
-        up, and the c input values packed u bits each."""
-        u = self.db.u
-        fwd = np.zeros_like(idx)
-        ykey = np.zeros_like(idx)
-        for i in range(self.db.c):
-            off = base + i * self.reg_bits
-            x = (idx >> off) & ((1 << u) - 1)
-            x2, w2 = maps.apply(x, (idx >> (off + u)) & ((1 << self.db.n_out) - 1), *rows)
-            fwd |= x2 << off
-            fwd |= w2 << (off + u)
-            ykey |= x << (i * u)
-        return fwd, ykey
+    def _layout_indices(self, xt: np.ndarray, wt: np.ndarray, m: int) -> np.ndarray:
+        """Work-layout indices (m guess bits) whose register i holds
+        (xt, wt)[g, x_i, w_i]: one per (x_{c-1}..x_0, w_{c-1}..w_0, g) of
+        the tables' broadcast extents."""
+        c, u, n = self.db.c, self.db.u, self.db.n_out
+        dims = np.broadcast_shapes(xt.shape, wt.shape)
+        out = np.zeros(dims[1:2] * c + dims[2:] * c + (1 << m,), dtype=np.int64)
+        out |= np.arange(1 << m)
+        for i in range(c):
+            shape = [1] * (2 * c + 1)
+            shape[c - 1 - i], shape[2 * c - 1 - i], shape[-1] = dims[1], dims[2], dims[0]
+            table = (xt << (m + c * n + i * u)) | (wt << (m + i * n))
+            out |= table.transpose(1, 2, 0).reshape(shape)
+        return out.ravel()
 
     def run_search(self, rng: np.random.Generator, iterations: int,
                    excluded: Set[int]) -> Tuple[int, List[int]]:
         """One full amplified search; returns the measured guess and samples."""
         space = 1 << self.m
-        excl = np.zeros(space, dtype=bool)
-        for g in excluded:
-            excl[g] = True
-        good = self.rank_flag & ~excl[self.g_part]
+        active = np.ones(space, dtype=bool)
+        active[list(excluded)] = False
+        rank_lt = _rank_deficient_table(self.db.u, self.db.c)
+        flip = rank_lt[:, None] & np.tile(active, (1 << self.total) // (rank_lt.size * space))
+        in_qubits = range(self.total - self.db.c * self.db.u, self.total)
         amps = self.initial.copy()
+        work = np.empty_like(amps)  # the gathers' target; mode="raise" would buffer it
         for _ in range(iterations):
-            amps = amps[self.bwd]
-            for q in self.in_qubits:
+            np.take(amps, self.bwd, out=work, mode="clip")
+            amps, work = work, amps
+            for q in in_qubits:
                 qsim.hadamard_qubit(amps, q)
-            amps[good] = -amps[good]
-            for q in self.in_qubits:
+            rows = amps.reshape(rank_lt.size, -1)
+            np.negative(rows, out=rows, where=flip)
+            for q in in_qubits:
                 qsim.hadamard_qubit(amps, q)
-            amps = amps[self.fwd]
+            np.take(amps, self.fwd, out=work, mode="clip")
+            amps, work = work, amps
             # reflect about the uniform guess superposition, identity elsewhere
             mat = amps.reshape(-1, space)
-            mean = mat.mean(axis=1, keepdims=True)
-            mat[:] = 2.0 * mean - mat
-        probs = (np.abs(amps) ** 2).reshape(-1, space).sum(axis=0)
-        probs = np.maximum(probs, 0.0)
-        probs /= probs.sum()
-        g = int(rng.choice(space, p=probs))
-        branch = amps.reshape(-1, space)[:, g].copy()
-        branch /= math.sqrt(float(np.vdot(branch, branch).real))
-        samples = self._sample_branch(branch, g, rng)
-        return g, samples
+            np.subtract(2.0 * mat.mean(axis=1, keepdims=True), mat, out=mat)
+        probs = np.square(amps, out=work).reshape(-1, space).sum(axis=0)
+        g = int(rng.choice(space, p=probs / probs.sum()))
+        return g, self._sample_branch(amps[g::space], g, rng)
 
     def _sample_branch(self, branch: np.ndarray, g: int,
                        rng: np.random.Generator) -> List[int]:
-        db = self.db
-        u_size = 1 << db.u
-        idx = np.arange(branch.size, dtype=np.int64)
-        fwd, _ = self._forward(self.family.maps(g), idx, 0)
-        bwd = np.empty_like(fwd)
-        bwd[fwd] = idx
-        state = branch[bwd]
-        for i in range(db.c):
-            for j in range(db.u):
-                qsim.hadamard_qubit(state, i * self.reg_bits + j)
+        """Apply guess g's transform to its branch, Hadamard the inputs and
+        measure them register by register."""
+        u, low = self.db.u, self.db.c * self.db.n_out
+        state = np.empty_like(branch)
+        x2, w2 = self.maps.apply(*self.states, np.full((1, 1, 1), g))
+        state[self._layout_indices(x2, w2, 0)] = branch
+        for q in range(low, low + self.db.c * u):
+            qsim.hadamard_qubit(state, q)
         samples = []
-        for i in range(db.c):
-            off = i * self.reg_bits
-            values = (idx >> off) & (u_size - 1)
-            weights = np.abs(state) ** 2
-            probs = np.bincount(values, weights=weights, minlength=u_size)
-            probs = np.maximum(probs, 0.0)
-            probs /= probs.sum()
-            y = int(rng.choice(u_size, p=probs))
-            state = np.where(values == y, state, 0.0)
-            norm = math.sqrt(float(np.vdot(state, state).real))
-            state /= norm
+        for _ in range(self.db.c):
+            # the next register's input is the lowest input axis left
+            view = state.reshape(-1, 1 << u, 1 << low)
+            probs = np.square(view).sum(axis=(0, 2))
+            y = int(rng.choice(1 << u, p=probs / probs.sum()))
+            state = view[:, y, :]
             samples.append(y)
         return samples
 

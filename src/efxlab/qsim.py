@@ -111,13 +111,17 @@ def _walsh_signs(size: int) -> np.ndarray:
 
 
 def hadamard_qubit(amps: np.ndarray, q: int) -> None:
-    """In-place single-qubit Hadamard on a raw amplitude array."""
-    step = 1 << q
-    view = amps.reshape(-1, 2, step)
-    hi = view[:, 0, :].copy()
-    lo = view[:, 1, :]
-    view[:, 0, :] = (hi + lo) * INV_SQRT2
-    view[:, 1, :] = (hi - lo) * INV_SQRT2
+    """In-place single-qubit Hadamard on a raw amplitude array.
+
+    One butterfly (a, b) -> ((a + b), (a - b)) * INV_SQRT2 over the pairs
+    that differ in bit q, with one half-size temporary.
+    """
+    view = amps.reshape(-1, 2, 1 << q)
+    zero, one = view[:, 0, :], view[:, 1, :]
+    total = zero + one
+    np.subtract(zero, one, out=one)
+    one *= INV_SQRT2
+    np.multiply(total, INV_SQRT2, out=zero)
 
 
 def _hadamard_dense(amps: np.ndarray, start: int, size: int) -> np.ndarray:

@@ -488,3 +488,144 @@ def test_exact_and_tensor_agree_without_search_register(n, c, seed):
         rep = offline_simon_attack(inst, n, c, mode, np.random.default_rng(seed), seed=seed)
         reports[mode] = {k: v for k, v in rep.to_json_dict().items() if k != "mode"}
     assert reports["TENSOR"] == reports["EXACT"]
+
+
+# ---------------------------------------------------------------------------
+# the EXACT joint circuit against a reference in the plain register layout
+
+
+def _reference_hadamard(amps, q):
+    view = amps.reshape(-1, 2, 1 << q)
+    hi, lo = view[:, 0, :].copy(), view[:, 1, :].copy()
+    view[:, 0, :] = (hi + lo) * qsim.INV_SQRT2
+    view[:, 1, :] = (hi - lo) * qsim.INV_SQRT2
+
+
+def _reference_search(db, family, iterations, excluded, rng):
+    """One search on a complex128 state laid out guess register lowest, then
+    per register its input (u bits) under its payload (n_out bits)."""
+    m, u, n, c = family.search_bits, db.u, db.n_out, db.c
+    reg, space = u + n, 1 << family.search_bits
+
+    def forward(maps, idx, base, *rows):
+        image, inputs = np.zeros_like(idx), np.zeros_like(idx)
+        for i in range(c):
+            off = base + i * reg
+            x = (idx >> off) & ((1 << u) - 1)
+            x2, w2 = maps.apply(x, (idx >> (off + u)) & ((1 << n) - 1), *rows)
+            image |= (x2 << off) | (w2 << (off + u))
+            inputs |= x << (i * u)
+        return image, inputs
+
+    def inverse(image):
+        out = np.empty_like(image)
+        out[image] = np.arange(image.size)
+        return out
+
+    idx = np.arange(1 << (m + c * reg))
+    guess = idx & (space - 1)
+    fwd, inputs = forward(family.maps(np.arange(space)), idx, m, guess)
+    fwd |= guess
+    bwd = inverse(fwd)
+    deficient = np.array([gf2.rank([(key >> (i * u)) & ((1 << u) - 1) for i in range(c)], u) < u
+                          for key in range(1 << (c * u))])
+    good = deficient[inputs] & ~np.isin(guess, list(excluded))
+    vec = np.zeros(1 << reg, dtype=np.complex128)
+    vec[np.arange(1 << u) | (np.array(db.payload) << u)] = (1 << u) ** -0.5
+    amps = np.full(space, space ** -0.5, dtype=np.complex128)
+    for _ in range(c):
+        amps = np.kron(vec, amps)
+    in_qubits = [m + i * reg + j for i in range(c) for j in range(u)]
+    for _ in range(iterations):
+        amps = amps[bwd]
+        for q in in_qubits:
+            _reference_hadamard(amps, q)
+        amps[good] = -amps[good]
+        for q in in_qubits:
+            _reference_hadamard(amps, q)
+        amps = amps[fwd]
+        mat = amps.reshape(-1, space)
+        mat[:] = 2.0 * mat.mean(axis=1, keepdims=True) - mat
+    probs = (np.abs(amps) ** 2).reshape(-1, space).sum(axis=0)
+    g = int(rng.choice(space, p=probs / probs.sum()))
+    branch = amps.reshape(-1, space)[:, g]
+    idx = np.arange(branch.size)
+    state = branch[inverse(forward(family.maps(g), idx, 0)[0])]
+    for i in range(c):
+        for j in range(u):
+            _reference_hadamard(state, i * reg + j)
+    for i in range(c):
+        values = (idx >> (i * reg)) & ((1 << u) - 1)
+        probs = np.bincount(values, weights=np.abs(state) ** 2, minlength=1 << u)
+        y = int(rng.choice(1 << u, p=probs / probs.sum()))
+        state = np.where(values == y, state, 0.0)
+
+
+class _RecordingRng:
+    """Keeps every distribution it is asked to sample. It replays given
+    outcomes, or else draws uniformly among the outcomes within a factor 1000
+    of the likeliest, so that rare branches get compared too."""
+
+    def __init__(self, seed=None, replay=None):
+        self.rng = np.random.default_rng(seed)
+        self.replay = replay
+        self.dists, self.outcomes = [], []
+
+    def choice(self, size, p):
+        if self.replay:
+            value = self.replay[len(self.dists)]
+        else:
+            value = self.rng.choice(np.flatnonzero(p >= 1e-3 * np.max(p)))
+        self.dists.append(np.asarray(p))
+        self.outcomes.append(int(value))
+        return value
+
+
+def _small_exact_instances():
+    out = []
+    for kind in (ConstructionKind.EFX, ConstructionKind.FX, ConstructionKind.DEFX):
+        for n, kappa, c in itertools.product(range(1, 4), range(1, 4), range(1, 4)):
+            for u in ([n] if kind == ConstructionKind.DEFX else range(n + 1)):
+                if 0 < kappa + n - u and kappa + n - u + c * (u + n) <= 12:
+                    out.append((kind, n, kappa, u, c))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_small_exact_instances()), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_joint_circuit_matches_reference_layout(case, iterations, seed, data):
+    kind, n, kappa, u, c = case
+    inst = build_instance(kind, n, kappa, seed)
+    db = build_database_cpa(inst, u, c)
+    family = guess_family_for(inst, u)
+    excluded = data.draw(st.sets(st.integers(0, (1 << family.search_bits) - 1),
+                                 max_size=(1 << family.search_bits) - 1))
+    circuit = offline_simon._JointCircuit(db, family)
+    assert circuit.initial.dtype == np.float64
+    drawn = _RecordingRng(seed)
+    g, samples = circuit.run_search(drawn, iterations, excluded)
+    assert drawn.outcomes == [g] + samples
+    replayed = _RecordingRng(replay=drawn.outcomes)
+    _reference_search(db, family, iterations, excluded, replayed)
+    assert len(replayed.dists) == len(drawn.dists) == 1 + c
+    for ours, ref in zip(drawn.dists, replayed.dists):
+        assert np.allclose(ours, ref, rtol=0.0, atol=1e-12)
+
+
+def test_joint_circuit_memory_per_amplitude():
+    import tracemalloc
+
+    inst = efx_instance(3, 3, 11)
+    db = build_database_cpa(inst, 2, 3)
+    family = guess_family_for(inst, 2)
+    offline_simon._rank_deficient_table(2, 3)
+    tracemalloc.start()
+    try:
+        circuit = offline_simon._JointCircuit(db, family)
+        assert circuit.total == 19
+        circuit.run_search(np.random.default_rng(0), qsim.search_iterations(4), set())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 * (1 << 19)

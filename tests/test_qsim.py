@@ -64,6 +64,21 @@ def test_hadamard_matches_brute_force_on_dense_state():
     assert np.allclose(sv.amps, out)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_hadamard_qubit_is_the_scaled_butterfly_bit_for_bit(dtype):
+    rng = np.random.default_rng(7)
+    for q in range(6):
+        amps = rng.standard_normal(1 << 6).astype(dtype)
+        if dtype is np.complex128:
+            amps += 1j * rng.standard_normal(1 << 6)
+        pairs = amps.reshape(-1, 2, 1 << q)
+        hi, lo = pairs[:, 0, :].copy(), pairs[:, 1, :].copy()
+        qsim.hadamard_qubit(amps, q)
+        assert amps.dtype == dtype
+        assert np.array_equal(pairs[:, 0, :], (hi + lo) * qsim.INV_SQRT2)
+        assert np.array_equal(pairs[:, 1, :], (hi - lo) * qsim.INV_SQRT2)
+
+
 def test_xor_oracle_constant_zero_identity():
     sv = qsim.StateVector([("in", 3), ("out", 3)])
     qsim.hadamard(sv, "in")
