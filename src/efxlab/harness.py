@@ -87,6 +87,9 @@ class ExperimentConfig:
                 if needed > self.qubit_cap:
                     errors.append(f"mode: EXACT joint state needs {needed} qubits, "
                                   f"cap is {self.qubit_cap}")
+        if self.attack == "em_q2" and self.n > qsim.SIMON_INPUT_CAP:
+            errors.append(f"n: em_q2 simulates Simon on {self.n} input qubits, "
+                          f"cap is {qsim.SIMON_INPUT_CAP}")
         if self.attack == "guess_and_em" and self.data < 2:
             errors.append("data: guess_and_em needs a query budget of at least 2")
         if self.attack in ("guess_and_em", "exhaustive") and self.data > (1 << self.n):

@@ -1,4 +1,4 @@
-"""Exact dense state-vector simulation of the quantum building blocks.
+"""Exact state-vector simulation of the quantum building blocks.
 
 Registers are contiguous little-endian qubit ranges of one complex amplitude
 vector; basis index bit q is qubit q. Everything here is exact simulation,
@@ -29,11 +29,16 @@ class MeasurementOutcome:
 
 
 class StateVector:
-    """Dense complex amplitude vector over a fixed named-register layout.
+    """Complex amplitudes over a fixed named-register layout.
 
-    The vector carries a superset hint of its nonzero entries so gate kernels
-    can take exact sparse fast paths; assigning a new array to amps resets
-    the hint (element-level writes from outside this module are unsupported).
+    A state is held in one of two forms. The sparse form is an index array
+    and the amplitudes at those indices: it covers every nonzero amplitude
+    (it may list exact zeros), and its order is the order in which the
+    kernels sum. The dense form is the full 2^num_qubits vector. Kernel
+    results stay sparse while they cover at most a quarter of the basis and
+    switch to dense past that. Reading amps gives the dense vector, built
+    read-only on demand for a sparse state; assigning amps makes the state
+    dense.
     """
 
     def __init__(self, registers: Sequence[Tuple[str, int]],
@@ -53,28 +58,39 @@ class StateVector:
             raise ValueError("state vector needs at least one qubit")
         self.num_qubits = start
         self.layout = layout
-        self._amps = np.zeros(1 << start, dtype=np.complex128)
-        self._amps[0] = 1.0
-        self._nz: Optional[np.ndarray] = np.array([0], dtype=np.int64)
+        self._dim = 1 << start
+        self._dense: Optional[np.ndarray] = None
+        self._set_sparse(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128))
 
     @property
     def amps(self) -> np.ndarray:
-        return self._amps
+        if self._dense is not None:
+            return self._dense
+        out = np.zeros(self._dim, dtype=np.complex128)
+        out[self._idx] = self._vals
+        out.flags.writeable = False
+        return out
 
     @amps.setter
     def amps(self, value: np.ndarray) -> None:
-        self._amps = value
-        self._nz = None
+        self._dense = value
+        self._idx = self._vals = None
 
-    def _set_amps(self, value: np.ndarray, nz: Optional[np.ndarray]) -> None:
-        self._amps = value
-        self._nz = nz
+    def _set_sparse(self, idx: np.ndarray, vals: np.ndarray) -> None:
+        if idx.size > self._dim // 4:
+            dense = np.zeros(self._dim, dtype=np.complex128)
+            dense[idx] = vals
+            self.amps = dense
+        else:
+            self._dense = None
+            self._idx, self._vals = idx, vals
 
-    def nonzero_hint(self) -> np.ndarray:
-        """Indices covering every nonzero amplitude (possibly a superset)."""
-        if self._nz is None:
-            self._nz = np.flatnonzero(self._amps)
-        return self._nz
+    def _support(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(indices, amplitudes) covering every nonzero amplitude, in kernel order."""
+        if self._dense is None:
+            return self._idx, self._vals
+        idx = np.flatnonzero(self._dense)
+        return idx, self._dense[idx]
 
     def register_range(self, name: str) -> Tuple[int, int]:
         try:
@@ -83,11 +99,10 @@ class StateVector:
             raise ValueError(f"unknown register {name!r}") from None
 
     def norm_squared(self) -> float:
-        nz = self.nonzero_hint()
-        if nz.size <= self._amps.size // 4:
-            a = self._amps[nz]
+        if self._dense is None:
+            a = self._vals
             return float((a.real ** 2 + a.imag ** 2).sum())
-        return float(np.vdot(self._amps, self._amps).real)
+        return float(np.vdot(self._dense, self._dense).real)
 
     def check_norm(self) -> None:
         if abs(self.norm_squared() - 1.0) > NORM_TOL:
@@ -99,15 +114,9 @@ def _arange(size: int) -> np.ndarray:
     return np.arange(size, dtype=np.int64)
 
 
-@lru_cache(maxsize=32)
-def _walsh_signs(size: int) -> np.ndarray:
-    """(-1)^(x.y) sign table for one register, shape (2^size, 2^size)."""
-    xs = _arange(1 << size)
-    par = np.zeros((1 << size, 1 << size), dtype=np.int8)
-    overlap = xs[:, None] & xs[None, :]
-    for b in range(size):
-        par ^= ((overlap >> b) & 1).astype(np.int8)
-    return np.where(par == 0, 1, -1).astype(np.float64)
+# contributions summed per np.bincount call in _hadamard_sparse; bounds its
+# temporaries independently of the state size
+_ACCUMULATE_BLOCK = 1 << 16
 
 
 def hadamard_qubit(amps: np.ndarray, q: int) -> None:
@@ -125,10 +134,14 @@ def hadamard_qubit(amps: np.ndarray, q: int) -> None:
 
 
 def _hadamard_dense(amps: np.ndarray, start: int, size: int) -> np.ndarray:
-    """Walsh butterflies with the register axis moved up front (contiguous halves)."""
+    """Walsh butterflies with the register axis moved up front (contiguous halves).
+
+    Works in place when that view of amps is contiguous and writable, and on
+    a copy otherwise (the read-only amps of a sparse state).
+    """
     low = 1 << start
     m = 1 << size
-    work = np.ascontiguousarray(np.moveaxis(amps.reshape(-1, m, low), 1, 0))
+    work = np.require(np.moveaxis(amps.reshape(-1, m, low), 1, 0), requirements="CW")
     h = 1
     while h < m:
         b = work.reshape(m // (2 * h), 2, h, -1)
@@ -140,23 +153,34 @@ def _hadamard_dense(amps: np.ndarray, start: int, size: int) -> np.ndarray:
     return out * (INV_SQRT2 ** size)
 
 
-def _hadamard_sparse(amps: np.ndarray, start: int, size: int,
-                     nz: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact H on a register of a state with few nonzero amplitudes."""
+def _hadamard_sparse(idx: np.ndarray, vals: np.ndarray, start: int,
+                     size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact H on a register of a sparse pair; returns the sparse result.
+
+    Output index base + (y << start) collects scale * a_b * (-1)^(reg_b . y)
+    over the inputs b with that base. np.bincount adds the contributions to
+    each output in input order, one real sum and one imaginary sum per
+    entry, starting from zero, so the floats equal those of a loop that adds
+    one scaled sign row per input into a zeroed vector.
+    """
     m = 1 << size
-    mask = m - 1
-    scale = INV_SQRT2 ** size
-    signs = _walsh_signs(size)
-    offsets = _arange(m) << start
-    out = np.zeros(amps.size, dtype=np.complex128)
-    bases = np.unique(nz & ~(mask << start))
-    for b in nz:
-        b = int(b)
-        reg = (b >> start) & mask
-        base = b & ~(mask << start)
-        out[base + offsets] += (amps[b] * scale) * signs[reg]
-    hint = (bases[:, None] + offsets[None, :]).ravel()
-    return out, hint
+    mask = (m - 1) << start
+    reg = (idx & mask) >> start
+    bases, slot = np.unique(idx & ~mask, return_inverse=True)
+    scaled = vals * (INV_SQRT2 ** size)
+    out = np.empty((bases.size, m), dtype=np.complex128)
+    width = max(1, _ACCUMULATE_BLOCK // max(1, idx.size))
+    for lo in range(0, m, width):
+        ys = _arange(m)[lo:lo + width]
+        odd = np.bitwise_count(reg[:, None] & ys) & 1
+        pos = (slot[:, None] * ys.size + (ys - lo)).ravel()
+        for part, dst in ((scaled.real, out.real), (scaled.imag, out.imag)):
+            col = part[:, None]
+            weights = np.where(odd, -col, col).ravel()
+            dst[:, lo:lo + width] = np.bincount(
+                pos, weights=weights, minlength=bases.size * ys.size
+            ).reshape(bases.size, ys.size)
+    return (bases[:, None] + (_arange(m) << start)).ravel(), out.ravel()
 
 
 def hadamard(sv: StateVector, register: str) -> StateVector:
@@ -164,15 +188,11 @@ def hadamard(sv: StateVector, register: str) -> StateVector:
     start, size = sv.register_range(register)
     if size == 0:
         return sv
-    m = 1 << size
-    nz = sv.nonzero_hint()
-    if nz.size * m <= sv.amps.size and size <= 12:
-        out, hint = _hadamard_sparse(sv.amps, start, size, nz)
-        if hint.size > sv.amps.size // 4:
-            hint = None
-        sv._set_amps(out, hint)
+    idx, vals = sv._support()
+    if idx.size << size <= sv._dim:
+        sv._set_sparse(*_hadamard_sparse(idx, vals, start, size))
     else:
-        sv._set_amps(_hadamard_dense(sv.amps, start, size), None)
+        sv.amps = _hadamard_dense(sv.amps, start, size)
     sv.check_norm()
     return sv
 
@@ -187,19 +207,9 @@ def apply_xor_oracle(sv: StateVector, f: Sequence[int],
     f_arr = np.asarray(f, dtype=np.int64)
     if f_arr.size and (f_arr.min() < 0 or f_arr.max() >= (1 << out_size)):
         raise ValueError("oracle values do not fit the output register")
-    nz = sv.nonzero_hint()
-    if nz.size <= sv.amps.size // 4:
-        # basis permutation: scatter the occupied amplitudes only
-        x = (nz >> in_start) & ((1 << in_size) - 1)
-        dst = nz ^ (f_arr[x] << out_start)
-        out = np.zeros(sv.amps.size, dtype=np.complex128)
-        out[dst] = sv.amps[nz]
-        sv._set_amps(out, dst)
-    else:
-        idx = _arange(sv.amps.size)
-        x = (idx >> in_start) & ((1 << in_size) - 1)
-        src = idx ^ (f_arr[x] << out_start)
-        sv._set_amps(sv.amps[src], None)
+    idx, vals = sv._support()
+    x = (idx >> in_start) & ((1 << in_size) - 1)
+    sv._set_sparse(idx ^ (f_arr[x] << out_start), vals)
     sv.check_norm()
     return sv
 
@@ -214,20 +224,11 @@ def apply_inplace_perm(sv: StateVector, perm, register: str) -> StateVector:
     start, size = sv.register_range(register)
     if perm.n != size:
         raise ValueError(f"permutation on {perm.n} bits vs register of {size}")
+    mask = ((1 << size) - 1) << start
+    idx, vals = sv._support()
     table = np.asarray(perm.table, dtype=np.int64)
-    nz = sv.nonzero_hint()
-    if nz.size <= sv.amps.size // 4:
-        z = (nz >> start) & ((1 << size) - 1)
-        dst = (nz & ~(((1 << size) - 1) << start)) | (table[z] << start)
-        out = np.zeros(sv.amps.size, dtype=np.complex128)
-        out[dst] = sv.amps[nz]
-        sv._set_amps(out, dst)
-    else:
-        inv = np.asarray(perm.inverse_table, dtype=np.int64)
-        idx = _arange(sv.amps.size)
-        z = (idx >> start) & ((1 << size) - 1)
-        src = (idx & ~(((1 << size) - 1) << start)) | (inv[z] << start)
-        sv._set_amps(sv.amps[src], None)
+    z = (idx & mask) >> start
+    sv._set_sparse((idx & ~mask) | (table[z] << start), vals)
     sv.check_norm()
     return sv
 
@@ -236,25 +237,21 @@ def measure(sv: StateVector, register: str,
             rng: np.random.Generator) -> Tuple[MeasurementOutcome, StateVector]:
     """Born-rule measurement of one register; collapses and renormalizes."""
     start, size = sv.register_range(register)
-    nz = sv.nonzero_hint()
-    if nz.size == 0:
+    idx, vals = sv._support()
+    if idx.size == 0:
         raise ValueError("cannot measure a zero-norm state")
-    vals_nz = (nz >> start) & ((1 << size) - 1)
-    a = sv.amps[nz]
-    weights = a.real ** 2 + a.imag ** 2
+    outcomes = (idx >> start) & ((1 << size) - 1)
+    weights = vals.real ** 2 + vals.imag ** 2
     total = weights.sum()
     if total < 1e-12:
         raise ValueError("cannot measure a zero-norm state")
-    probs = np.bincount(vals_nz, weights=weights, minlength=1 << size)
+    probs = np.bincount(outcomes, weights=weights, minlength=1 << size)
     probs = np.maximum(probs, 0.0)
     probs /= probs.sum()
     value = int(rng.choice(1 << size, p=probs))
-    keep_mask = vals_nz == value
-    sv.amps[nz[~keep_mask]] = 0.0
-    keep = nz[keep_mask]
-    norm = math.sqrt(float(weights[keep_mask].sum()))
-    sv.amps[keep] /= norm
-    sv._set_amps(sv.amps, keep)
+    keep = outcomes == value
+    norm = math.sqrt(float(weights[keep].sum()))
+    sv._set_sparse(idx[keep], vals[keep] / norm)
     return MeasurementOutcome(register, value, float(probs[value])), sv
 
 

@@ -159,6 +159,7 @@ def test_cli_config_error_exit_code(tmp_path):
     "attack = guess_and_em\nconstruction = DEFX\nn = 3\nkappa = 2\ndata = 4",
     "attack = guess_and_em\nconstruction = ITERATED_EM\nn = 3\nkappa = 2\ndata = 4",
     "attack = exhaustive\nconstruction = ITERATED_EM\nn = 3\nkappa = 2\ndata = 4",
+    "attack = em_q2\nconstruction = EM\nn = 13\nkappa = 1\nc = 17",
 ])
 def test_cli_rejects_unsupported_config_before_running(tmp_path, capsys, monkeypatch,
                                                        config):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from efxlab import gf2, qsim
+from efxlab import gf2, harness, qsim
 from efxlab.ciphers import Permutation, identity_permutation, make_permutation
 
 
@@ -190,15 +192,15 @@ def test_output_measurement_collapses_to_preimage_pair():
                for x in support)
 
 
-def test_simon_subroutine_orthogonality_exact():
-    rng = np.random.default_rng(7)
-    n = 5
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2 ** 32 - 1), st.integers(0, 2))
+def test_simon_subroutine_orthogonality_exact(n, seed, spare_bits):
+    rng = np.random.default_rng(seed)
+    s = int(rng.integers(1, 1 << n))
+    f = random_periodic(n, s, rng)
     for _ in range(20):
-        s = int(rng.integers(1, 1 << n))
-        f = random_periodic(n, s, rng)
-        for _ in range(20):
-            y = qsim.simon_subroutine(f, rng, out_bits=n)
-            assert gf2.dot(y, s) == 0
+        y = qsim.simon_subroutine(f, rng, out_bits=n + spare_bits)
+        assert gf2.dot(y, s) == 0
 
 
 def test_simon_subroutine_injective_uniform():
@@ -320,3 +322,145 @@ def test_state_vector_validation_and_dump():
     sv = qsim.StateVector([("a", 1), ("b", 1)])
     with pytest.raises(ValueError):
         sv.register_range("c")
+
+
+def _hadamard_sparse_loop(amps, start, size, nz):
+    """The per-nonzero Hadamard loop the sparse kernel must reproduce bit for bit."""
+    m = 1 << size
+    mask = m - 1
+    scale = qsim.INV_SQRT2 ** size
+    xs = np.arange(m)
+    parity = np.bitwise_count(xs[:, None] & xs[None, :]) & 1
+    signs = np.where(parity == 0, 1, -1).astype(np.float64)
+    offsets = xs << start
+    out = np.zeros(amps.size, dtype=np.complex128)
+    bases = np.unique(nz & ~(mask << start))
+    for b in nz:
+        b = int(b)
+        reg = (b >> start) & mask
+        base = b & ~(mask << start)
+        out[base + offsets] += (amps[b] * scale) * signs[reg]
+    return out, (bases[:, None] + offsets[None, :]).ravel()
+
+
+@pytest.mark.parametrize("block", [qsim._ACCUMULATE_BLOCK, 16])
+@pytest.mark.parametrize("total,start,size", [
+    (4, 0, 2), (6, 2, 3), (8, 0, 5), (8, 3, 5), (10, 4, 1), (12, 0, 8), (12, 6, 6),
+])
+def test_hadamard_sparse_is_bit_identical_to_the_loop(monkeypatch, block, total,
+                                                       start, size):
+    monkeypatch.setattr(qsim, "_ACCUMULATE_BLOCK", block)
+    rng = np.random.default_rng(total * 100 + start * 10 + size)
+    for count in (1, 2, 7, 40):
+        # a shuffled support with shared bases that may list exact zeros
+        bases = rng.integers(1 << total, size=1 + count // 3) & ~(((1 << size) - 1) << start)
+        nz = np.unique(rng.choice(bases, size=count)
+                       | (rng.integers(1 << size, size=count) << start))
+        rng.shuffle(nz)
+        amps = np.zeros(1 << total, dtype=np.complex128)
+        amps[nz] = rng.normal(size=nz.size) + 1j * rng.normal(size=nz.size)
+        amps[nz[::5]] = 0.0
+        want, want_idx = _hadamard_sparse_loop(amps, start, size, nz)
+        idx, vals = qsim._hadamard_sparse(nz, amps[nz], start, size)
+        assert np.array_equal(idx, want_idx)
+        got = np.zeros_like(want)
+        got[idx] = vals
+        assert np.array_equal(got, want)
+
+
+def _dense_hadamard(psi, start, size):
+    m = 1 << size
+    ys = np.arange(m)
+    walsh = np.where(np.bitwise_count(ys[:, None] & ys[None, :]) & 1, -1.0, 1.0)
+    cube = psi.reshape(-1, m, 1 << start)
+    return np.einsum("hml,ym->hyl", cube, walsh * 2.0 ** (-size / 2)).ravel()
+
+
+def _dense_relabel(psi, dst):
+    out = np.zeros_like(psi)
+    out[dst] = psi
+    return out
+
+
+@st.composite
+def gate_sequences(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)
+                 .filter(lambda s: sum(s) <= 8))
+    names = [f"r{i}" for i in range(len(sizes))]
+    reg = st.integers(0, len(sizes) - 1)
+    gates = draw(st.lists(st.tuples(st.sampled_from(("h", "xor", "perm")), reg, reg),
+                          max_size=6))
+    return list(zip(names, sizes)), gates, draw(reg), draw(st.booleans()), \
+        draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_sequences())
+# a sparse state whose Hadamard result goes dense, on the top register, where
+# the dense butterflies once wrote into the read-only amps view
+@example(([("r0", 2), ("r1", 3)], [("h", 1, 0), ("h", 1, 0)], 0, False, 0))
+def test_gates_match_a_dense_reference(case):
+    layout, gates, measured, start_dense, seed = case
+    rng = np.random.default_rng(seed)
+    sv = qsim.StateVector(layout)
+    every = np.arange(1 << sv.num_qubits)
+    psi = np.zeros(every.size, dtype=np.complex128)
+    psi[0] = 1.0
+    if start_dense:
+        psi = rng.normal(size=every.size) + 1j * rng.normal(size=every.size)
+        psi[rng.random(every.size) < 0.7] = 0.0
+        psi[0] += 1.0
+        psi /= np.linalg.norm(psi)
+        sv.amps = psi.copy()
+    bits = {name: sv.register_range(name) for name, _ in layout}
+
+    def field(name):
+        start, size = bits[name]
+        return (every >> start) & ((1 << size) - 1)
+
+    for kind, a, b in gates:
+        name_a, name_b = layout[a][0], layout[b][0]
+        start, size = bits[name_a]
+        if kind == "h":
+            qsim.hadamard(sv, name_a)
+            psi = _dense_hadamard(psi, start, size)
+        elif kind == "xor" and a != b:
+            out_start, out_size = bits[name_b]
+            f = rng.integers(1 << out_size, size=1 << size)
+            qsim.apply_xor_oracle(sv, f.tolist(), name_a, name_b)
+            psi = _dense_relabel(psi, every ^ (f[field(name_a)] << out_start))
+        elif kind == "perm":
+            perm = make_permutation(size, int(rng.integers(1 << 30)))
+            qsim.apply_inplace_perm(sv, perm, name_a)
+            table = np.asarray(perm.table)
+            cleared = every & ~(((1 << size) - 1) << start)
+            psi = _dense_relabel(psi, cleared | (table[field(name_a)] << start))
+        assert np.max(np.abs(sv.amps - psi)) < 1e-12
+        assert abs(sv.norm_squared() - 1.0) < 1e-12
+    name = layout[measured][0]
+    outcome, _ = qsim.measure(sv, name, rng)
+    hit = field(name) == outcome.value
+    weight = float((np.abs(psi[hit]) ** 2).sum())
+    assert abs(outcome.probability - weight) < 1e-12
+    psi = np.where(hit, psi, 0.0) / math.sqrt(weight)
+    assert np.max(np.abs(sv.amps - psi)) < 1e-12
+    assert abs(sv.norm_squared() - 1.0) < 1e-12
+
+
+def test_em_q2_trial_at_the_simon_cap_stays_small():
+    import tracemalloc
+
+    n = qsim.SIMON_INPUT_CAP
+    cfg = harness.parse_config(f"attack = em_q2\nconstruction = EM\nn = {n}\n"
+                               f"kappa = 1\nc = {n + 4}\ntrials = 1\nseed = 2024\n")
+    assert cfg.validate() == []
+    tracemalloc.start()
+    try:
+        report = harness.run_trial(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["success"]
+    # the sparse kernels peak at 1.8 MiB; one dense 2^(2n) complex state is
+    # 256 MiB, and dense-state kernels peaked at 657 MiB
+    assert peak < 8 << 20
