@@ -44,11 +44,6 @@ def make_permutation(n: int, seed: int) -> Permutation:
     return Permutation(n, table, inverse)
 
 
-def identity_permutation(n: int) -> Permutation:
-    table = list(range(1 << n))
-    return Permutation(n, table, list(table))
-
-
 @dataclass
 class IdealCipher:
     """Lazily materialized family key -> random permutation.
@@ -87,15 +82,6 @@ def make_ideal_cipher(n: int, kappa: int, seed: int) -> IdealCipher:
     return IdealCipher(n, kappa, seed)
 
 
-def identity_cipher(n: int, kappa: int) -> IdealCipher:
-    """Stub cipher whose every key is the identity permutation (for tests)."""
-    cipher = make_ideal_cipher(n, kappa, 0)
-    ident = identity_permutation(n)
-    for key in range(1 << kappa):
-        cipher.cache[key] = ident
-    return cipher
-
-
 def _xor_one(k: int) -> int:
     return k ^ 1
 
@@ -120,7 +106,6 @@ class ConstructionKind(str, Enum):
     EFX = "EFX"
     TWO_XOR = "TWO_XOR"
     DEFX = "DEFX"
-    ITERATED_EM = "ITERATED_EM"
     ECBC3 = "ECBC3"
 
 
@@ -129,17 +114,14 @@ class KeyMaterial:
     """Key record; which fields are required depends on the construction kind.
 
     k is the kappa-bit inner key, k1/k2 are n-bit whitening keys. TWO_XOR
-    stores its single whitening key z in k1. ITERATED_EM carries the list of
-    n-bit round-key values in keys plus a schedule of indices into it. ECBC3
-    carries the two fixed unknown message blocks in m1/m2. The kind's
-    ConstructionSpec names the fields it uses.
+    stores its single whitening key z in k1. ECBC3 carries the two fixed
+    unknown message blocks in m1/m2. The kind's ConstructionSpec names the
+    fields it uses.
     """
 
     k: Optional[int] = None
     k1: Optional[int] = None
     k2: Optional[int] = None
-    schedule: Optional[List[int]] = None
-    keys: Optional[List[int]] = None
     m1: Optional[int] = None
     m2: Optional[int] = None
 
@@ -181,28 +163,25 @@ def layer_inverse_table(layer: Layer, n: int) -> List[int]:
 class ConstructionSpec:
     """Everything the attacks and the harness know about one construction kind.
 
-    A layered construction encrypts as outer(w2 ^ inner(w1 ^ relabel(x))):
+    Every kind is layered: it encrypts as outer(w2 ^ inner(w1 ^ relabel(x))).
     layers(components, k, kd) gives (relabel, inner, outer) under inner key
     k, and whitening names the key-material fields that hold w1 and w2.
-    Reports show the key as (k, w1, w2). A kind outside that family brings
-    its own encrypt, decrypt and check and accepts no attack.
+    Reports show the key as (k, w1, w2).
     """
 
-    # seed label of each component, in order; () takes any number
+    # seed label of each component, in order
     components: Tuple[str, ...]
     # (field, "kappa" or "n" bits) in the order build_instance draws them
     key_fields: Tuple[Tuple[str, str], ...]
     attacks: Tuple[str, ...]
-    whitening: Tuple[str, str] = ("k1", "k2")
     # forward E evaluations per encryption, the unit of the cost accounting
-    evals: int = 0
-    layers: Optional[Callable[[Sequence, Optional[int], Optional[KeyDerivation]],
-                              Layers]] = None
+    evals: int
+    layers: Callable[[Sequence, Optional[int], Optional[KeyDerivation]], Layers]
+    whitening: Tuple[str, str] = ("k1", "k2")
     # relabel permutes all n input bits, so the attack needs u = n
     full_domain: bool = False
-    encrypt: Optional[Callable] = None
-    decrypt: Optional[Callable] = None
-    check: Optional[Callable[[List, KeyMaterial], None]] = None
+    # a MAC-style kind refuses decryption
+    forward_only: bool = False
 
     @property
     def keyed(self) -> bool:
@@ -239,38 +218,6 @@ def _ecbc3_layers(comps, k, kd) -> Layers:
     return (base,), (base,), (base, e.permutation(derive_related_key(kd, k)))
 
 
-def _forward_only(comps, km, kd, y):
-    raise ValueError("ECBC3 is forward-only (MAC-style function)")
-
-
-def _iterated_em_encrypt(comps, km, kd, x: int) -> int:
-    v = x ^ km.keys[km.schedule[0]]
-    for i, perm in enumerate(comps):
-        v = perm.table[v] ^ km.keys[km.schedule[i + 1]]
-    return v
-
-
-def _iterated_em_decrypt(comps, km, kd, y: int) -> int:
-    v = y ^ km.keys[km.schedule[-1]]
-    for i in range(len(comps) - 1, -1, -1):
-        v = comps[i].inverse_table[v] ^ km.keys[km.schedule[i]]
-    return v
-
-
-def _iterated_em_check(comps: List, km: KeyMaterial) -> None:
-    if not comps:
-        raise ValueError("ITERATED_EM needs at least one permutation")
-    if km.schedule is None or km.keys is None:
-        raise ValueError("ITERATED_EM needs keys and a schedule")
-    if len(km.schedule) != len(comps) + 1:
-        raise ValueError("schedule must have one more entry than there are rounds")
-    for idx in km.schedule:
-        if not 0 <= idx < len(km.keys):
-            raise ValueError(f"schedule index {idx} out of bounds")
-    for key in km.keys:
-        _check_block("keys[]", key, comps[0].n)
-
-
 _SUPERPOSITION = ("offline_simon", "grover_meets_simon")
 _CLASSICAL = ("guess_and_em", "exhaustive")
 _WHITENED = (("k", "kappa"), ("k1", "n"), ("k2", "n"))
@@ -293,13 +240,10 @@ SPECS: Dict[ConstructionKind, ConstructionSpec] = {
         components=("E1", "E2", "E3"), key_fields=_WHITENED,
         attacks=("offline_simon", "exhaustive"), evals=3, layers=_defx_layers,
         full_domain=True),
-    ConstructionKind.ITERATED_EM: ConstructionSpec(
-        components=(), key_fields=(), attacks=(), encrypt=_iterated_em_encrypt,
-        decrypt=_iterated_em_decrypt, check=_iterated_em_check),
     ConstructionKind.ECBC3: ConstructionSpec(
         components=("E",), key_fields=(("k", "kappa"), ("m1", "n"), ("m2", "n")),
         attacks=("offline_simon",), whitening=("m1", "m2"), evals=4,
-        layers=_ecbc3_layers, full_domain=True, decrypt=_forward_only),
+        layers=_ecbc3_layers, full_domain=True, forward_only=True),
 }
 
 
@@ -337,8 +281,6 @@ def encrypt_with(kind: ConstructionKind, components: Sequence,
                  km: KeyMaterial, kd: Optional[KeyDerivation], x: int) -> int:
     """Evaluate the construction formula at arbitrary key material."""
     spec = SPECS[kind]
-    if spec.encrypt is not None:
-        return spec.encrypt(components, km, kd, x)
     relabel, inner, outer = spec.layers(components, km.k, kd)
     slot1, slot2 = spec.whitening
     # the layer loops are inlined: this runs once per cipher query
@@ -356,8 +298,9 @@ def encrypt_with(kind: ConstructionKind, components: Sequence,
 def decrypt_with(kind: ConstructionKind, components: Sequence,
                  km: KeyMaterial, kd: Optional[KeyDerivation], y: int) -> int:
     spec = SPECS[kind]
-    if spec.decrypt is not None:
-        return spec.decrypt(components, km, kd, y)
+    if spec.forward_only:
+        raise ValueError(f"{ConstructionKind(kind).value} is forward-only "
+                         "(MAC-style function)")
     relabel, inner, outer = spec.layers(components, km.k, kd)
     slot1, slot2 = spec.whitening
     return _unapply(relabel, getattr(km, slot1) ^ _unapply(inner, getattr(km, slot2)
@@ -437,9 +380,7 @@ def make_construction(kind: ConstructionKind, components: Sequence,
     kind = ConstructionKind(kind)
     spec = SPECS[kind]
     components = list(components)
-    if spec.check is not None:
-        spec.check(components, key_material)
-    elif len(components) != len(spec.components):
+    if len(components) != len(spec.components):
         raise ValueError(f"{kind.value} expects {len(spec.components)} "
                          f"component(s), got {len(components)}")
     n = components[0].n

@@ -60,7 +60,7 @@ class ExperimentConfig:
             errors.append(f"n: {self.n} out of range [1, 16]")
         if not 1 <= self.kappa <= 16:
             errors.append(f"kappa: {self.kappa} out of range [1, 16]")
-        if not 0 <= self.u <= self.n:
+        if self.attack == "offline_simon" and not 0 <= self.u <= self.n:
             errors.append(f"u: {self.u} out of range [0, n]")
         if self.c < 1:
             errors.append(f"c: {self.c} must be at least 1")
@@ -79,7 +79,7 @@ class ExperimentConfig:
             if spec.full_domain and self.attack == "offline_simon" \
                     and self.effective_u != self.n:
                 errors.append(f"u: {kind.value} needs the full domain (u = n)")
-            if self.mode == "EXACT" and self.attack == "offline_simon":
+            if self.mode == "EXACT" and self.attack in ("offline_simon", "grover_meets_simon"):
                 search_bits = self.effective_kappa + self.n - self.effective_u
                 register_bits = self.effective_u + self.n
                 needed = register_bits if search_bits == 0 else \
@@ -87,6 +87,11 @@ class ExperimentConfig:
                 if needed > self.qubit_cap:
                     errors.append(f"mode: EXACT joint state needs {needed} qubits, "
                                   f"cap is {self.qubit_cap}")
+        if self.qubit_cap > qsim.DEFAULT_QUBIT_CAP:
+            errors.append(
+                f"qubit_cap: {self.qubit_cap} is over the limit of {qsim.DEFAULT_QUBIT_CAP}; "
+                f"an EXACT state of {self.qubit_cap} qubits needs "
+                f"{offline_simon.JOINT_BYTES_PER_AMPLITUDE << self.qubit_cap:,} bytes")
         if self.attack == "em_q2" and self.n > qsim.SIMON_INPUT_CAP:
             errors.append(f"n: em_q2 simulates Simon on {self.n} input qubits, "
                           f"cap is {qsim.SIMON_INPUT_CAP}")
@@ -98,8 +103,11 @@ class ExperimentConfig:
 
     @property
     def effective_u(self) -> int:
-        """Input bits of the database: known-plaintext runs use the full domain."""
-        return self.n if self.alpha > 0 else self.u
+        """Input bits of the database: known-plaintext runs and
+        grover_meets_simon use the full domain."""
+        if self.alpha > 0 or self.attack == "grover_meets_simon":
+            return self.n
+        return self.u
 
     @property
     def effective_kappa(self) -> int:
@@ -138,8 +146,6 @@ def parse_config(text: str) -> ExperimentConfig:
 def build_instance(kind: ConstructionKind, n: int, kappa: int, trial_seed: int):
     """Fresh construction with random components and keys for one trial."""
     spec = SPECS[kind]
-    if not spec.components:
-        raise ValueError(f"cannot build random instance for {kind}")
     rng = np.random.default_rng(derive_seed(trial_seed, "keys"))
     if spec.keyed:
         comps = [make_ideal_cipher(n, kappa, derive_seed(trial_seed, label))
@@ -392,7 +398,7 @@ def _promise_classification(f: List[int], n: int) -> Optional[gf2.PeriodResult]:
     size = 1 << n
     if len(set(f)) == size:
         return gf2.INJECTIVE
-    periods = [s for s in range(1, size) if all(f[x] == f[x ^ s] for x in range(size))]
+    periods, _ = qsim.verified_periods(f, [])
     if len(periods) != 1:
         return None
     s = periods[0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,14 +31,11 @@ class MeasurementOutcome:
 class StateVector:
     """Complex amplitudes over a fixed named-register layout.
 
-    A state is held in one of two forms. The sparse form is an index array
-    and the amplitudes at those indices: it covers every nonzero amplitude
-    (it may list exact zeros), and its order is the order in which the
-    kernels sum. The dense form is the full 2^num_qubits vector. Kernel
-    results stay sparse while they cover at most a quarter of the basis and
-    switch to dense past that. Reading amps gives the dense vector, built
-    read-only on demand for a sparse state; assigning amps makes the state
-    dense.
+    The state is a sparse pair: an index array and the amplitudes at those
+    indices. It covers every nonzero amplitude (it may list exact zeros),
+    and its order is the order in which the kernels sum. Reading amps builds
+    the dense 2^num_qubits vector as a read-only copy; assigning amps stores
+    its nonzeros in index order.
     """
 
     def __init__(self, registers: Sequence[Tuple[str, int]],
@@ -59,13 +56,11 @@ class StateVector:
         self.num_qubits = start
         self.layout = layout
         self._dim = 1 << start
-        self._dense: Optional[np.ndarray] = None
-        self._set_sparse(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.complex128))
+        self._idx = np.zeros(1, dtype=np.int64)
+        self._vals = np.ones(1, dtype=np.complex128)
 
     @property
     def amps(self) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense
         out = np.zeros(self._dim, dtype=np.complex128)
         out[self._idx] = self._vals
         out.flags.writeable = False
@@ -73,24 +68,9 @@ class StateVector:
 
     @amps.setter
     def amps(self, value: np.ndarray) -> None:
-        self._dense = value
-        self._idx = self._vals = None
-
-    def _set_sparse(self, idx: np.ndarray, vals: np.ndarray) -> None:
-        if idx.size > self._dim // 4:
-            dense = np.zeros(self._dim, dtype=np.complex128)
-            dense[idx] = vals
-            self.amps = dense
-        else:
-            self._dense = None
-            self._idx, self._vals = idx, vals
-
-    def _support(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(indices, amplitudes) covering every nonzero amplitude, in kernel order."""
-        if self._dense is None:
-            return self._idx, self._vals
-        idx = np.flatnonzero(self._dense)
-        return idx, self._dense[idx]
+        value = np.asarray(value, dtype=np.complex128)
+        self._idx = np.flatnonzero(value)
+        self._vals = value[self._idx]
 
     def register_range(self, name: str) -> Tuple[int, int]:
         try:
@@ -99,10 +79,8 @@ class StateVector:
             raise ValueError(f"unknown register {name!r}") from None
 
     def norm_squared(self) -> float:
-        if self._dense is None:
-            a = self._vals
-            return float((a.real ** 2 + a.imag ** 2).sum())
-        return float(np.vdot(self._dense, self._dense).real)
+        a = self._vals
+        return float((a.real ** 2 + a.imag ** 2).sum())
 
     def check_norm(self) -> None:
         if abs(self.norm_squared() - 1.0) > NORM_TOL:
@@ -131,26 +109,6 @@ def hadamard_qubit(amps: np.ndarray, q: int) -> None:
     np.subtract(zero, one, out=one)
     one *= INV_SQRT2
     np.multiply(total, INV_SQRT2, out=zero)
-
-
-def _hadamard_dense(amps: np.ndarray, start: int, size: int) -> np.ndarray:
-    """Walsh butterflies with the register axis moved up front (contiguous halves).
-
-    Works in place when that view of amps is contiguous and writable, and on
-    a copy otherwise (the read-only amps of a sparse state).
-    """
-    low = 1 << start
-    m = 1 << size
-    work = np.require(np.moveaxis(amps.reshape(-1, m, low), 1, 0), requirements="CW")
-    h = 1
-    while h < m:
-        b = work.reshape(m // (2 * h), 2, h, -1)
-        hi = b[:, 0].copy()
-        b[:, 0] = hi + b[:, 1]
-        b[:, 1] = hi - b[:, 1]
-        h *= 2
-    out = np.moveaxis(work, 0, 1).reshape(amps.shape)
-    return out * (INV_SQRT2 ** size)
 
 
 def _hadamard_sparse(idx: np.ndarray, vals: np.ndarray, start: int,
@@ -188,11 +146,7 @@ def hadamard(sv: StateVector, register: str) -> StateVector:
     start, size = sv.register_range(register)
     if size == 0:
         return sv
-    idx, vals = sv._support()
-    if idx.size << size <= sv._dim:
-        sv._set_sparse(*_hadamard_sparse(idx, vals, start, size))
-    else:
-        sv.amps = _hadamard_dense(sv.amps, start, size)
+    sv._idx, sv._vals = _hadamard_sparse(sv._idx, sv._vals, start, size)
     sv.check_norm()
     return sv
 
@@ -207,9 +161,8 @@ def apply_xor_oracle(sv: StateVector, f: Sequence[int],
     f_arr = np.asarray(f, dtype=np.int64)
     if f_arr.size and (f_arr.min() < 0 or f_arr.max() >= (1 << out_size)):
         raise ValueError("oracle values do not fit the output register")
-    idx, vals = sv._support()
-    x = (idx >> in_start) & ((1 << in_size) - 1)
-    sv._set_sparse(idx ^ (f_arr[x] << out_start), vals)
+    x = (sv._idx >> in_start) & ((1 << in_size) - 1)
+    sv._idx = sv._idx ^ (f_arr[x] << out_start)
     sv.check_norm()
     return sv
 
@@ -225,10 +178,10 @@ def apply_inplace_perm(sv: StateVector, perm, register: str) -> StateVector:
     if perm.n != size:
         raise ValueError(f"permutation on {perm.n} bits vs register of {size}")
     mask = ((1 << size) - 1) << start
-    idx, vals = sv._support()
+    idx = sv._idx
     table = np.asarray(perm.table, dtype=np.int64)
     z = (idx & mask) >> start
-    sv._set_sparse((idx & ~mask) | (table[z] << start), vals)
+    sv._idx = (idx & ~mask) | (table[z] << start)
     sv.check_norm()
     return sv
 
@@ -237,7 +190,7 @@ def measure(sv: StateVector, register: str,
             rng: np.random.Generator) -> Tuple[MeasurementOutcome, StateVector]:
     """Born-rule measurement of one register; collapses and renormalizes."""
     start, size = sv.register_range(register)
-    idx, vals = sv._support()
+    idx, vals = sv._idx, sv._vals
     if idx.size == 0:
         raise ValueError("cannot measure a zero-norm state")
     outcomes = (idx >> start) & ((1 << size) - 1)
@@ -251,7 +204,7 @@ def measure(sv: StateVector, register: str,
     value = int(rng.choice(1 << size, p=probs))
     keep = outcomes == value
     norm = math.sqrt(float(weights[keep].sum()))
-    sv._set_sparse(idx[keep], vals[keep] / norm)
+    sv._idx, sv._vals = idx[keep], vals[keep] / norm
     return MeasurementOutcome(register, value, float(probs[value])), sv
 
 
@@ -285,6 +238,20 @@ def simon_subroutine(f: Sequence[int], rng: np.random.Generator,
     return outcome.value
 
 
+def verified_periods(f: Sequence[int], samples: Sequence[int]) -> Tuple[List[int], int]:
+    """Nonzero members of the samples' nullspace that are periods of the table f.
+
+    Returns them in nullspace order with the number of nonzero members
+    checked. With no samples every nonzero shift is a member.
+    """
+    from . import gf2
+
+    size = len(f)
+    candidates = [s for s in gf2.nullspace_members(samples, size.bit_length() - 1) if s]
+    periods = [s for s in candidates if all(f[x] == f[x ^ s] for x in range(size))]
+    return periods, len(candidates)
+
+
 def recover_period_verified(f: Sequence[int], samples: Sequence[int]):
     """Classify f from Simon samples, checking candidates against the table.
 
@@ -296,13 +263,10 @@ def recover_period_verified(f: Sequence[int], samples: Sequence[int]):
     """
     from . import gf2
 
-    n_in = len(f).bit_length() - 1
-    result = gf2.recover_period(samples, n_in)
+    result = gf2.recover_period(samples, len(f).bit_length() - 1)
     if result.status == "injective":
         return result
-    size = 1 << n_in
-    verified = [s for s in gf2.nullspace_members(samples, n_in)
-                if s and all(f[x] == f[x ^ s] for x in range(size))]
+    verified, _ = verified_periods(f, samples)
     if len(verified) == 1:
         return gf2.PeriodResult("period", verified[0])
     if not verified:

@@ -8,12 +8,11 @@ from efxlab.ciphers import (
     ConstructionKind,
     KeyDerivation,
     KeyMaterial,
+    Permutation,
     complete_key,
     decrypt_with,
     derive_related_key,
     encrypt_with,
-    identity_cipher,
-    identity_permutation,
     make_construction,
     make_ideal_cipher,
     make_permutation,
@@ -21,6 +20,18 @@ from efxlab.ciphers import (
 )
 from efxlab.harness import build_instance
 from efxlab.offline_simon import guess_family_for, transformed_payload
+
+
+def identity_permutation(n):
+    return Permutation(n, list(range(1 << n)), list(range(1 << n)))
+
+
+def identity_cipher(n, kappa):
+    """Ideal cipher whose every key is the identity permutation."""
+    cipher = make_ideal_cipher(n, kappa, 0)
+    for key in range(1 << kappa):
+        cipher.cache[key] = identity_permutation(n)
+    return cipher
 
 
 def test_permutation_one_bit():
@@ -174,15 +185,12 @@ def _all_kind_instances(n=4, seed=515):
     e = make_ideal_cipher(n, n, seed)
     comps3 = [make_ideal_cipher(n, n, ciphers.derive_seed(seed, i)) for i in range(3)]
     perm = make_permutation(n, seed)
-    perms = [make_permutation(n, ciphers.derive_seed(seed, "p", i)) for i in range(5)]
     return [
         make_construction(ConstructionKind.EM, [perm], KeyMaterial(k1=3, k2=9)),
         make_construction(ConstructionKind.FX, [e], KeyMaterial(k=7, k1=3, k2=9)),
         make_construction(ConstructionKind.EFX, comps3[:2], KeyMaterial(k=7, k1=3, k2=9)),
         make_construction(ConstructionKind.TWO_XOR, [e], KeyMaterial(k=7, k1=3)),
         make_construction(ConstructionKind.DEFX, comps3, KeyMaterial(k=7, k1=3, k2=9)),
-        make_construction(ConstructionKind.ITERATED_EM, perms,
-                          KeyMaterial(keys=[4, 11], schedule=[0, 0, 1, 0, 1, 0])),
         make_construction(ConstructionKind.ECBC3, [e], KeyMaterial(k=7, m1=3, m2=9)),
     ]
 
@@ -244,10 +252,6 @@ def test_make_construction_validation():
         make_construction(ConstructionKind.EFX, [e], KeyMaterial(k=0, k1=0, k2=0))
     with pytest.raises(ValueError):
         make_construction(ConstructionKind.FX, [e], KeyMaterial(k=99, k1=0, k2=0))
-    with pytest.raises(ValueError):
-        make_construction(ConstructionKind.ITERATED_EM,
-                          [make_permutation(4, 1)],
-                          KeyMaterial(keys=[1], schedule=[0, 5]))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +311,6 @@ REFERENCE_ATTACKS = {
     ConstructionKind.TWO_XOR: {"offline_simon", "grover_meets_simon", "guess_and_em",
                                "exhaustive"},
     ConstructionKind.DEFX: {"offline_simon", "exhaustive"},
-    ConstructionKind.ITERATED_EM: set(),
     ConstructionKind.ECBC3: {"offline_simon"},
 }
 

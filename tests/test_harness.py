@@ -70,6 +70,33 @@ def test_run_attack_zero_trials():
     assert rep["trials"] == []
 
 
+def test_validate_ignores_u_for_attacks_that_do_not_read_it():
+    cfg = parse_config("attack = em_q2\nconstruction = EM\nn = 1\nkappa = 1\nc = 6")
+    assert cfg.u == 2
+    assert cfg.validate() == []
+    cfg = parse_config("attack = grover_meets_simon\nconstruction = EFX\nn = 1\nkappa = 2")
+    assert cfg.validate() == []
+    assert cfg.effective_u == 1
+
+
+def test_validate_rejects_a_qubit_cap_over_the_default():
+    cfg = parse_config(BASE_CONFIG)
+    cfg.qubit_cap = qsim.DEFAULT_QUBIT_CAP
+    assert cfg.validate() == []
+    cfg.qubit_cap = 40
+    (error,) = cfg.validate()
+    assert error.startswith("qubit_cap:") and f"{45 << 40:,} bytes" in error
+
+
+def test_grover_sweep_iteration_column_matches_formula():
+    cfg = parse_config("attack = grover_meets_simon\nconstruction = EFX\nkappa = 2\n"
+                       "c = 6\ntrials = 2\nseed = 11")
+    rows = sweep(cfg, "n", [3, 4])
+    for row in rows:
+        assert row["iterations"] == qsim.search_iterations(2) == 1
+        assert row["iterations_formula"] == row["iterations"]
+
+
 def test_sweep_iteration_column_matches_formula():
     cfg = parse_config(BASE_CONFIG)
     cfg.trials = 3
@@ -160,6 +187,11 @@ def test_cli_config_error_exit_code(tmp_path):
     "attack = guess_and_em\nconstruction = ITERATED_EM\nn = 3\nkappa = 2\ndata = 4",
     "attack = exhaustive\nconstruction = ITERATED_EM\nn = 3\nkappa = 2\ndata = 4",
     "attack = em_q2\nconstruction = EM\nn = 13\nkappa = 1\nc = 17",
+    # 4 search bits + 6 registers of 4 + 4 qubits
+    "attack = grover_meets_simon\nconstruction = EFX\nn = 4\nkappa = 4\nc = 6\nmode = EXACT",
+    # 36 qubits, about 3 TB at 45 B per amplitude
+    "attack = offline_simon\nconstruction = EFX\nn = 4\nkappa = 4\nu = 2\nc = 5\n"
+    "mode = EXACT\nqubit_cap = 40",
 ])
 def test_cli_rejects_unsupported_config_before_running(tmp_path, capsys, monkeypatch,
                                                        config):

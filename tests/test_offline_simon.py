@@ -382,7 +382,7 @@ def test_em_q2_attack_success_rate_and_counters():
 
 
 def test_em_q2_degenerate_constant_function():
-    perm = ciphers.identity_permutation(3)
+    perm = ciphers.Permutation(3, list(range(8)), list(range(8)))
     inst = make_construction(ConstructionKind.EM, [perm], KeyMaterial(k1=0, k2=0))
     rng = np.random.default_rng(0)
     rep = em_q2_attack(inst, 8, rng)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from efxlab import gf2, harness, qsim
-from efxlab.ciphers import Permutation, identity_permutation, make_permutation
+from efxlab.ciphers import Permutation, make_permutation
 
 
 def random_periodic(n, s, rng):
@@ -41,8 +41,9 @@ def test_hadamard_involution():
 def test_hadamard_coset_support():
     # |x0> + |x0 xor s| with x0=01, s=11 maps onto exactly {y : y.s = 0}
     sv = qsim.StateVector([("q", 2)])
-    sv.amps = np.zeros(4, complex)
-    sv.amps[0b01] = sv.amps[0b10] = 1 / math.sqrt(2)
+    amps = np.zeros(4, complex)
+    amps[0b01] = amps[0b10] = 1 / math.sqrt(2)
+    sv.amps = amps
     qsim.hadamard(sv, "q")
     support = {i for i, a in enumerate(sv.amps) if abs(a) > 1e-12}
     assert support == {0b00, 0b11}
@@ -127,7 +128,7 @@ def test_inplace_perm_identity_and_inverse():
     raw = rng.normal(size=8) + 1j * rng.normal(size=8)
     sv.amps = raw / np.linalg.norm(raw)
     before = sv.amps.copy()
-    qsim.apply_inplace_perm(sv, identity_permutation(3), "a")
+    qsim.apply_inplace_perm(sv, Permutation(3, list(range(8)), list(range(8))), "a")
     assert np.array_equal(sv.amps, before)
     p = make_permutation(3, 17)
     p_inv = Permutation(3, p.inverse_table, p.table)
@@ -201,6 +202,26 @@ def test_simon_subroutine_orthogonality_exact(n, seed, spare_bits):
     for _ in range(20):
         y = qsim.simon_subroutine(f, rng, out_bits=n + spare_bits)
         assert gf2.dot(y, s) == 0
+
+
+# simon_subroutine outputs for fixed seeds, recorded before StateVector lost
+# its dense form; a change to any gate's sums or to the rng draws shows here
+PINNED_SIMON_DRAWS = {
+    1: [0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+    2: [1, 3, 3, 2, 1, 2, 2, 2, 2, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 3, 0],
+    3: [2, 7, 5, 5, 6, 4, 4, 6, 0, 2, 4, 6, 0, 5, 0, 0, 5, 5, 0, 0, 3, 3, 4, 4,
+        0, 0, 1, 0, 2, 3, 7, 2, 7, 5, 5, 0, 7, 6, 7, 1, 1, 1, 0, 3, 5, 6, 5, 6],
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_SIMON_DRAWS))
+def test_simon_subroutine_draws_are_pinned(n):
+    rng = np.random.default_rng(20261018 + n)
+    got = []
+    for s in range(1 << n):  # s = 0: a permutation, else a function with period s
+        f = random_periodic(n, s, rng) if s else rng.permutation(1 << n).tolist()
+        got += [qsim.simon_subroutine(f, rng, out_bits=n + (s & 1)) for _ in range(6)]
+    assert got == PINNED_SIMON_DRAWS[n]
 
 
 def test_simon_subroutine_injective_uniform():
