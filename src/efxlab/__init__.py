@@ -5,7 +5,6 @@ baselines, and security-bound evaluators."""
 from .ciphers import (
     ConstructionKind,
     IdealCipher,
-    KeyDerivation,
     KeyMaterial,
     Permutation,
     derive_related_key,
@@ -26,7 +25,6 @@ from .offline_simon import (
     generalized_offline_simon,
     grover_meets_simon_attack,
     offline_simon_attack,
-    test_key_guess,
 )
 from .qsim import (
     MeasurementOutcome,

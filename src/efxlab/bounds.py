@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 @dataclass
@@ -18,22 +18,18 @@ class BoundParams:
     """Parameters of the distinguishing game.
 
     n and kappa are bit sizes, D counts online construction queries, T counts
-    offline cipher queries (both directions), q counts quantum queries.
-    alpha_free overrides the balancing parameter of the middle bound term;
-    by default it is chosen as alpha = (2^(2(kappa+n)) / (T^2 D))^(1/3).
+    offline cipher queries (both directions).
     """
 
     n: int
     kappa: int
     D: float = 0.0
     T: float = 0.0
-    q: float = 0.0
-    alpha_free: Optional[float] = None
 
     def validate(self) -> None:
         if self.n < 1 or self.kappa < 0:
             raise ValueError("sizes must be positive")
-        for name in ("D", "T", "q"):
+        for name in ("D", "T"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.D > 2.0 ** self.n:
@@ -67,15 +63,10 @@ def efx_classical_bound(p: BoundParams) -> Tuple[float, float]:
 
     log2_t = math.log2(T)
     log2_d = math.log2(D)
-    if p.alpha_free is not None:
-        alpha = p.alpha_free
-        inv_alpha = 1.0 / alpha
-        log2_alpha = math.log2(alpha)
-    else:
-        # 1/a = (T^2 D / 2^(2(kappa+n)))^(1/3)
-        log2_inv_alpha = (2.0 * log2_t + log2_d - 2.0 * (kappa + n)) / 3.0
-        inv_alpha = _pow2(log2_inv_alpha)
-        log2_alpha = -log2_inv_alpha
+    # 1/a = (T^2 D / 2^(2(kappa+n)))^(1/3)
+    log2_inv_alpha = (2.0 * log2_t + log2_d - 2.0 * (kappa + n)) / 3.0
+    inv_alpha = _pow2(log2_inv_alpha)
+    log2_alpha = -log2_inv_alpha
 
     term1 = inv_alpha
     term2 = 1.5 * _pow2(log2_t + min(log2_d, n / 2.0) - (kappa + n))

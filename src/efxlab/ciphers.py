@@ -82,22 +82,9 @@ def make_ideal_cipher(n: int, kappa: int, seed: int) -> IdealCipher:
     return IdealCipher(n, kappa, seed)
 
 
-def _xor_one(k: int) -> int:
+def derive_related_key(k: int) -> int:
+    """The second key of the 2XOR cascade: the fixed, fixpoint-free pi(k) = k XOR 1."""
     return k ^ 1
-
-
-@dataclass
-class KeyDerivation:
-    """Fixpoint-free permutation on kappa-bit keys; default is k -> k XOR 1."""
-
-    pi: Callable[[int], int] = _xor_one
-
-
-def derive_related_key(kd: KeyDerivation, k: int) -> int:
-    v = kd.pi(k)
-    if v == k:
-        raise ValueError(f"key derivation has a fixpoint at k={k}")
-    return v
 
 
 class ConstructionKind(str, Enum):
@@ -164,7 +151,7 @@ class ConstructionSpec:
     """Everything the attacks and the harness know about one construction kind.
 
     Every kind is layered: it encrypts as outer(w2 ^ inner(w1 ^ relabel(x))).
-    layers(components, k, kd) gives (relabel, inner, outer) under inner key
+    layers(components, k) gives (relabel, inner, outer) under inner key
     k, and whitening names the key-material fields that hold w1 and w2.
     Reports show the key as (k, w1, w2).
     """
@@ -176,7 +163,7 @@ class ConstructionSpec:
     attacks: Tuple[str, ...]
     # forward E evaluations per encryption, the unit of the cost accounting
     evals: int
-    layers: Callable[[Sequence, Optional[int], Optional[KeyDerivation]], Layers]
+    layers: Callable[[Sequence, Optional[int]], Layers]
     whitening: Tuple[str, str] = ("k1", "k2")
     # relabel permutes all n input bits, so the attack needs u = n
     full_domain: bool = False
@@ -189,33 +176,33 @@ class ConstructionSpec:
         return any(name == "k" for name, _ in self.key_fields)
 
 
-def _em_layers(comps, k, kd) -> Layers:
+def _em_layers(comps, k) -> Layers:
     return (), (comps[0],), ()
 
 
-def _fx_layers(comps, k, kd) -> Layers:
+def _fx_layers(comps, k) -> Layers:
     return (), (comps[0].permutation(k),), ()
 
 
-def _efx_layers(comps, k, kd) -> Layers:
+def _efx_layers(comps, k) -> Layers:
     return (), (comps[0].permutation(k),), (comps[1].permutation(k),)
 
 
-def _two_xor_layers(comps, k, kd) -> Layers:
+def _two_xor_layers(comps, k) -> Layers:
     e = comps[0]
-    return (), (e.permutation(k),), (e.permutation(derive_related_key(kd, k)),)
+    return (), (e.permutation(k),), (e.permutation(derive_related_key(k)),)
 
 
-def _defx_layers(comps, k, kd) -> Layers:
+def _defx_layers(comps, k) -> Layers:
     e1, e2, e3 = comps
     return (e1.permutation(k),), (e2.permutation(k),), (e3.permutation(k),)
 
 
-def _ecbc3_layers(comps, k, kd) -> Layers:
+def _ecbc3_layers(comps, k) -> Layers:
     # the last message block passes E_k and then the derived-key tag layer
     e = comps[0]
     base = e.permutation(k)
-    return (base,), (base,), (base, e.permutation(derive_related_key(kd, k)))
+    return (base,), (base,), (base, e.permutation(derive_related_key(k)))
 
 
 _SUPERPOSITION = ("offline_simon", "grover_meets_simon")
@@ -278,10 +265,10 @@ def report_keys(kind: ConstructionKind, km: Optional[KeyMaterial]):
 
 
 def encrypt_with(kind: ConstructionKind, components: Sequence,
-                 km: KeyMaterial, kd: Optional[KeyDerivation], x: int) -> int:
+                 km: KeyMaterial, x: int) -> int:
     """Evaluate the construction formula at arbitrary key material."""
     spec = SPECS[kind]
-    relabel, inner, outer = spec.layers(components, km.k, kd)
+    relabel, inner, outer = spec.layers(components, km.k)
     slot1, slot2 = spec.whitening
     # the layer loops are inlined: this runs once per cipher query
     for perm in relabel:
@@ -296,20 +283,19 @@ def encrypt_with(kind: ConstructionKind, components: Sequence,
 
 
 def decrypt_with(kind: ConstructionKind, components: Sequence,
-                 km: KeyMaterial, kd: Optional[KeyDerivation], y: int) -> int:
+                 km: KeyMaterial, y: int) -> int:
     spec = SPECS[kind]
     if spec.forward_only:
         raise ValueError(f"{ConstructionKind(kind).value} is forward-only "
                          "(MAC-style function)")
-    relabel, inner, outer = spec.layers(components, km.k, kd)
+    relabel, inner, outer = spec.layers(components, km.k)
     slot1, slot2 = spec.whitening
     return _unapply(relabel, getattr(km, slot1) ^ _unapply(inner, getattr(km, slot2)
                                                            ^ _unapply(outer, y)))
 
 
 def complete_key(kind: ConstructionKind, components: Sequence,
-                 kd: Optional[KeyDerivation], k: Optional[int], w1: int,
-                 pt: int, ct: int) -> Tuple[KeyMaterial, int]:
+                 k: Optional[int], w1: int, pt: int, ct: int) -> Tuple[KeyMaterial, int]:
     """Key material with inner key k and first whitening w1 that sends pt to ct.
 
     Peels one pair, w2 = outer^-1(ct) ^ inner(w1 ^ relabel(pt)), and returns
@@ -319,7 +305,7 @@ def complete_key(kind: ConstructionKind, components: Sequence,
     spec = SPECS[kind]
     if spec.whitening[0] == spec.whitening[1]:
         return key_material(kind, k, w1, w1), 0
-    relabel, inner, outer = spec.layers(components, k, kd)
+    relabel, inner, outer = spec.layers(components, k)
     w2 = _unapply(outer, ct) ^ _apply(inner, w1 ^ _apply(relabel, pt))
     return key_material(kind, k, w1, w2), spec.evals
 
@@ -331,7 +317,6 @@ class ConstructionInstance:
     kind: ConstructionKind
     components: List
     key_material: KeyMaterial
-    key_derivation: Optional[KeyDerivation]
     n: int
     online_forward: int = 0
     online_backward: int = 0
@@ -348,16 +333,14 @@ class ConstructionInstance:
     # uncounted access, used by simulators that realize black-box quantum
     # oracles; callers account for oracle applications themselves
     def _raw_encrypt(self, x: int) -> int:
-        return encrypt_with(self.kind, self.components, self.key_material,
-                            self.key_derivation, x)
+        return encrypt_with(self.kind, self.components, self.key_material, x)
 
     def _raw_decrypt(self, y: int) -> int:
-        return decrypt_with(self.kind, self.components, self.key_material,
-                            self.key_derivation, y)
+        return decrypt_with(self.kind, self.components, self.key_material, y)
 
     def layers(self, k: Optional[int]) -> Layers:
         """(relabel, inner, outer) under inner-key guess k."""
-        return SPECS[self.kind].layers(self.components, k, self.key_derivation)
+        return SPECS[self.kind].layers(self.components, k)
 
     @property
     def kappa(self) -> int:
@@ -374,8 +357,7 @@ def _check_block(name: str, value: Optional[int], bits: int) -> int:
 
 
 def make_construction(kind: ConstructionKind, components: Sequence,
-                      key_material: KeyMaterial,
-                      key_derivation: Optional[KeyDerivation] = None) -> ConstructionInstance:
+                      key_material: KeyMaterial) -> ConstructionInstance:
     """Validate components and key material, return an instance with zeroed counters."""
     kind = ConstructionKind(kind)
     spec = SPECS[kind]
@@ -389,6 +371,4 @@ def make_construction(kind: ConstructionKind, components: Sequence,
     kappa = components[0].kappa if spec.keyed else 0
     for name, bits in key_widths(kind, n, kappa):
         _check_block(name, getattr(key_material, name), bits)
-    if key_derivation is None:
-        key_derivation = KeyDerivation()
-    return ConstructionInstance(kind, components, key_material, key_derivation, n)
+    return ConstructionInstance(kind, components, key_material, n)

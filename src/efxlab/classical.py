@@ -99,8 +99,7 @@ def exhaustive_search(instance: ConstructionInstance,
         ok = True
         for pt, ct in known_pairs:
             evals += layers
-            if encrypt_with(kind, instance.components, km,
-                            instance.key_derivation, pt) != ct:
+            if encrypt_with(kind, instance.components, km, pt) != ct:
                 ok = False
                 break
         if ok:
@@ -152,8 +151,7 @@ def guess_and_em_attack(instance: ConstructionInstance, D: int,
         nonlocal evals
         for pt, ct in zip(pts, cts):
             evals += layers
-            if encrypt_with(kind, instance.components, km,
-                            instance.key_derivation, pt) != ct:
+            if encrypt_with(kind, instance.components, km, pt) != ct:
                 return False
         return True
 
@@ -166,16 +164,6 @@ def guess_and_em_attack(instance: ConstructionInstance, D: int,
 
         wvals: Dict[int, int] = {}
 
-        def g_value(x: int) -> int:
-            nonlocal evals
-            w = cts[x]
-            if outer_inv is not None:
-                w = outer_inv(w)
-                evals += 1
-            wvals[x] = w
-            evals += 1
-            return w ^ fwd(x)
-
         def peel_cached(x: int) -> int:
             nonlocal evals
             w = wvals.get(x)
@@ -186,6 +174,11 @@ def guess_and_em_attack(instance: ConstructionInstance, D: int,
                     evals += 1
                 wvals[x] = w
             return w
+
+        def g_value(x: int) -> int:
+            nonlocal evals
+            evals += 1
+            return peel_cached(x) ^ fwd(x)
 
         def candidate(x: int, k1: int) -> Optional[ClassicalReport]:
             nonlocal evals
@@ -272,6 +265,8 @@ def tradeoff_curve(attack: str, n: int, kappa: int,
     d_grid holds log2(D) values. measured points are (log2(D), log2(T))
     pairs taken from actual attack counters and are tagged as such.
     """
+    if n < 1 or kappa < 0:
+        raise ValueError(f"n={n} must be at least 1 and kappa={kappa} nonnegative")
     if not d_grid:
         raise ValueError("empty D grid")
     rows = []

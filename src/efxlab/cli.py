@@ -18,7 +18,7 @@ EXIT_ATTACK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 
 
-def _load_config(path: str, seed=None) -> harness.ExperimentConfig:
+def _load_config(path: str, seed) -> harness.ExperimentConfig:
     cfg = harness.parse_config(Path(path).read_text())
     if seed is not None:
         cfg.seed = seed

@@ -27,8 +27,9 @@ from .ciphers import (
     report_keys,
 )
 
-ATTACK_KINDS = ("offline_simon", "grover_meets_simon", "em_q2",
-                "guess_and_em", "exhaustive")
+# the attacks that run an amplified search over a guess space
+SEARCH_ATTACKS = ("offline_simon", "grover_meets_simon")
+ATTACK_KINDS = SEARCH_ATTACKS + ("em_q2", "guess_and_em", "exhaustive")
 
 
 @dataclass
@@ -79,7 +80,7 @@ class ExperimentConfig:
             if spec.full_domain and self.attack == "offline_simon" \
                     and self.effective_u != self.n:
                 errors.append(f"u: {kind.value} needs the full domain (u = n)")
-            if self.mode == "EXACT" and self.attack in ("offline_simon", "grover_meets_simon"):
+            if self.mode == "EXACT" and self.attack in SEARCH_ATTACKS:
                 search_bits = self.effective_kappa + self.n - self.effective_u
                 register_bits = self.effective_u + self.n
                 needed = register_bits if search_bits == 0 else \
@@ -255,9 +256,17 @@ def reference_time(n: int, kappa: int, u: int) -> float:
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> List[dict]:
-    """One attack run per axis value; rows carry measured and reference columns."""
+    """One attack run per axis value; rows carry measured and reference columns.
+
+    The search reference columns are filled for SEARCH_ATTACKS only, and the
+    fidelity columns on the alpha axis only; u, D and n take integer values.
+    """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
+    if axis != "alpha":
+        for value in values:
+            if not float(value).is_integer():
+                raise ValueError(f"{axis} takes integer values, got {value}")
     rows = []
     base_rate = None
     if axis == "alpha":
@@ -301,14 +310,16 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> List[dic
             "mean_sim_time": summary["mean_sim_time_units"],
             "mean_search_time": tmean("search_time_units"),
             "iterations": iters,
-            "iterations_formula": iterations_formula(
-                point_cfg.n, point_cfg.effective_kappa, point_cfg.effective_u),
-            "ref_time": reference_time(
-                point_cfg.n, point_cfg.effective_kappa, point_cfg.effective_u),
+            "iterations_formula": "",
+            "ref_time": "",
             "fidelity_bound": "",
             "bound_times_base": "",
             "bound_ok": "",
         }
+        if point_cfg.attack in SEARCH_ATTACKS:
+            search = (point_cfg.n, point_cfg.effective_kappa, point_cfg.effective_u)
+            row["iterations_formula"] = iterations_formula(*search)
+            row["ref_time"] = reference_time(*search)
         if axis == "alpha":
             fb = offline_simon.fidelity_bound(point_cfg.c, float(value))
             row["fidelity_bound"] = fb

@@ -171,14 +171,6 @@ def fidelity_bound(c: int, alpha: float) -> float:
 # guess families: key-indexed in-place maps
 
 
-@dataclass(frozen=True)
-class KeyGuess:
-    """y1 guesses the (n-u)-bit whitening suffix, y2 the inner cipher key."""
-
-    y1: int
-    y2: int
-
-
 class GuessMaps(NamedTuple):
     """In-place transforms a guess applies to one register, as int64 tables.
 
@@ -204,11 +196,12 @@ class GuessMaps(NamedTuple):
 class GuessFamily:
     """Guess-indexed register transforms for one construction instance.
 
-    A guess integer packs y2 in the low kappa_bits and y1 above it. The
-    tables are dense and indexed by the inner key y2: relabel over the u-bit
-    input, inner and peel (the inverted outer layer) over n_out-bit values,
-    each the identity where the construction has no such layer. evals is
-    the cipher-evaluation charge for transforming one register once.
+    A guess integer packs y2, the inner cipher key, in the low kappa_bits
+    and y1, the (n-u)-bit whitening suffix, above it. The tables are dense
+    and indexed by the inner key y2: relabel over the u-bit input, inner and
+    peel (the inverted outer layer) over n_out-bit values, each the identity
+    where the construction has no such layer. evals is the cipher-evaluation
+    charge for transforming one register once.
     """
 
     u: int
@@ -224,8 +217,9 @@ class GuessFamily:
     def search_bits(self) -> int:
         return self.kappa_bits + self.suffix_bits
 
-    def split(self, g: int) -> KeyGuess:
-        return KeyGuess(y1=g >> self.kappa_bits, y2=g & ((1 << self.kappa_bits) - 1))
+    def split(self, g: int) -> Tuple[int, int]:
+        """(y1, y2) of guess g."""
+        return g >> self.kappa_bits, g & ((1 << self.kappa_bits) - 1)
 
     def maps(self, g) -> GuessMaps:
         """Maps of guess g; an array of guesses gives stacked maps, one row each.
@@ -334,26 +328,6 @@ def exact_pass_probability(dists: Sequence[np.ndarray], u: int) -> float:
     return sum(p for basis, p in dp.items() if len(basis) < u)
 
 
-def test_key_guess(db: QueryDatabase, guess, family: GuessFamily) -> Tuple[bool, float]:
-    """Evaluate one key guess against the database.
-
-    Returns (passes, pass_probability) where pass_probability is the exact
-    chance that the c post-Hadamard samples have GF(2) rank below u (rank
-    outcomes below u-1 count as passes too; they never reject the true key).
-    passes reports the majority outcome.
-    """
-    if isinstance(guess, KeyGuess):
-        g = guess.y2 | (guess.y1 << family.kappa_bits)
-    else:
-        g = int(guess)
-    maps = family.maps(g)
-    if len(maps.xor) != (1 << db.u):
-        raise ValueError("guess maps do not match the database input width")
-    dist = register_distribution(transformed_payload(db.payload, maps), db.u)
-    prob = exact_pass_probability([dist] * db.c, db.u)
-    return prob >= 0.5, prob
-
-
 # ---------------------------------------------------------------------------
 # attack report
 
@@ -436,28 +410,27 @@ def _candidate_verifier(instance: ConstructionInstance, db: QueryDatabase,
     """
     kind = instance.kind
     comps = instance.components
-    kd = instance.key_derivation
     pairs = db.known_pairs()
     layers = SPECS[kind].evals
 
     def verify(km: KeyMaterial) -> bool:
         for pt, ct in pairs:
             cost.offline_evals += layers
-            if encrypt_with(kind, comps, km, kd, pt) != ct:
+            if encrypt_with(kind, comps, km, pt) != ct:
                 return False
         return True
 
     def try_candidates(g: int, samples: Sequence[int]) -> Optional[KeyMaterial]:
         if not pairs:
             return None
-        guess = family.split(g)
+        y1, y2 = family.split(g)
         pt0, ct0 = pairs[0]
         members = gf2.nullspace_members(samples, db.u)
         # rank-deficient nonzero samples point at a nonzero period, so try
         # those first; the zero prefix (a constant test function) comes last
         for prefix in [m for m in members if m] + [0]:
-            k1 = (prefix << db.embed_shift) | guess.y1
-            km, evals = complete_key(kind, comps, kd, guess.y2, k1, pt0, ct0)
+            k1 = (prefix << db.embed_shift) | y1
+            km, evals = complete_key(kind, comps, y2, k1, pt0, ct0)
             cost.offline_evals += evals
             if verify(km):
                 return km
@@ -633,12 +606,9 @@ def _rank_deficient_table(u: int, c: int) -> np.ndarray:
 
 def generalized_offline_simon(db: QueryDatabase, family: GuessFamily,
                               rng: np.random.Generator, *,
-                              iterations: Optional[int] = None,
                               mode: str = "TENSOR",
                               max_searches: int = 3,
-                              try_candidates=None,
-                              cost: Optional[_Cost] = None,
-                              rebuild_time: Optional[int] = None,
+                              try_candidates, cost: _Cost, rebuild_time: int,
                               cap: int = qsim.DEFAULT_QUBIT_CAP) -> EngineOutcome:
     """Generic engine: find the guess whose transformed database is periodic.
 
@@ -650,27 +620,18 @@ def generalized_offline_simon(db: QueryDatabase, family: GuessFamily,
 
     try_candidates(guess, samples) turns a measured guess plus Simon samples
     into verified key material (None rejects the guess and the search
-    repeats, excluding it). Without a callback, any guess in the passing set
-    is accepted as the answer.
+    repeats, excluding it).
     """
     if mode not in _DRAWS:
         raise ValueError(f"unknown mode {mode!r}")
-    if cost is None:
-        cost = _Cost()
     m = family.search_bits
-    if iterations is None:
-        iterations = qsim.search_iterations(m)
-    if rebuild_time is None:
-        rebuild_time = db.n_out * (1 << db.u)
+    iterations = qsim.search_iterations(m)
     if m > MAX_SEARCH_BITS:
         raise ValueError(f"search space of {m} bits exceeds the desk-scale cap")
     space = 1 << m
     dists = _scan_distributions(db, family)
     passing = [g for g in range(space)
                if exact_pass_probability([dists[g]] * db.c, db.u) >= 0.5]
-    if try_candidates is None:
-        def try_candidates(g, samples):
-            return KeyMaterial(k=g) if g in passing else None
     ambiguous = len(passing) > 1
     flags = ["ambiguous-passing-set"] if ambiguous else []
     draw = _DRAWS[mode](db, family, rng, iterations, cap, passing, dists)

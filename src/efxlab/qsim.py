@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ class StateVector:
     its nonzeros in index order.
     """
 
-    def __init__(self, registers: Sequence[Tuple[str, int]],
-                 cap: int = DEFAULT_QUBIT_CAP):
+    def __init__(self, registers: Sequence[Tuple[str, int]]):
         layout: Dict[str, Tuple[int, int]] = {}
         start = 0
         for name, size in registers:
@@ -49,8 +48,8 @@ class StateVector:
                 raise ValueError(f"register {name!r} has negative size")
             layout[name] = (start, size)
             start += size
-        if start > cap:
-            raise ValueError(f"{start} qubits exceed the cap of {cap}")
+        if start > DEFAULT_QUBIT_CAP:
+            raise ValueError(f"{start} qubits exceed the cap of {DEFAULT_QUBIT_CAP}")
         if start == 0:
             raise ValueError("state vector needs at least one qubit")
         self.num_qubits = start
@@ -208,19 +207,12 @@ def measure(sv: StateVector, register: str,
     return MeasurementOutcome(register, value, float(probs[value])), sv
 
 
-def _out_bits(f: Sequence[int], out_bits: Optional[int]) -> int:
-    if out_bits is not None:
-        return out_bits
-    return max(1, max(int(v) for v in f).bit_length())
-
-
-def simon_subroutine(f: Sequence[int], rng: np.random.Generator,
-                     out_bits: Optional[int] = None) -> int:
+def simon_subroutine(f: Sequence[int], rng: np.random.Generator, out_bits: int) -> int:
     """One round of Simon sampling: returns y orthogonal to any period of f.
 
-    Runs the full circuit on a fresh state: Hadamard the input register,
-    query f, measure the output register, Hadamard again, measure the input
-    register.
+    Runs the full circuit on a fresh state of out_bits output qubits:
+    Hadamard the input register, query f, measure the output register,
+    Hadamard again, measure the input register.
     """
     size = len(f)
     n_in = size.bit_length() - 1
@@ -228,8 +220,7 @@ def simon_subroutine(f: Sequence[int], rng: np.random.Generator,
         raise ValueError("oracle table length must be a power of two")
     if n_in > SIMON_INPUT_CAP:
         raise ValueError(f"input size {n_in} over the cap of {SIMON_INPUT_CAP}")
-    m = _out_bits(f, out_bits)
-    sv = StateVector([("in", n_in), ("out", m)])
+    sv = StateVector([("in", n_in), ("out", out_bits)])
     hadamard(sv, "in")
     apply_xor_oracle(sv, f, "in", "out")
     measure(sv, "out", rng)
@@ -274,20 +265,9 @@ def recover_period_verified(f: Sequence[int], samples: Sequence[int]):
     return gf2.UNDETERMINED
 
 
-def simon_full(f: Sequence[int], c: int, rng: np.random.Generator,
-               out_bits: Optional[int] = None, verify: bool = True):
-    """c Simon samples, linear-algebra recovery, then candidate verification.
-
-    verify=False returns the raw rank-based classification, which fails with
-    probability about 2^(n-1-c) when the samples do not span; the default
-    pipeline removes that residue via recover_period_verified.
-    """
-    from . import gf2
-
-    n_in = len(f).bit_length() - 1
-    samples = [simon_subroutine(f, rng, out_bits=out_bits) for _ in range(c)]
-    if not verify:
-        return gf2.recover_period(samples, n_in)
+def simon_full(f: Sequence[int], c: int, rng: np.random.Generator, out_bits: int):
+    """c Simon samples, linear-algebra recovery, then candidate verification."""
+    samples = [simon_subroutine(f, rng, out_bits) for _ in range(c)]
     return recover_period_verified(f, samples)
 
 
@@ -311,21 +291,16 @@ def amplify_success_probability(p: float, iterations: int) -> float:
     return math.sin((2 * iterations + 1) * theta) ** 2
 
 
-def amplitude_amplify(prep: Union[StateVector, np.ndarray, Sequence[complex]],
-                      test: Union[Callable[[int], bool], Sequence[bool]],
-                      iterations: int,
+def amplitude_amplify(prep: np.ndarray, test: Callable[[int], bool], iterations: int,
                       rng: np.random.Generator) -> MeasurementOutcome:
     """Amplitude amplification with an exact truth-table phase oracle.
 
-    prep is the prepared state (a StateVector or raw normalized amplitudes);
-    test marks the good basis states, either as a predicate or a boolean
-    table. Applies iterations of (reflect about the good set, reflect about
-    the prepared state) and measures the full state.
+    prep holds the normalized amplitudes of the prepared state; the predicate
+    test marks the good basis states. Applies iterations of (reflect about
+    the good set, reflect about the prepared state) and measures the full
+    state.
     """
-    if isinstance(prep, StateVector):
-        base = prep.amps.astype(np.complex128, copy=True)
-    else:
-        base = np.asarray(prep, dtype=np.complex128).copy()
+    base = np.asarray(prep, dtype=np.complex128).copy()
     norm = math.sqrt(float(np.vdot(base, base).real))
     if abs(norm - 1.0) > 1e-6:
         raise ValueError("preparation state is not normalized")
@@ -334,12 +309,7 @@ def amplitude_amplify(prep: Union[StateVector, np.ndarray, Sequence[complex]],
         raise ValueError("state dimension must be a power of two")
     if size > (1 << DEFAULT_QUBIT_CAP):
         raise ValueError("state exceeds the qubit cap")
-    if callable(test):
-        good = np.fromiter((bool(test(i)) for i in range(size)), dtype=bool, count=size)
-    else:
-        good = np.asarray(test, dtype=bool)
-        if good.size != size:
-            raise ValueError("truth table size does not match the state")
+    good = np.fromiter((bool(test(i)) for i in range(size)), dtype=bool, count=size)
     state = base.copy()
     for _ in range(iterations):
         state[good] = -state[good]

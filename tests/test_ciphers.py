@@ -6,7 +6,6 @@ from efxlab import ciphers
 from efxlab.ciphers import (
     SPECS,
     ConstructionKind,
-    KeyDerivation,
     KeyMaterial,
     Permutation,
     complete_key,
@@ -109,31 +108,28 @@ def _efx_instance(n, kappa, seed, k, k1, k2):
 class _RelatedKeyView:
     """Cipher view whose key k acts as pi(k) of the base cipher."""
 
-    def __init__(self, base, kd):
+    def __init__(self, base):
         self.base = base
-        self.kd = kd
         self.n = base.n
         self.kappa = base.kappa
 
     def forward(self, key, x):
-        return self.base.forward(derive_related_key(self.kd, key), x)
+        return self.base.forward(derive_related_key(key), x)
 
     def backward(self, key, y):
-        return self.base.backward(derive_related_key(self.kd, key), y)
+        return self.base.backward(derive_related_key(key), y)
 
     def permutation(self, key):
-        return self.base.permutation(derive_related_key(self.kd, key))
+        return self.base.permutation(derive_related_key(key))
 
 
 def test_two_xor_is_an_efx_instance():
     n = kappa = 4
     e = make_ideal_cipher(n, kappa, 31337)
-    kd = KeyDerivation()
     for k, z in itertools.product(range(16), range(16)):
-        tx = make_construction(ConstructionKind.TWO_XOR, [e],
-                               KeyMaterial(k=k, k1=z), kd)
+        tx = make_construction(ConstructionKind.TWO_XOR, [e], KeyMaterial(k=k, k1=z))
         efx = make_construction(ConstructionKind.EFX,
-                                [e, _RelatedKeyView(e, kd)],
+                                [e, _RelatedKeyView(e)],
                                 KeyMaterial(k=k, k1=z, k2=z))
         assert all(tx._raw_encrypt(x) == efx._raw_encrypt(x) for x in range(16))
 
@@ -237,13 +233,9 @@ def test_instances_deterministic_in_seed_and_material():
 
 
 def test_derive_related_key():
-    kd = KeyDerivation()
-    assert derive_related_key(kd, 0) == 1
-    assert derive_related_key(kd, 255) == 254
-    assert all(derive_related_key(kd, k) != k for k in range(256))
-    bad = KeyDerivation(pi=lambda k: k)
-    with pytest.raises(ValueError):
-        derive_related_key(bad, 5)
+    assert derive_related_key(0) == 1
+    assert derive_related_key(255) == 254
+    assert all(derive_related_key(k) != k for k in range(256))
 
 
 def test_make_construction_validation():
@@ -258,7 +250,7 @@ def test_make_construction_validation():
 # the construction registry against hand-written reference formulas
 
 
-def reference_encrypt(kind, comps, km, kd, x):
+def reference_encrypt(kind, comps, km, x):
     if kind == ConstructionKind.EM:
         return comps[0].table[x ^ km.k1] ^ km.k2
     if kind == ConstructionKind.FX:
@@ -268,21 +260,21 @@ def reference_encrypt(kind, comps, km, kd, x):
         return e2.forward(km.k, km.k2 ^ e1.forward(km.k, km.k1 ^ x))
     if kind == ConstructionKind.TWO_XOR:
         e = comps[0]
-        kb = derive_related_key(kd, km.k)
+        kb = derive_related_key(km.k)
         return e.forward(kb, e.forward(km.k, x ^ km.k1) ^ km.k1)
     if kind == ConstructionKind.DEFX:
         e1, e2, e3 = comps
         return e3.forward(km.k, km.k2 ^ e2.forward(km.k, km.k1 ^ e1.forward(km.k, x)))
     assert kind == ConstructionKind.ECBC3
     e = comps[0]
-    kb = derive_related_key(kd, km.k)
+    kb = derive_related_key(km.k)
     v = e.forward(km.k, x)
     v = e.forward(km.k, km.m1 ^ v)
     v = e.forward(km.k, km.m2 ^ v)
     return e.forward(kb, v)
 
 
-def reference_decrypt(kind, comps, km, kd, y):
+def reference_decrypt(kind, comps, km, y):
     if kind == ConstructionKind.EM:
         return comps[0].inverse_table[y ^ km.k2] ^ km.k1
     if kind == ConstructionKind.FX:
@@ -292,7 +284,7 @@ def reference_decrypt(kind, comps, km, kd, y):
         return km.k1 ^ e1.backward(km.k, km.k2 ^ e2.backward(km.k, y))
     if kind == ConstructionKind.TWO_XOR:
         e = comps[0]
-        kb = derive_related_key(kd, km.k)
+        kb = derive_related_key(km.k)
         return e.backward(km.k, e.backward(kb, y) ^ km.k1) ^ km.k1
     assert kind == ConstructionKind.DEFX
     e1, e2, e3 = comps
@@ -332,15 +324,14 @@ def test_registry_covers_every_kind():
 
 def test_spec_encrypt_decrypt_match_reference_formulas():
     for inst in _random_instances():
-        kind, comps, km, kd = inst.kind, inst.components, inst.key_material, inst.key_derivation
+        kind, comps, km = inst.kind, inst.components, inst.key_material
         assert sum(len(layer) for layer in inst.layers(km.k)) == SPECS[kind].evals
         for x in range(1 << inst.n):
-            y = reference_encrypt(kind, comps, km, kd, x)
-            assert encrypt_with(kind, comps, km, kd, x) == y
+            y = reference_encrypt(kind, comps, km, x)
+            assert encrypt_with(kind, comps, km, x) == y
             if kind != ConstructionKind.ECBC3:
-                assert decrypt_with(kind, comps, km, kd, y) == x
-                assert decrypt_with(kind, comps, km, kd, x) == \
-                    reference_decrypt(kind, comps, km, kd, x)
+                assert decrypt_with(kind, comps, km, y) == x
+                assert decrypt_with(kind, comps, km, x) == reference_decrypt(kind, comps, km, x)
 
 
 def test_guess_maps_at_planted_guess_make_the_database_periodic():
@@ -351,8 +342,7 @@ def test_guess_maps_at_planted_guess_make_the_database_periodic():
             if SPECS[kind].full_domain and u != inst.n:
                 continue
             shift = inst.n - u
-            payload = tuple(reference_encrypt(kind, inst.components, km,
-                                              inst.key_derivation, x << shift)
+            payload = tuple(reference_encrypt(kind, inst.components, km, x << shift)
                             for x in range(1 << u))
             family = guess_family_for(inst, u)
             planted = (k or 0) | ((w1 & ((1 << shift) - 1)) << family.kappa_bits)
@@ -364,12 +354,12 @@ def test_guess_maps_at_planted_guess_make_the_database_periodic():
 
 def test_key_completion_from_one_pair_recovers_planted_key():
     for inst in _random_instances():
-        kind, comps, km, kd = inst.kind, inst.components, inst.key_material, inst.key_derivation
+        kind, comps, km = inst.kind, inst.components, inst.key_material
         k, w1, w2 = report_keys(kind, km)
         pt = 5 % (1 << inst.n)
-        ct = reference_encrypt(kind, comps, km, kd, pt)
-        completed, evals = complete_key(kind, comps, kd, k, w1, pt, ct)
+        ct = reference_encrypt(kind, comps, km, pt)
+        completed, evals = complete_key(kind, comps, k, w1, pt, ct)
         assert report_keys(kind, completed) == (k, w1, w2)
         assert evals == (0 if kind == ConstructionKind.TWO_XOR else REFERENCE_LAYERS[kind])
-        assert all(reference_encrypt(kind, comps, completed, kd, x) ==
-                   reference_encrypt(kind, comps, km, kd, x) for x in range(1 << inst.n))
+        assert all(reference_encrypt(kind, comps, completed, x) ==
+                   reference_encrypt(kind, comps, km, x) for x in range(1 << inst.n))

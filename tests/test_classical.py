@@ -90,7 +90,7 @@ def test_exhaustive_search_consistency_recheck():
     rep = exhaustive_search(inst, pairs)
     km = KeyMaterial(k=rep.k, k1=rep.k1, k2=rep.k2)
     for pt, ct in pairs:
-        assert encrypt_with(inst.kind, inst.components, km, None, pt) == ct
+        assert encrypt_with(inst.kind, inst.components, km, pt) == ct
 
 
 def test_guess_and_em_recovers_efx():

@@ -108,6 +108,22 @@ def test_sweep_iteration_column_matches_formula():
         assert row["mean_online"] == float(1 << u)
 
 
+@pytest.mark.parametrize("config, axis, values", [
+    ("attack = em_q2\nconstruction = EM\nkappa = 1\nc = 6", "n", [3, 4]),
+    ("attack = guess_and_em\nconstruction = EFX\nn = 3\nkappa = 2\ndata = 4", "D", [4, 8]),
+    ("attack = exhaustive\nconstruction = EFX\nn = 3\nkappa = 2\ndata = 2", "D", [2, 3]),
+])
+def test_sweep_search_columns_empty_for_attacks_that_do_not_search(config, axis, values):
+    cfg = parse_config(config + "\ntrials = 2\nseed = 11")
+    rows = sweep(cfg, axis, values)
+    assert [row["value"] for row in rows] == values
+    for row in rows:
+        assert row["iterations_formula"] == row["ref_time"] == ""
+    for line in sweep_csv(rows).splitlines()[1:]:
+        fields = dict(zip(harness.SWEEP_COLUMNS, line.split(",")))
+        assert fields["iterations_formula"] == fields["ref_time"] == ""
+
+
 def test_sweep_alpha_axis_bound_columns():
     cfg = parse_config(BASE_CONFIG)
     cfg.trials = 10
@@ -180,6 +196,19 @@ def test_cli_config_error_exit_code(tmp_path):
         cli.EXIT_CONFIG_ERROR
 
 
+def assert_rejected_before_running(argv, capsys, monkeypatch):
+    """The CLI exits 2 with an error line, no traceback and no trial run."""
+    def no_trials(cfg, trial):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", no_trials)
+    assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("config", [
     "attack = exhaustive\nconstruction = EFX\nn = 3\nkappa = 2\ndata = 9",
     "attack = exhaustive\nconstruction = ECBC3\nn = 3\nkappa = 2\ndata = 4",
@@ -195,16 +224,26 @@ def test_cli_config_error_exit_code(tmp_path):
 ])
 def test_cli_rejects_unsupported_config_before_running(tmp_path, capsys, monkeypatch,
                                                        config):
-    def no_trials(cfg, trial):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(harness, "run_trial", no_trials)
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(config + "\n")
-    assert cli.main(["attack", "--config", str(cfg_path)]) == cli.EXIT_CONFIG_ERROR
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
-    assert "Traceback" not in captured.out + captured.err
+    assert_rejected_before_running(["attack", "--config", str(cfg_path)], capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "u", "--values", "2.5", "1.9"],
+    ["sweep", "--axis", "D", "--values", "4", "4.5"],
+    ["sweep", "--axis", "n", "--values", "3.5"],
+    ["curves", "--n", "0", "--kappa", "4"],
+    ["curves", "--n", "-3", "--kappa", "4"],
+    ["curves", "--n", "4", "--kappa", "-2"],
+], ids=["sweep-u", "sweep-D", "sweep-n", "curves-n-zero", "curves-n-negative",
+        "curves-kappa-negative"])
+def test_cli_rejects_misuse_before_running(tmp_path, capsys, monkeypatch, argv):
+    if argv[0] == "sweep":
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(BASE_CONFIG)
+        argv = argv + ["--config", str(cfg_path)]
+    assert_rejected_before_running(argv, capsys, monkeypatch)
 
 
 def test_cli_curves_and_plot(tmp_path):

@@ -13,7 +13,6 @@ from efxlab.harness import build_instance, true_keys
 from efxlab.offline_simon import (
     GuessFamily,
     GuessMaps,
-    KeyGuess,
     build_database_cpa,
     build_database_kpa,
     database_overlap,
@@ -25,12 +24,19 @@ from efxlab.offline_simon import (
     guess_family_for,
     offline_simon_attack,
     register_distribution,
+    transformed_payload,
 )
-from efxlab.offline_simon import test_key_guess as check_key_guess
 
 
 def efx_instance(n, kappa, seed):
     return build_instance(ConstructionKind.EFX, n, kappa, seed)
+
+
+def pass_probability(db, g, family):
+    """Exact chance that guess g's c post-Hadamard samples have rank below u,
+    computed as the attack's scan computes it."""
+    dist = register_distribution(transformed_payload(db.payload, family.maps(g)), db.u)
+    return exact_pass_probability([dist] * db.c, db.u)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +179,8 @@ def test_correct_guess_passes_with_probability_one():
         km = inst.key_material
         db = build_database_cpa(inst, 2, 6)
         fam = guess_family_for(inst, 2)
-        guess = KeyGuess(y1=km.k1 & 3, y2=km.k)
-        passes, prob = check_key_guess(db, guess, fam)
-        assert passes and prob == 1.0
+        guess = km.k | ((km.k1 & 3) << fam.kappa_bits)
+        assert pass_probability(db, guess, fam) == 1.0
 
 
 def test_wrong_inner_key_pass_probability_small():
@@ -189,10 +194,10 @@ def test_wrong_inner_key_pass_probability_small():
         fam = guess_family_for(inst, 4)
         wrong = (km.k + 1 + int(rng.integers(14))) % 16
         db8 = build_database_cpa(inst, 4, 8)
-        _, prob8 = check_key_guess(db8, KeyGuess(y1=0, y2=wrong), fam)
+        prob8 = pass_probability(db8, wrong, fam)
         assert prob8 <= 0.40
         db16 = dataclasses.replace(db8, c=16)
-        _, prob16 = check_key_guess(db16, KeyGuess(y1=0, y2=wrong), fam)
+        prob16 = pass_probability(db16, wrong, fam)
         assert prob16 <= 0.05
         assert prob16 <= prob8
 
@@ -238,9 +243,8 @@ def test_offline_simon_attack_em_exact_degenerates_to_simon():
         assert rep.amplification_iterations == 0
         if rep.success:
             km = KeyMaterial(k1=rep.k1, k2=rep.k2)
-            assert all(ciphers.encrypt_with(inst.kind, inst.components, km,
-                                            None, x) == inst._raw_encrypt(x)
-                       for x in range(8))
+            assert all(ciphers.encrypt_with(inst.kind, inst.components, km, x)
+                       == inst._raw_encrypt(x) for x in range(8))
             consistent += 1
             planted += (rep.k1, rep.k2) == true_keys(inst)[1:]
     assert consistent / trials >= 0.95
@@ -272,8 +276,8 @@ def test_success_implies_recorded_codebook_reproduced():
             km = KeyMaterial(k=rep.k, k1=rep.k1, k2=rep.k2)
             for x in range(4):
                 pt = x << 2
-                assert ciphers.encrypt_with(inst.kind, inst.components, km,
-                                            None, pt) == inst._raw_encrypt(pt)
+                assert ciphers.encrypt_with(inst.kind, inst.components, km, pt) \
+                    == inst._raw_encrypt(pt)
 
 
 def test_defx_requires_full_domain():
@@ -361,7 +365,7 @@ def test_gms_wrong_key_pass_rate_small():
     for wrong in range(16):
         if wrong == km.k:
             continue
-        _, prob = check_key_guess(db, KeyGuess(y1=0, y2=wrong), fam)
+        prob = pass_probability(db, wrong, fam)
         assert prob <= 0.05
 
 
@@ -404,8 +408,11 @@ def test_generalized_engine_reproduces_fx_attack():
     family = GuessFamily(u=4, n_out=4, kappa_bits=4, suffix_bits=0,
                          relabel=identity, inner=inner, peel=identity)
     rng = np.random.default_rng(3)
-    outcome = generalized_offline_simon(db, family, rng)
-    assert outcome.recovered is not None
+    cost = offline_simon._Cost()
+    outcome = generalized_offline_simon(
+        db, family, rng, cost=cost, rebuild_time=64,
+        try_candidates=offline_simon._candidate_verifier(inst, db, family, cost))
+    assert outcome.recovered == inst.key_material
     assert outcome.measured_guess == inst.key_material.k
 
 
@@ -416,7 +423,9 @@ def test_generalized_engine_no_periodic_member_fails():
     identity = np.tile(np.arange(16), (4, 1))
     family = GuessFamily(u=4, n_out=4, kappa_bits=2, suffix_bits=0, relabel=identity,
                          inner=np.repeat(np.arange(4)[:, None], 16, axis=1), peel=identity)
-    outcome = generalized_offline_simon(db, family, rng)
+    outcome = generalized_offline_simon(db, family, rng, cost=offline_simon._Cost(),
+                                        rebuild_time=64, try_candidates=lambda g, samples: None)
+    assert outcome.passing_count == 0
     assert outcome.recovered is None
 
 

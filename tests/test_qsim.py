@@ -280,7 +280,7 @@ def test_simon_full_matches_collision_oracle_small():
 
 def test_simon_input_cap():
     with pytest.raises(ValueError):
-        qsim.simon_subroutine([0] * (1 << 13), np.random.default_rng(0))
+        qsim.simon_subroutine([0] * (1 << 13), np.random.default_rng(0), out_bits=1)
 
 
 def test_grover_iterations():
