@@ -85,6 +85,17 @@ def _key_space(kind: ConstructionKind, n: int, kappa: int):
         yield KeyMaterial(**dict(zip(names, values)))
 
 
+def _pair_check(instance: ConstructionInstance, km: KeyMaterial,
+                pairs: Sequence[Tuple[int, int]]) -> Tuple[bool, int]:
+    """(whether km sends every pair's plaintext to its ciphertext, evaluations
+    spent), one evaluation per layer for each pair tried up to the first miss."""
+    layers = SPECS[instance.kind].evals
+    for tried, (pt, ct) in enumerate(pairs, 1):
+        if encrypt_with(instance.kind, instance.components, km, pt) != ct:
+            return False, tried * layers
+    return True, len(pairs) * layers
+
+
 def exhaustive_search(instance: ConstructionInstance,
                       known_pairs: Sequence[Tuple[int, int]],
                       seed: int = 0) -> ClassicalReport:
@@ -93,15 +104,10 @@ def exhaustive_search(instance: ConstructionInstance,
     check_attack(kind, "exhaustive")
     if len(known_pairs) < 2:
         raise ValueError("need at least two known pairs to pin the key down")
-    layers = SPECS[kind].evals
     evals = 0
     for km in _key_space(kind, instance.n, instance.kappa):
-        ok = True
-        for pt, ct in known_pairs:
-            evals += layers
-            if encrypt_with(kind, instance.components, km, pt) != ct:
-                ok = False
-                break
+        ok, spent = _pair_check(instance, km, known_pairs)
+        evals += spent
         if ok:
             k, k1, k2 = report_keys(kind, km)
             return ClassicalReport(
@@ -136,24 +142,16 @@ def guess_and_em_attack(instance: ConstructionInstance, D: int,
         raise ValueError("cannot query beyond the codebook")
     pts = list(range(D))
     cts = [instance.encrypt(x) for x in pts]
+    pairs = list(zip(pts, cts))
     evals = 0
     mem_peak = 0
     kind = instance.kind
-    layers = SPECS[kind].evals
 
     def report(km: KeyMaterial) -> ClassicalReport:
         k, k1, k2 = report_keys(kind, km)
         return ClassicalReport(success=True, k=k, k1=k1, k2=k2,
                                online_queries=D, offline_evals=evals,
                                time_units=evals + D, mem_cells=mem_peak, seed=seed)
-
-    def verify(km: KeyMaterial) -> bool:
-        nonlocal evals
-        for pt, ct in zip(pts, cts):
-            evals += layers
-            if encrypt_with(kind, instance.components, km, pt) != ct:
-                return False
-        return True
 
     guesses = range(1 << instance.kappa) if instance.kappa else [None]
     for guess in guesses:
@@ -185,9 +183,9 @@ def guess_and_em_attack(instance: ConstructionInstance, D: int,
             evals += 1
             k2 = peel_cached(x) ^ fwd(x ^ k1)
             km = key_material(kind, guess, k1, k2)
-            if verify(km):
-                return report(km)
-            return None
+            ok, spent = _pair_check(instance, km, pairs)
+            evals += spent
+            return report(km) if ok else None
 
         if D == size:
             # full codebook: the right key collides on a whitening coset, so
@@ -257,14 +255,9 @@ def curve_log2_time(attack: str, n: int, kappa: int, log2_d: float) -> float:
 
 
 def tradeoff_curve(attack: str, n: int, kappa: int,
-                   d_grid: Sequence[float],
-                   measured: Optional[Sequence[Tuple[float, float]]] = None
-                   ) -> List[Tuple[str, float, float, str]]:
-    """Rows (attack, log2(D)/n, log2(T)/n, source) for plotting and export.
-
-    d_grid holds log2(D) values. measured points are (log2(D), log2(T))
-    pairs taken from actual attack counters and are tagged as such.
-    """
+                   d_grid: Sequence[float]) -> List[Tuple[str, float, float, str]]:
+    """Rows (attack, log2(D)/n, log2(T)/n, "formula") at the log2(D) values of
+    d_grid, for plotting and export."""
     if n < 1 or kappa < 0:
         raise ValueError(f"n={n} must be at least 1 and kappa={kappa} nonnegative")
     if not d_grid:
@@ -273,6 +266,4 @@ def tradeoff_curve(attack: str, n: int, kappa: int,
     for log2_d in d_grid:
         t = curve_log2_time(attack, n, kappa, float(log2_d))
         rows.append((attack, float(log2_d) / n, t / n, "formula"))
-    for log2_d, log2_t in measured or []:
-        rows.append((attack, float(log2_d) / n, float(log2_t) / n, "measured"))
     return rows

@@ -80,11 +80,13 @@ class ExperimentConfig:
             if spec.full_domain and self.attack == "offline_simon" \
                     and self.effective_u != self.n:
                 errors.append(f"u: {kind.value} needs the full domain (u = n)")
+            search_bits = self.effective_kappa + self.n - self.effective_u
+            if self.attack in SEARCH_ATTACKS and search_bits > offline_simon.MAX_SEARCH_BITS:
+                errors.append(f"search space: kappa + n - u = {search_bits} bits, "
+                              f"over the limit of {offline_simon.MAX_SEARCH_BITS}")
             if self.mode == "EXACT" and self.attack in SEARCH_ATTACKS:
-                search_bits = self.effective_kappa + self.n - self.effective_u
-                register_bits = self.effective_u + self.n
-                needed = register_bits if search_bits == 0 else \
-                    search_bits + self.c * register_bits
+                needed = offline_simon.exact_qubits(search_bits, self.effective_u,
+                                                    self.n, self.c)
                 if needed > self.qubit_cap:
                     errors.append(f"mode: EXACT joint state needs {needed} qubits, "
                                   f"cap is {self.qubit_cap}")
@@ -177,11 +179,11 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
                      if mask_rng.random() >= cfg.alpha]
         report = offline_simon.offline_simon_attack(
             instance, cfg.u, cfg.c, cfg.mode, rng, known_inputs=known,
-            max_searches=cfg.max_searches, seed=trial_seed, cap=cfg.qubit_cap)
+            max_searches=cfg.max_searches, seed=trial_seed)
     elif cfg.attack == "grover_meets_simon":
         report = offline_simon.grover_meets_simon_attack(
             instance, cfg.c, rng, mode=cfg.mode,
-            max_searches=cfg.max_searches, seed=trial_seed, cap=cfg.qubit_cap)
+            max_searches=cfg.max_searches, seed=trial_seed)
     elif cfg.attack == "em_q2":
         report = offline_simon.em_q2_attack(instance, cfg.c, rng, seed=trial_seed)
     elif cfg.attack == "guess_and_em":

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -64,6 +64,14 @@ from .ciphers import (
 MAX_SEARCH_BITS = 20
 # measured peak of building the EXACT joint circuit and running one search
 JOINT_BYTES_PER_AMPLITUDE = 45
+
+
+def exact_qubits(search_bits: int, u: int, n_out: int, c: int) -> int:
+    """Qubits of an EXACT run: the guess register plus c registers of u + n_out
+    qubits, or one register when there is no guess register to entangle them."""
+    if search_bits == 0:
+        return u + n_out
+    return search_bits + c * (u + n_out)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +407,18 @@ class EngineOutcome:
 # candidate recovery shared by both modes
 
 
+def _fits_pairs(instance: ConstructionInstance, km: KeyMaterial,
+                pairs: Sequence[Tuple[int, int]], cost: _Cost) -> bool:
+    """Whether km sends every pair's plaintext to its ciphertext; charges one
+    evaluation per layer for each pair tried, stopping at the first miss."""
+    layers = SPECS[instance.kind].evals
+    for pt, ct in pairs:
+        cost.offline_evals += layers
+        if encrypt_with(instance.kind, instance.components, km, pt) != ct:
+            return False
+    return True
+
+
 def _candidate_verifier(instance: ConstructionInstance, db: QueryDatabase,
                         family: GuessFamily, cost: _Cost):
     """Closure mapping (guess, Simon samples) to verified key material or None.
@@ -408,17 +428,7 @@ def _candidate_verifier(instance: ConstructionInstance, db: QueryDatabase,
     the constant-function case 0), completes the remaining key by peeling one
     recorded pair, and re-encrypts every recorded pair offline to verify.
     """
-    kind = instance.kind
-    comps = instance.components
     pairs = db.known_pairs()
-    layers = SPECS[kind].evals
-
-    def verify(km: KeyMaterial) -> bool:
-        for pt, ct in pairs:
-            cost.offline_evals += layers
-            if encrypt_with(kind, comps, km, pt) != ct:
-                return False
-        return True
 
     def try_candidates(g: int, samples: Sequence[int]) -> Optional[KeyMaterial]:
         if not pairs:
@@ -430,9 +440,9 @@ def _candidate_verifier(instance: ConstructionInstance, db: QueryDatabase,
         # those first; the zero prefix (a constant test function) comes last
         for prefix in [m for m in members if m] + [0]:
             k1 = (prefix << db.embed_shift) | y1
-            km, evals = complete_key(kind, comps, y2, k1, pt0, ct0)
+            km, evals = complete_key(instance.kind, instance.components, y2, k1, pt0, ct0)
             cost.offline_evals += evals
-            if verify(km):
+            if _fits_pairs(instance, km, pairs, cost):
                 return km
         return None
 
@@ -444,7 +454,7 @@ def _candidate_verifier(instance: ConstructionInstance, db: QueryDatabase,
 
 
 def _tensor_draw(db: QueryDatabase, family: GuessFamily, rng: np.random.Generator,
-                 iterations: int, cap: int, passing: List[int], dists: np.ndarray):
+                 iterations: int, passing: List[int], dists: np.ndarray):
     """Land on an active passing guess with the closed-form success curve,
     otherwise on a uniform other active guess; sample its registers exactly."""
     m = family.search_bits
@@ -465,28 +475,13 @@ def _tensor_draw(db: QueryDatabase, family: GuessFamily, rng: np.random.Generato
     return draw
 
 
-def _exact_draw(db: QueryDatabase, family: GuessFamily, rng: np.random.Generator,
-                iterations: int, cap: int, passing: List[int], dists: np.ndarray):
-    """Simulate the joint state gate for gate and measure it."""
-    if family.search_bits == 0:
-        # no search register: the c registers stay unentangled, so each
-        # measurement samples the exact register distribution of the scan
-        if db.u + db.n_out > cap:
-            raise ValueError(f"register state needs {db.u + db.n_out} qubits, cap is {cap}")
-        return _tensor_draw(db, family, rng, iterations, cap, passing, dists)
-    circuit = _JointCircuit(db, family, cap=cap)
-    return lambda excluded: circuit.run_search(rng, iterations, excluded)
-
-
-_DRAWS = {"TENSOR": _tensor_draw, "EXACT": _exact_draw}
-
-
 # ---------------------------------------------------------------------------
 # EXACT-mode search: joint state simulation
 
 
 class _JointCircuit:
-    """Joint state of the guess register and the c query registers.
+    """Joint state of the guess register (search_bits > 0) and the c query
+    registers.
 
     Every gate is real, so the state is one float64 vector. Work layout (low
     bits first): the guess register (search_bits), the c payloads (n_out bits
@@ -497,14 +492,10 @@ class _JointCircuit:
     and its inverse, broadcast from per-guess tables over one register.
     """
 
-    def __init__(self, db: QueryDatabase, family: GuessFamily,
-                 cap: int = qsim.DEFAULT_QUBIT_CAP):
+    def __init__(self, db: QueryDatabase, family: GuessFamily):
         self.db = db
         self.m = m = family.search_bits
-        total = m + db.c * (db.u + db.n_out)
-        if total > cap:
-            raise ValueError(f"joint state needs {total} qubits, cap is {cap}")
-        self.total = total
+        self.total = total = exact_qubits(m, db.u, db.n_out, db.c)
         space = 1 << m
         guesses = np.arange(space)[:, None, None]
         # every register state (x, w) and its image under each guess, [g, x, w]
@@ -608,33 +599,41 @@ def generalized_offline_simon(db: QueryDatabase, family: GuessFamily,
                               rng: np.random.Generator, *,
                               mode: str = "TENSOR",
                               max_searches: int = 3,
-                              try_candidates, cost: _Cost, rebuild_time: int,
-                              cap: int = qsim.DEFAULT_QUBIT_CAP) -> EngineOutcome:
+                              try_candidates, cost: _Cost, rebuild_time: int) -> EngineOutcome:
     """Generic engine: find the guess whose transformed database is periodic.
 
     The one search loop of both modes. It scans the passing set once, then
     searches until a candidate verifies, max_searches is spent or every
     guess is excluded; each search charges the database rebuild (after the
     first), the amplification iterations and the sampling pass. Only the
-    draw of the measured guess and its samples depends on the mode.
+    draw of the measured guess and its samples depends on the mode: EXACT
+    simulates the joint state when there is a guess register, and otherwise
+    samples each unentangled register's exact distribution, as TENSOR does.
+    EXACT checks its qubit count against qsim.DEFAULT_QUBIT_CAP before the scan.
 
     try_candidates(guess, samples) turns a measured guess plus Simon samples
     into verified key material (None rejects the guess and the search
     repeats, excluding it).
     """
-    if mode not in _DRAWS:
+    if mode not in ("TENSOR", "EXACT"):
         raise ValueError(f"unknown mode {mode!r}")
     m = family.search_bits
+    if mode == "EXACT":
+        qubits = exact_qubits(m, db.u, db.n_out, db.c)
+        if qubits > qsim.DEFAULT_QUBIT_CAP:
+            raise ValueError(f"EXACT state needs {qubits} qubits, "
+                             f"cap is {qsim.DEFAULT_QUBIT_CAP}")
     iterations = qsim.search_iterations(m)
-    if m > MAX_SEARCH_BITS:
-        raise ValueError(f"search space of {m} bits exceeds the desk-scale cap")
     space = 1 << m
     dists = _scan_distributions(db, family)
     passing = [g for g in range(space)
                if exact_pass_probability([dists[g]] * db.c, db.u) >= 0.5]
     ambiguous = len(passing) > 1
     flags = ["ambiguous-passing-set"] if ambiguous else []
-    draw = _DRAWS[mode](db, family, rng, iterations, cap, passing, dists)
+    if mode == "EXACT" and m > 0:
+        draw = partial(_JointCircuit(db, family).run_search, rng, iterations)
+    else:
+        draw = _tensor_draw(db, family, rng, iterations, passing, dists)
     c = db.c
     evals = family.evals
     per_iter_evals = 2 * c * evals
@@ -660,7 +659,7 @@ def generalized_offline_simon(db: QueryDatabase, family: GuessFamily,
 
 def _search_attack(instance: ConstructionInstance, db: QueryDatabase, u: int,
                    rng: np.random.Generator, *, build_time: int, mode: str,
-                   max_searches: int, cap: int, seed: int, **fields) -> AttackReport:
+                   max_searches: int, seed: int, **fields) -> AttackReport:
     """Search the database for the key and report; shared by both database attacks.
 
     build_time is charged once before the search and again for every
@@ -671,7 +670,7 @@ def _search_attack(instance: ConstructionInstance, db: QueryDatabase, u: int,
     outcome = generalized_offline_simon(
         db, family, rng, mode=mode, max_searches=max_searches,
         try_candidates=_candidate_verifier(instance, db, family, cost),
-        cost=cost, rebuild_time=build_time, cap=cap)
+        cost=cost, rebuild_time=build_time)
     k, k1, k2 = report_keys(instance.kind, outcome.recovered)
     return AttackReport(
         success=outcome.recovered is not None,
@@ -693,8 +692,7 @@ def _search_attack(instance: ConstructionInstance, db: QueryDatabase, u: int,
 def offline_simon_attack(instance: ConstructionInstance, u: int, c: int,
                          mode: str, rng: np.random.Generator, *,
                          known_inputs=None, max_searches: int = 3,
-                         seed: int = 0,
-                         cap: int = qsim.DEFAULT_QUBIT_CAP) -> AttackReport:
+                         seed: int = 0) -> AttackReport:
     """Full key recovery from one up-front classical query pass.
 
     With known_inputs the database is built in the known-plaintext setting
@@ -711,15 +709,14 @@ def offline_simon_attack(instance: ConstructionInstance, u: int, c: int,
         db = build_database_cpa(instance, u, c)
     return _search_attack(
         instance, db, u, rng, build_time=db.n_out * (1 << db.u), mode=mode,
-        max_searches=max_searches, cap=cap, seed=seed, query_model="Q1",
+        max_searches=max_searches, seed=seed, query_model="Q1",
         online_queries=instance.online_forward - forward_before)
 
 
 def grover_meets_simon_attack(instance: ConstructionInstance, c: int,
                               rng: np.random.Generator, *,
                               mode: str = "TENSOR", max_searches: int = 3,
-                              seed: int = 0,
-                              cap: int = qsim.DEFAULT_QUBIT_CAP) -> AttackReport:
+                              seed: int = 0) -> AttackReport:
     """Key recovery with superposition access: the database is rebuilt inside
     every test, costing 2c fresh construction queries per amplification
     iteration (c building it, c uncomputing it).
@@ -732,7 +729,7 @@ def grover_meets_simon_attack(instance: ConstructionInstance, c: int,
     db = _database_from_oracle(instance, instance.n, c)
     report = _search_attack(
         instance, db, instance.n, rng, build_time=0, mode=mode,
-        max_searches=max_searches, cap=cap, seed=seed, query_model="Q2",
+        max_searches=max_searches, seed=seed, query_model="Q2",
         online_queries=0, recovery_queries=c)
     report.online_queries = 2 * c * report.amplification_iterations * report.searches
     return report
@@ -743,14 +740,16 @@ def em_q2_attack(instance: ConstructionInstance, c: int,
     """Exact-simulation Simon attack on Even-Mansour with superposition access.
 
     Samples c times from the circuit for f(x) = EM(x) XOR P(x), recovers the
-    first whitening key as the period of f and the second from one classical
-    query. A constant or rank-deficient sample set is reported as a flagged
-    failure (the degenerate k1 = 0 instance lands here).
+    first whitening key as the period of f, completes the second from one
+    classical query and checks the key against the whole codebook. A constant
+    or rank-deficient sample set is reported as a flagged failure (the
+    degenerate k1 = 0 instance lands here).
     """
-    check_attack(instance.kind, "em_q2")
+    kind = instance.kind
+    check_attack(kind, "em_q2")
     n = instance.n
-    perm = instance.components[0]
-    f = [instance._raw_encrypt(x) ^ perm.table[x] for x in range(1 << n)]
+    codebook = [instance._raw_encrypt(x) for x in range(1 << n)]
+    f = [y ^ p for y, p in zip(codebook, instance.components[0].table)]
     cost = _Cost()
     samples = []
     for _ in range(c):
@@ -765,27 +764,20 @@ def em_q2_attack(instance: ConstructionInstance, c: int,
         if len(verified) == 1:
             result = gf2.PeriodResult("period", verified[0])
     flags: List[str] = []
-    success = False
-    k1 = k2 = None
+    km = None
     if result.is_period:
-        k1 = result.period
-        em0 = instance.encrypt(0)
-        cost.offline_evals += 1
-        k2 = em0 ^ perm.table[k1]
-        success = True
-        for x in range(1 << n):
-            cost.offline_evals += 1
-            if perm.table[x ^ k1] ^ k2 != instance._raw_encrypt(x):
-                success = False
-                break
-        if not success:
+        km, evals = complete_key(kind, instance.components, None, result.period,
+                                 0, instance.encrypt(0))
+        cost.offline_evals += evals
+        if not _fits_pairs(instance, km, enumerate(codebook), cost):
             flags.append("period-verification-failed")
-            k1 = k2 = None
+            km = None
     else:
         flags.append(f"degenerate-{result.status}")
     cost.sim_time += cost.offline_evals
+    k, k1, k2 = report_keys(kind, km)
     return AttackReport(
-        success=success, k=None, k1=k1, k2=k2,
+        success=km is not None, k=k, k1=k1, k2=k2,
         online_queries=c,
         offline_evals=cost.offline_evals,
         amplification_iterations=0,

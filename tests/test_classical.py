@@ -201,8 +201,7 @@ def test_q1_curve_is_half_the_fx_exponent():
 
 
 def test_tradeoff_curve_measured_rows_and_empty_grid():
-    rows = tradeoff_curve("quantum-q1", 4, 4, [0.0], measured=[(2.0, 5.0)])
-    assert rows[-1] == ("quantum-q1", 0.5, 1.25, "measured")
+    assert tradeoff_curve("quantum-q1", 4, 4, [2.0]) == [("quantum-q1", 0.5, 0.75, "formula")]
     with pytest.raises(ValueError):
         tradeoff_curve("quantum-q1", 4, 4, [])
     with pytest.raises(ValueError):

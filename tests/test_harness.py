@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from efxlab import cli, harness, plot_svg, qsim
+from efxlab import cli, harness, offline_simon, plot_svg, qsim
 from efxlab.harness import parse_config, run_attack, sweep, sweep_csv, verify
 
 BASE_CONFIG = """
@@ -86,6 +86,15 @@ def test_validate_rejects_a_qubit_cap_over_the_default():
     cfg.qubit_cap = 40
     (error,) = cfg.validate()
     assert error.startswith("qubit_cap:") and f"{45 << 40:,} bytes" in error
+
+
+def test_validate_rejects_a_search_space_over_the_limit():
+    cfg = parse_config("attack = offline_simon\nconstruction = EFX\nn = 8\nkappa = 16\nu = 2")
+    (error,) = cfg.validate()
+    assert error.startswith("search space:") and "22 bits" in error
+    assert str(offline_simon.MAX_SEARCH_BITS) in error
+    cfg.u = 4  # 20 bits
+    assert cfg.validate() == []
 
 
 def test_grover_sweep_iteration_column_matches_formula():
@@ -236,14 +245,19 @@ def test_cli_rejects_unsupported_config_before_running(tmp_path, capsys, monkeyp
     ["curves", "--n", "0", "--kappa", "4"],
     ["curves", "--n", "-3", "--kappa", "4"],
     ["curves", "--n", "4", "--kappa", "-2"],
+    ["attack", "--config", "{dir}"],
+    ["sweep", "--axis", "u", "--values", "1", "--config", "{dir}"],
+    ["plot", "--in", "{dir}", "--out", "{dir}/x.svg"],
 ], ids=["sweep-u", "sweep-D", "sweep-n", "curves-n-zero", "curves-n-negative",
-        "curves-kappa-negative"])
+        "curves-kappa-negative", "attack-config-dir", "sweep-config-dir", "plot-in-dir"])
 def test_cli_rejects_misuse_before_running(tmp_path, capsys, monkeypatch, argv):
-    if argv[0] == "sweep":
+    if argv[0] == "sweep" and "--config" not in argv:
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(BASE_CONFIG)
         argv = argv + ["--config", str(cfg_path)]
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     assert_rejected_before_running(argv, capsys, monkeypatch)
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_cli_curves_and_plot(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from efxlab import ciphers, gf2, offline_simon, qsim
 from efxlab.ciphers import ConstructionKind, KeyMaterial, derive_seed, make_construction
-from efxlab.harness import build_instance, true_keys
+from efxlab.harness import ExperimentConfig, build_instance, true_keys
 from efxlab.offline_simon import (
     GuessFamily,
     GuessMaps,
@@ -318,6 +318,21 @@ def test_exact_mode_qubit_cap():
         offline_simon_attack(inst, 2, 6, "EXACT", rng)  # 42 qubits
 
 
+@pytest.mark.parametrize("kind, n, kappa, u, c, qubits", [
+    (ConstructionKind.EFX, 4, 4, 2, 6, 42),
+    (ConstructionKind.EM, 14, 1, 14, 6, 28),  # no search register: one register
+])
+def test_exact_over_the_cap_is_rejected_before_the_scan(monkeypatch, kind, n, kappa, u, c,
+                                                        qubits):
+    def no_scan(db, family):
+        raise AssertionError("the guess scan ran")
+
+    monkeypatch.setattr(offline_simon, "_scan_distributions", no_scan)
+    inst = build_instance(kind, n, kappa, 1350)
+    with pytest.raises(ValueError, match=f"needs {qubits} qubits"):
+        offline_simon_attack(inst, u, c, "EXACT", np.random.default_rng(0))
+
+
 def test_exact_and_tensor_modes_run_at_tiny_sizes():
     for mode in ("TENSOR", "EXACT"):
         hits = 0
@@ -383,6 +398,27 @@ def test_em_q2_attack_success_rate_and_counters():
             assert (rep.k1, rep.k2) == (km.k1, km.k2)
             hits += 1
     assert hits / trials >= 0.9
+
+
+def test_em_q2_key_check_charges_the_completion_and_the_pairs_tried(monkeypatch):
+    inst = build_instance(ConstructionKind.EM, 4, 1, 1850)
+    k1, c = inst.key_material.k1, 8
+    codebook = [inst._raw_encrypt(x) for x in range(16)]
+    for period in (k1, k1 ^ 1 or 2):  # the planted period, then a wrong nonzero one
+        monkeypatch.setattr(gf2, "recover_period",
+                            lambda samples, n, period=period: gf2.PeriodResult("period", period))
+        rep = em_q2_attack(inst, c, np.random.default_rng(0))
+        k2 = codebook[0] ^ inst.components[0].table[period]
+        tried = next((x + 1 for x in range(16)
+                      if inst.components[0].table[x ^ period] ^ k2 != codebook[x]), 16)
+        # c oracle calls, one to complete k2, one per codebook pair tried
+        assert rep.offline_evals == c + 1 + tried
+        if period == k1:
+            assert rep.success and (rep.k, rep.k1, rep.k2) == (None, k1, inst.key_material.k2)
+            assert tried == 16 and rep.flags == []
+        else:
+            assert not rep.success and (rep.k1, rep.k2) == (None, None)
+            assert tried < 16 and rep.flags == ["period-verification-failed"]
 
 
 def test_em_q2_degenerate_constant_function():
@@ -620,6 +656,21 @@ def test_joint_circuit_matches_reference_layout(case, iterations, seed, data):
     assert len(replayed.dists) == len(drawn.dists) == 1 + c
     for ours, ref in zip(drawn.dists, replayed.dists):
         assert np.allclose(ours, ref, rtol=0.0, atol=1e-12)
+
+
+def test_exact_qubit_budget_has_one_formula():
+    for kind, n, kappa, u, c in _small_exact_instances():
+        qubits = offline_simon.exact_qubits(kappa + n - u, u, n, c)
+        cfg = ExperimentConfig(construction=kind.value, n=n, kappa=kappa, u=u, c=c,
+                               mode="EXACT", qubit_cap=qubits)
+        assert cfg.validate() == [], cfg
+        cfg.qubit_cap -= 1
+        (error,) = cfg.validate()
+        assert error.startswith("mode:") and f"needs {qubits} qubits" in error
+        inst = build_instance(kind, n, kappa, 7)
+        circuit = offline_simon._JointCircuit(build_database_cpa(inst, u, c),
+                                              guess_family_for(inst, u))
+        assert circuit.total == qubits, cfg
 
 
 def test_joint_circuit_memory_per_amplitude():
