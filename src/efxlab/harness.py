@@ -81,8 +81,14 @@ class ExperimentConfig:
                     and self.effective_u != self.n:
                 errors.append(f"u: {kind.value} needs the full domain (u = n)")
             search_bits = self.effective_kappa + self.n - self.effective_u
-            if self.attack in SEARCH_ATTACKS and search_bits > offline_simon.MAX_SEARCH_BITS:
-                errors.append(f"search space: kappa + n - u = {search_bits} bits, "
+            widths = dict(key_widths(kind, self.n, self.kappa))
+            label, bits = {
+                **dict.fromkeys(SEARCH_ATTACKS, ("kappa + n - u", search_bits)),
+                "guess_and_em": ("kappa + n", self.effective_kappa + self.n),
+                "exhaustive": (" + ".join(widths), sum(widths.values())),
+            }.get(self.attack, ("", 0))
+            if bits > offline_simon.MAX_SEARCH_BITS:
+                errors.append(f"search space: {label} = {bits} bits, "
                               f"over the limit of {offline_simon.MAX_SEARCH_BITS}")
             if self.mode == "EXACT" and self.attack in SEARCH_ATTACKS:
                 needed = offline_simon.exact_qubits(search_bits, self.effective_u,

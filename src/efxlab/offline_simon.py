@@ -63,7 +63,7 @@ from .ciphers import (
 
 MAX_SEARCH_BITS = 20
 # measured peak of building the EXACT joint circuit and running one search
-JOINT_BYTES_PER_AMPLITUDE = 45
+JOINT_BYTES_PER_AMPLITUDE = 29
 
 
 def exact_qubits(search_bits: int, u: int, n_out: int, c: int) -> int:
@@ -488,37 +488,25 @@ class _JointCircuit:
     each), then the c inputs (u bits each, register 0 lowest). With the inputs
     on top each input Hadamard acts on two contiguous halves, and the state as
     a (2^(c*u), -1) matrix has one row per input tuple, packed as
-    _rank_deficient_table indexes it. fwd and bwd gather the guess transform
-    and its inverse, broadcast from per-guess tables over one register.
+    _rank_deficient_table indexes it. fwd sends each work index to its image
+    under its guess's transform: scattering applies it, gathering undoes it.
     """
 
     def __init__(self, db: QueryDatabase, family: GuessFamily):
         self.db = db
         self.m = m = family.search_bits
-        self.total = total = exact_qubits(m, db.u, db.n_out, db.c)
-        space = 1 << m
-        guesses = np.arange(space)[:, None, None]
-        # every register state (x, w) and its image under each guess, [g, x, w]
-        self.states = (np.arange(1 << db.u)[:, None], np.arange(1 << db.n_out))
-        self.maps = family.maps(np.arange(space))
-        x2, w2 = self.maps.apply(*self.states, guesses)
-        self.fwd = self._layout_indices(x2, w2, m)
-        inv_x, inv_w = np.empty_like(w2), np.empty_like(w2)
-        inv_x[guesses, x2, w2], inv_w[guesses, x2, w2] = self.states
-        self.bwd = self._layout_indices(inv_x, inv_w, m)
-        # initial state: uniform guesses tensor the database registers
-        amp = space ** -0.5
-        for _ in range(db.c):
-            amp = (1 << db.u) ** -0.5 * amp
-        payload = np.asarray(db.payload, dtype=np.int64)[None, :, None]
-        self.initial = np.zeros(1 << total)
-        self.initial[self._layout_indices(self.states[0][None], payload, m)] = amp
+        self.total = exact_qubits(m, db.u, db.n_out, db.c)
+        # the image (x2, w2)[g, x, w] of every register state under each guess
+        x2, w2 = family.maps(np.arange(1 << m)).apply(
+            np.arange(1 << db.u)[:, None], np.arange(1 << db.n_out),
+            np.arange(1 << m)[:, None, None])
+        self.fwd = self._layout_indices(x2, w2)
 
-    def _layout_indices(self, xt: np.ndarray, wt: np.ndarray, m: int) -> np.ndarray:
-        """Work-layout indices (m guess bits) whose register i holds
-        (xt, wt)[g, x_i, w_i]: one per (x_{c-1}..x_0, w_{c-1}..w_0, g) of
-        the tables' broadcast extents."""
-        c, u, n = self.db.c, self.db.u, self.db.n_out
+    def _layout_indices(self, xt: np.ndarray, wt: np.ndarray) -> np.ndarray:
+        """Work-layout indices whose register i holds (xt, wt)[g, x_i, w_i]:
+        one per (x_{c-1}..x_0, w_{c-1}..w_0, g) of the tables' broadcast
+        extents, g over every guess."""
+        c, u, n, m = self.db.c, self.db.u, self.db.n_out, self.m
         dims = np.broadcast_shapes(xt.shape, wt.shape)
         out = np.zeros(dims[1:2] * c + dims[2:] * c + (1 << m,), dtype=np.int64)
         out |= np.arange(1 << m)
@@ -538,10 +526,16 @@ class _JointCircuit:
         rank_lt = _rank_deficient_table(self.db.u, self.db.c)
         flip = rank_lt[:, None] & np.tile(active, (1 << self.total) // (rank_lt.size * space))
         in_qubits = range(self.total - self.db.c * self.db.u, self.total)
-        amps = self.initial.copy()
-        work = np.empty_like(amps)  # the gathers' target; mode="raise" would buffer it
+        # initial state: uniform guesses tensor the database registers
+        amp = space ** -0.5
+        for _ in range(self.db.c):
+            amp = (1 << self.db.u) ** -0.5 * amp
+        amps = np.zeros(1 << self.total)
+        amps[self._layout_indices(np.arange(1 << self.db.u)[None, :, None],
+                                  np.asarray(self.db.payload)[None, :, None])] = amp
+        work = np.empty_like(amps)  # both maps' target; mode="raise" would buffer a take
         for _ in range(iterations):
-            np.take(amps, self.bwd, out=work, mode="clip")
+            work[self.fwd] = amps
             amps, work = work, amps
             for q in in_qubits:
                 qsim.hadamard_qubit(amps, q)
@@ -564,8 +558,7 @@ class _JointCircuit:
         measure them register by register."""
         u, low = self.db.u, self.db.c * self.db.n_out
         state = np.empty_like(branch)
-        x2, w2 = self.maps.apply(*self.states, np.full((1, 1, 1), g))
-        state[self._layout_indices(x2, w2, 0)] = branch
+        state[self.fwd[g::1 << self.m] >> self.m] = branch
         for q in range(low, low + self.db.c * u):
             qsim.hadamard_qubit(state, q)
         samples = []

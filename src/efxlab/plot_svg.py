@@ -14,16 +14,18 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 def parse_curve_csv(text: str) -> List[Tuple[str, float, float, str]]:
     """Rows (attack, log2D_over_n, log2T_over_n, source) from curve CSV text."""
     rows = []
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         return rows
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[0][1].split(",")]
     needed = ("attack", "log2D_over_n", "log2T_over_n")
     if not all(col in header for col in needed):
         raise ValueError(f"curve CSV must carry columns {needed}, got {header}")
     idx = {name: header.index(name) for name in header}
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         parts = [p.strip() for p in ln.split(",")]
+        if len(parts) < len(header):
+            raise ValueError(f"line {no}: {len(parts)} fields, the header has {len(header)}")
         rows.append((
             parts[idx["attack"]],
             float(parts[idx["log2D_over_n"]]),

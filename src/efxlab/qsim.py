@@ -15,6 +15,8 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from . import gf2
+
 DEFAULT_QUBIT_CAP = 26
 SIMON_INPUT_CAP = 12
 NORM_TOL = 1e-9
@@ -235,8 +237,6 @@ def verified_periods(f: Sequence[int], samples: Sequence[int]) -> Tuple[List[int
     Returns them in nullspace order with the number of nonzero members
     checked. With no samples every nonzero shift is a member.
     """
-    from . import gf2
-
     size = len(f)
     candidates = [s for s in gf2.nullspace_members(samples, size.bit_length() - 1) if s]
     periods = [s for s in candidates if all(f[x] == f[x ^ s] for x in range(size))]
@@ -252,8 +252,6 @@ def recover_period_verified(f: Sequence[int], samples: Sequence[int]):
     period, none means f is injective, several (a degenerate case such as a
     constant f) come back undetermined.
     """
-    from . import gf2
-
     result = gf2.recover_period(samples, len(f).bit_length() - 1)
     if result.status == "injective":
         return result

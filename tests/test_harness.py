@@ -85,7 +85,7 @@ def test_validate_rejects_a_qubit_cap_over_the_default():
     assert cfg.validate() == []
     cfg.qubit_cap = 40
     (error,) = cfg.validate()
-    assert error.startswith("qubit_cap:") and f"{45 << 40:,} bytes" in error
+    assert error.startswith("qubit_cap:") and f"{29 << 40:,} bytes" in error
 
 
 def test_validate_rejects_a_search_space_over_the_limit():
@@ -94,6 +94,18 @@ def test_validate_rejects_a_search_space_over_the_limit():
     assert error.startswith("search space:") and "22 bits" in error
     assert str(offline_simon.MAX_SEARCH_BITS) in error
     cfg.u = 4  # 20 bits
+    assert cfg.validate() == []
+
+
+def test_validate_rejects_a_classical_search_over_the_limit():
+    cfg = parse_config("attack = exhaustive\nconstruction = EFX\nn = 8\nkappa = 6")
+    assert cfg.validate() == ["search space: k + k1 + k2 = 22 bits, over the limit of 20"]
+    cfg.kappa = 4  # 20 bits
+    assert cfg.validate() == []
+    cfg = parse_config("attack = guess_and_em\nconstruction = EFX\nn = 12\nkappa = 9\n"
+                       "data = 16")
+    assert cfg.validate() == ["search space: kappa + n = 21 bits, over the limit of 20"]
+    cfg.kappa = 8  # 20 bits
     assert cfg.validate() == []
 
 
@@ -227,9 +239,12 @@ def assert_rejected_before_running(argv, capsys, monkeypatch):
     "attack = em_q2\nconstruction = EM\nn = 13\nkappa = 1\nc = 17",
     # 4 search bits + 6 registers of 4 + 4 qubits
     "attack = grover_meets_simon\nconstruction = EFX\nn = 4\nkappa = 4\nc = 6\nmode = EXACT",
-    # 36 qubits, about 3 TB at 45 B per amplitude
+    # 36 qubits, about 2 TB at 29 B per amplitude
     "attack = offline_simon\nconstruction = EFX\nn = 4\nkappa = 4\nu = 2\nc = 5\n"
     "mode = EXACT\nqubit_cap = 40",
+    # 48 key bits to enumerate; 32 bits of inner key and whitening to guess
+    "attack = exhaustive\nconstruction = EFX\nn = 16\nkappa = 16",
+    "attack = guess_and_em\nconstruction = EFX\nn = 16\nkappa = 16\ndata = 16",
 ])
 def test_cli_rejects_unsupported_config_before_running(tmp_path, capsys, monkeypatch,
                                                        config):
@@ -248,13 +263,16 @@ def test_cli_rejects_unsupported_config_before_running(tmp_path, capsys, monkeyp
     ["attack", "--config", "{dir}"],
     ["sweep", "--axis", "u", "--values", "1", "--config", "{dir}"],
     ["plot", "--in", "{dir}", "--out", "{dir}/x.svg"],
+    ["plot", "--in", "{dir}/short.csv", "--out", "{dir}/x.svg"],
 ], ids=["sweep-u", "sweep-D", "sweep-n", "curves-n-zero", "curves-n-negative",
-        "curves-kappa-negative", "attack-config-dir", "sweep-config-dir", "plot-in-dir"])
+        "curves-kappa-negative", "attack-config-dir", "sweep-config-dir", "plot-in-dir",
+        "plot-short-row"])
 def test_cli_rejects_misuse_before_running(tmp_path, capsys, monkeypatch, argv):
     if argv[0] == "sweep" and "--config" not in argv:
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(BASE_CONFIG)
         argv = argv + ["--config", str(cfg_path)]
+    (tmp_path / "short.csv").write_text("attack,log2D_over_n,log2T_over_n\nq1,0.5\n")
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     assert_rejected_before_running(argv, capsys, monkeypatch)
     assert not (tmp_path / "x.svg").exists()

@@ -647,7 +647,6 @@ def test_joint_circuit_matches_reference_layout(case, iterations, seed, data):
     excluded = data.draw(st.sets(st.integers(0, (1 << family.search_bits) - 1),
                                  max_size=(1 << family.search_bits) - 1))
     circuit = offline_simon._JointCircuit(db, family)
-    assert circuit.initial.dtype == np.float64
     drawn = _RecordingRng(seed)
     g, samples = circuit.run_search(drawn, iterations, excluded)
     assert drawn.outcomes == [g] + samples
@@ -688,4 +687,36 @@ def test_joint_circuit_memory_per_amplitude():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 56 * (1 << 19)
+    # float64 state, work buffer and index map, bool phase mask, Hadamard
+    # temporary; a complex128 state would need about 49 B
+    assert peak < 36 * (1 << 19)
+
+
+# run_search outputs (guess, samples) of two searches, the second excluding the
+# first guess, for (kind, n, kappa, u, c, seed); recorded before the joint
+# circuit lost its inverse map, so a change to any amplitude or draw shows here
+PINNED_EXACT_DRAWS = {
+    (ConstructionKind.EFX, 2, 2, 2, 2, 1): [(1, [3, 1]), (1, [1, 1])],
+    (ConstructionKind.EFX, 2, 2, 2, 2, 2): [(1, [0, 2]), (0, [3, 3])],
+    (ConstructionKind.EFX, 3, 1, 2, 2, 1): [(1, [3, 0]), (3, [0, 1])],
+    (ConstructionKind.EFX, 3, 1, 2, 2, 2): [(0, [1, 3]), (0, [2, 3])],
+    (ConstructionKind.FX, 2, 1, 1, 3, 1): [(2, [1, 0, 1]), (1, [0, 0, 0])],
+    (ConstructionKind.FX, 2, 1, 1, 3, 2): [(1, [0, 0, 0]), (3, [0, 0, 0])],
+    (ConstructionKind.DEFX, 2, 3, 2, 2, 1): [(4, [1, 0]), (6, [1, 2])],
+    (ConstructionKind.DEFX, 2, 3, 2, 2, 2): [(2, [0, 3]), (2, [3, 3])],
+    (ConstructionKind.FX, 1, 3, 0, 3, 1): [(8, [0, 0, 0]), (4, [0, 0, 0])],
+    (ConstructionKind.FX, 1, 3, 0, 3, 2): [(4, [0, 0, 0]), (9, [0, 0, 0])],
+}
+
+
+@pytest.mark.parametrize("kind, n, kappa, u, c, seed", PINNED_EXACT_DRAWS)
+def test_joint_circuit_draws_are_pinned(kind, n, kappa, u, c, seed):
+    assert (kind, n, kappa, u, c) in _small_exact_instances()
+    inst = build_instance(kind, n, kappa, seed)
+    family = guess_family_for(inst, u)
+    circuit = offline_simon._JointCircuit(build_database_cpa(inst, u, c), family)
+    rng = np.random.default_rng(seed)
+    iterations = qsim.search_iterations(family.search_bits)
+    first = circuit.run_search(rng, iterations, set())
+    second = circuit.run_search(rng, iterations, {first[0]})
+    assert [first, second] == PINNED_EXACT_DRAWS[kind, n, kappa, u, c, seed]
