@@ -28,14 +28,18 @@ def _load_config(path: str, seed) -> harness.ExperimentConfig:
     return cfg
 
 
+def _emit(text: str, out) -> None:
+    """Write text to the --out file, or to stdout when there is none."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_attack(args) -> int:
     cfg = _load_config(args.config, args.seed)
     report = harness.run_attack(cfg)
-    text = harness.report_json(report)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(harness.report_json(report), args.out)
     if cfg.trials > 0 and report["summary"]["successes"] == 0:
         return EXIT_ATTACK_FAILURE
     return EXIT_OK
@@ -45,11 +49,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config, args.seed)
     values = [float(v) for v in args.values]
     rows = harness.sweep(cfg, args.axis, values)
-    text = harness.sweep_csv(rows)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(harness.sweep_csv(rows), args.out)
     return EXIT_OK
 
 
@@ -66,11 +66,7 @@ def _cmd_bounds(args) -> int:
             b1, b2 = bounds.efx_classical_bound(p)
             qb = bounds.quantum_distinguish_bound(2.0 ** (log2_t / 2.0), args.kappa)
             lines.append(f"{log2_d},{log2_t},{b1:.8g},{b2:.8g},{qb:.8g}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -79,11 +75,7 @@ def _cmd_curves(args) -> int:
     rows = []
     for attack in classical.CURVE_KINDS:
         rows += classical.tradeoff_curve(attack, args.n, args.kappa, grid)
-    text = plot_svg.curve_rows_csv(rows)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(plot_svg.curve_rows_csv(rows), args.out)
     return EXIT_OK
 
 

@@ -37,7 +37,7 @@ def dot(a: int, b: int) -> int:
     return (int(a) & int(b)).bit_count() & 1
 
 
-def _reduced_rows(rows: Sequence[int], n: int) -> List[int]:
+def _reduced_rows(rows: Sequence[int]) -> List[int]:
     """Row-reduce to a canonical echelon basis (highest pivot bit first)."""
     basis: List[int] = []
     for row in rows:
@@ -55,12 +55,12 @@ def _reduced_rows(rows: Sequence[int], n: int) -> List[int]:
 
 def rank(rows: Sequence[int], n: int) -> int:
     """Dimension of the span of n-bit rows over GF(2)."""
-    return len(_reduced_rows(rows, n))
+    return len(_reduced_rows(rows))
 
 
 def nullspace_basis(rows: Sequence[int], n: int) -> List[int]:
     """Basis of the right nullspace {v : row . v = 0 for every row}."""
-    basis = _reduced_rows(rows, n)
+    basis = _reduced_rows(rows)
     pivot_of = {}
     for row in basis:
         pivot_of[row.bit_length() - 1] = row

@@ -96,6 +96,13 @@ class ExperimentConfig:
                 if needed > self.qubit_cap:
                     errors.append(f"mode: EXACT joint state needs {needed} qubits, "
                                   f"cap is {self.qubit_cap}")
+            if self.attack in SEARCH_ATTACKS and 0 <= self.effective_u <= self.n <= 16:
+                dp = offline_simon.span_dp_transitions(self.effective_u, self.c)
+                if dp > offline_simon.MAX_SPAN_DP_TRANSITIONS:
+                    errors.append(f"span DP: u = {self.effective_u}, c = {self.c} caches "
+                                  f"{dp:,} transitions, about "
+                                  f"{dp * offline_simon.SPAN_DP_BYTES_PER_TRANSITION:,} bytes, "
+                                  f"over the limit of {offline_simon.MAX_SPAN_DP_TRANSITIONS:,}")
         if self.qubit_cap > qsim.DEFAULT_QUBIT_CAP:
             errors.append(
                 f"qubit_cap: {self.qubit_cap} is over the limit of {qsim.DEFAULT_QUBIT_CAP}; "

@@ -64,6 +64,10 @@ from .ciphers import (
 MAX_SEARCH_BITS = 20
 # measured peak of building the EXACT joint circuit and running one search
 JOINT_BYTES_PER_AMPLITUDE = 29
+# entries the span DP's transition cache may hold; 2^22 admits u <= 7 at any
+# c. Each costs about 200 B (185 B measured at u = 6, c = 8, rising with u).
+MAX_SPAN_DP_TRANSITIONS = 1 << 22
+SPAN_DP_BYTES_PER_TRANSITION = 200
 
 
 def exact_qubits(search_bits: int, u: int, n_out: int, c: int) -> int:
@@ -72,6 +76,17 @@ def exact_qubits(search_bits: int, u: int, n_out: int, c: int) -> int:
     if search_bits == 0:
         return u + n_out
     return search_bits + c * (u + n_out)
+
+
+def span_dp_transitions(u: int, c: int) -> int:
+    """Entries _extend_basis caches when the span DP runs on c registers of u
+    bits: each of the 2^u outcomes against each span of dimension at most
+    min(c - 1, u), so 2^u times a sum of Gaussian binomials [u choose k]_2."""
+    spans, subspaces = 0, 1
+    for k in range(min(c - 1, u) + 1):
+        spans += subspaces
+        subspaces = subspaces * ((1 << (u - k)) - 1) // ((1 << (k + 1)) - 1)
+    return spans << u
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +329,7 @@ def _scan_distributions(db: QueryDatabase, family: GuessFamily) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _extend_basis(basis: Tuple[int, ...], y: int) -> Tuple[int, ...]:
-    return tuple(gf2._reduced_rows(list(basis) + [y], 0))
+    return tuple(gf2._reduced_rows(list(basis) + [y]))
 
 
 def exact_pass_probability(dists: Sequence[np.ndarray], u: int) -> float:
@@ -580,7 +595,7 @@ def _rank_deficient_table(u: int, c: int) -> np.ndarray:
     mask = (1 << u) - 1
     for key in range(total):
         rows = [(key >> (i * u)) & mask for i in range(c)]
-        out[key] = len(gf2._reduced_rows(rows, u)) < u
+        out[key] = len(gf2._reduced_rows(rows)) < u
     return out
 
 
@@ -602,7 +617,8 @@ def generalized_offline_simon(db: QueryDatabase, family: GuessFamily,
     draw of the measured guess and its samples depends on the mode: EXACT
     simulates the joint state when there is a guess register, and otherwise
     samples each unentangled register's exact distribution, as TENSOR does.
-    EXACT checks its qubit count against qsim.DEFAULT_QUBIT_CAP before the scan.
+    EXACT checks its qubit count against qsim.DEFAULT_QUBIT_CAP, and both modes
+    check span_dp_transitions against MAX_SPAN_DP_TRANSITIONS, before the scan.
 
     try_candidates(guess, samples) turns a measured guess plus Simon samples
     into verified key material (None rejects the guess and the search
@@ -616,6 +632,10 @@ def generalized_offline_simon(db: QueryDatabase, family: GuessFamily,
         if qubits > qsim.DEFAULT_QUBIT_CAP:
             raise ValueError(f"EXACT state needs {qubits} qubits, "
                              f"cap is {qsim.DEFAULT_QUBIT_CAP}")
+    transitions = span_dp_transitions(db.u, db.c)
+    if transitions > MAX_SPAN_DP_TRANSITIONS:
+        raise ValueError(f"span DP needs {transitions:,} transitions, "
+                         f"limit is {MAX_SPAN_DP_TRANSITIONS:,}")
     iterations = qsim.search_iterations(m)
     space = 1 << m
     dists = _scan_distributions(db, family)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -88,16 +87,6 @@ class StateVector:
             raise AssertionError("state norm drifted beyond tolerance")
 
 
-@lru_cache(maxsize=32)
-def _arange(size: int) -> np.ndarray:
-    return np.arange(size, dtype=np.int64)
-
-
-# contributions summed per np.bincount call in _hadamard_sparse; bounds its
-# temporaries independently of the state size
-_ACCUMULATE_BLOCK = 1 << 16
-
-
 def hadamard_qubit(amps: np.ndarray, q: int) -> None:
     """In-place single-qubit Hadamard on a raw amplitude array.
 
@@ -117,29 +106,20 @@ def _hadamard_sparse(idx: np.ndarray, vals: np.ndarray, start: int,
     """Exact H on a register of a sparse pair; returns the sparse result.
 
     Output index base + (y << start) collects scale * a_b * (-1)^(reg_b . y)
-    over the inputs b with that base. np.bincount adds the contributions to
-    each output in input order, one real sum and one imaginary sum per
-    entry, starting from zero, so the floats equal those of a loop that adds
-    one scaled sign row per input into a zeroed vector.
+    over the inputs b with that base: in input order, each input adds its
+    scaled sign row into its base's zeroed row. Complex += sums the real and
+    imaginary parts separately, so every float is fixed by that order.
     """
     m = 1 << size
     mask = (m - 1) << start
-    reg = (idx & mask) >> start
+    regs = (idx & mask) >> start
     bases, slot = np.unique(idx & ~mask, return_inverse=True)
     scaled = vals * (INV_SQRT2 ** size)
-    out = np.empty((bases.size, m), dtype=np.complex128)
-    width = max(1, _ACCUMULATE_BLOCK // max(1, idx.size))
-    for lo in range(0, m, width):
-        ys = _arange(m)[lo:lo + width]
-        odd = np.bitwise_count(reg[:, None] & ys) & 1
-        pos = (slot[:, None] * ys.size + (ys - lo)).ravel()
-        for part, dst in ((scaled.real, out.real), (scaled.imag, out.imag)):
-            col = part[:, None]
-            weights = np.where(odd, -col, col).ravel()
-            dst[:, lo:lo + width] = np.bincount(
-                pos, weights=weights, minlength=bases.size * ys.size
-            ).reshape(bases.size, ys.size)
-    return (bases[:, None] + (_arange(m) << start)).ravel(), out.ravel()
+    ys = np.arange(m, dtype=np.int64)
+    out = np.zeros((bases.size, m), dtype=np.complex128)
+    for row, reg, a in zip(slot.tolist(), regs.tolist(), scaled.tolist()):
+        out[row] += np.where(np.bitwise_count(reg & ys) & 1, -a, a)
+    return (bases[:, None] + (ys << start)).ravel(), out.ravel()
 
 
 def hadamard(sv: StateVector, register: str) -> StateVector:
@@ -200,7 +180,6 @@ def measure(sv: StateVector, register: str,
     if total < 1e-12:
         raise ValueError("cannot measure a zero-norm state")
     probs = np.bincount(outcomes, weights=weights, minlength=1 << size)
-    probs = np.maximum(probs, 0.0)
     probs /= probs.sum()
     value = int(rng.choice(1 << size, p=probs))
     keep = outcomes == value

@@ -109,6 +109,20 @@ def test_validate_rejects_a_classical_search_over_the_limit():
     assert cfg.validate() == []
 
 
+def test_validate_rejects_a_span_dp_over_the_limit():
+    cfg = parse_config("attack = offline_simon\nconstruction = EFX\nn = 8\nkappa = 1\n"
+                       "u = 8\nc = 4")
+    (error,) = cfg.validate()
+    assert error == ("span DP: u = 8, c = 4 caches 27,700,736 transitions, about "
+                     "5,540,147,200 bytes, over the limit of 4,194,304")
+    cfg.c = 3  # 2,829,056 transitions
+    assert cfg.validate() == []
+    cfg.u, cfg.c = 7, 100  # every subspace of F_2^7: 3,739,136 transitions
+    assert cfg.validate() == []
+    cfg.attack = "grover_meets_simon"  # u = n = 8
+    assert cfg.validate()[0].startswith("span DP: u = 8, c = 100")
+
+
 def test_grover_sweep_iteration_column_matches_formula():
     cfg = parse_config("attack = grover_meets_simon\nconstruction = EFX\nkappa = 2\n"
                        "c = 6\ntrials = 2\nseed = 11")
@@ -245,6 +259,9 @@ def assert_rejected_before_running(argv, capsys, monkeypatch):
     # 48 key bits to enumerate; 32 bits of inner key and whitening to guess
     "attack = exhaustive\nconstruction = EFX\nn = 16\nkappa = 16",
     "attack = guess_and_em\nconstruction = EFX\nn = 16\nkappa = 16\ndata = 16",
+    # span DPs of 104 M and 67 M transitions, about 21 and 13 GB
+    "attack = offline_simon\nconstruction = EFX\nn = 8\nkappa = 1\nalpha = 0.1\nc = 6",
+    "attack = offline_simon\nconstruction = EM\nn = 13\nu = 13\nc = 2\nmode = EXACT",
 ])
 def test_cli_rejects_unsupported_config_before_running(tmp_path, capsys, monkeypatch,
                                                        config):

@@ -154,7 +154,7 @@ def brute_force_pass_probability(dists, u):
         p = 1.0
         for d, y in zip(dists, tup):
             p *= d[y]
-        if len(gf2._reduced_rows(list(tup), u)) < u:
+        if len(gf2._reduced_rows(list(tup))) < u:
             total += p
     return total
 
@@ -331,6 +331,32 @@ def test_exact_over_the_cap_is_rejected_before_the_scan(monkeypatch, kind, n, ka
     inst = build_instance(kind, n, kappa, 1350)
     with pytest.raises(ValueError, match=f"needs {qubits} qubits"):
         offline_simon_attack(inst, u, c, "EXACT", np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind, n, kappa, u, c, mode", [
+    (ConstructionKind.EFX, 8, 1, 8, 4, "TENSOR"),
+    (ConstructionKind.EM, 13, 1, 13, 2, "EXACT"),  # 26 qubits, under the cap
+])
+def test_span_dp_over_the_limit_is_rejected_before_the_scan(monkeypatch, kind, n, kappa,
+                                                            u, c, mode):
+    def no_scan(db, family):
+        raise AssertionError("the guess scan ran")
+
+    monkeypatch.setattr(offline_simon, "_scan_distributions", no_scan)
+    inst = build_instance(kind, n, kappa, 1360)
+    transitions = offline_simon.span_dp_transitions(u, c)
+    assert transitions > offline_simon.MAX_SPAN_DP_TRANSITIONS
+    with pytest.raises(ValueError, match=f"span DP needs {transitions:,} transitions"):
+        offline_simon_attack(inst, u, c, mode, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("u, c", [(1, 4), (2, 3), (3, 2), (3, 5), (4, 6)])
+def test_span_dp_transitions_counts_the_cache(u, c):
+    offline_simon._extend_basis.cache_clear()
+    uniform = np.full(1 << u, 1.0 / (1 << u))
+    exact_pass_probability([uniform] * c, u)
+    assert offline_simon._extend_basis.cache_info().currsize == \
+        offline_simon.span_dp_transitions(u, c)
 
 
 def test_exact_and_tensor_modes_run_at_tiny_sizes():

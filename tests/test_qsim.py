@@ -204,24 +204,34 @@ def test_simon_subroutine_orthogonality_exact(n, seed, spare_bits):
         assert gf2.dot(y, s) == 0
 
 
-# simon_subroutine outputs for fixed seeds, recorded before StateVector lost
-# its dense form; a change to any gate's sums or to the rng draws shows here
+# simon_subroutine outputs for fixed seeds, as (shifts, draws): shift 0 is a
+# permutation, None a constant f and any other s a function with period s.
+# n <= 3 were recorded before StateVector lost its dense form; n = 8 (the
+# q2_classical size) and the n = 12 cap before the sparse Hadamard became one
+# in-order loop. A change to any gate's sums or to the rng draws shows here.
 PINNED_SIMON_DRAWS = {
-    1: [0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0],
-    2: [1, 3, 3, 2, 1, 2, 2, 2, 2, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 3, 0],
-    3: [2, 7, 5, 5, 6, 4, 4, 6, 0, 2, 4, 6, 0, 5, 0, 0, 5, 5, 0, 0, 3, 3, 4, 4,
-        0, 0, 1, 0, 2, 3, 7, 2, 7, 5, 5, 0, 7, 6, 7, 1, 1, 1, 0, 3, 5, 6, 5, 6],
+    1: (range(2), [0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]),
+    2: (range(4), [1, 3, 3, 2, 1, 2, 2, 2, 2, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 3, 0]),
+    3: (range(8), [2, 7, 5, 5, 6, 4, 4, 6, 0, 2, 4, 6, 0, 5, 0, 0, 5, 5, 0, 0, 3, 3, 4, 4,
+                   0, 0, 1, 0, 2, 3, 7, 2, 7, 5, 5, 0, 7, 6, 7, 1, 1, 1, 0, 3, 5, 6, 5, 6]),
+    8: ((0, 1, 0x5a, 0xff), [53, 52, 237, 8, 169, 157, 32, 224, 148, 40, 244, 66,
+                             183, 251, 146, 205, 32, 71, 36, 250, 86, 142, 113, 29]),
+    12: ((0x9c3, None), [1243, 1564, 3759, 3982, 2512, 2242, 0, 0, 0, 0, 0, 0]),
 }
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_SIMON_DRAWS))
 def test_simon_subroutine_draws_are_pinned(n):
+    shifts, want = PINNED_SIMON_DRAWS[n]
     rng = np.random.default_rng(20261018 + n)
     got = []
-    for s in range(1 << n):  # s = 0: a permutation, else a function with period s
-        f = random_periodic(n, s, rng) if s else rng.permutation(1 << n).tolist()
-        got += [qsim.simon_subroutine(f, rng, out_bits=n + (s & 1)) for _ in range(6)]
-    assert got == PINNED_SIMON_DRAWS[n]
+    for s in shifts:
+        if s is None:
+            f = [int(rng.integers(1 << n))] * (1 << n)
+        else:
+            f = random_periodic(n, s, rng) if s else rng.permutation(1 << n).tolist()
+        got += [qsim.simon_subroutine(f, rng, out_bits=n + ((s or 0) & 1)) for _ in range(6)]
+    assert got == want
 
 
 def test_simon_subroutine_injective_uniform():
@@ -351,8 +361,6 @@ def _hadamard_sparse_loop(amps, start, size, nz):
     mask = m - 1
     scale = qsim.INV_SQRT2 ** size
     xs = np.arange(m)
-    parity = np.bitwise_count(xs[:, None] & xs[None, :]) & 1
-    signs = np.where(parity == 0, 1, -1).astype(np.float64)
     offsets = xs << start
     out = np.zeros(amps.size, dtype=np.complex128)
     bases = np.unique(nz & ~(mask << start))
@@ -360,17 +368,24 @@ def _hadamard_sparse_loop(amps, start, size, nz):
         b = int(b)
         reg = (b >> start) & mask
         base = b & ~(mask << start)
-        out[base + offsets] += (amps[b] * scale) * signs[reg]
+        signs = np.where(np.bitwise_count(reg & xs) & 1, -1.0, 1.0)
+        out[base + offsets] += (amps[b] * scale) * signs
     return out, (bases[:, None] + offsets[None, :]).ravel()
 
 
-@pytest.mark.parametrize("block", [qsim._ACCUMULATE_BLOCK, 16])
+def _check_hadamard_sparse(amps, nz, start, size):
+    want, want_idx = _hadamard_sparse_loop(amps, start, size, nz)
+    idx, vals = qsim._hadamard_sparse(nz, amps[nz], start, size)
+    assert np.array_equal(idx, want_idx)
+    got = np.zeros_like(want)
+    got[idx] = vals
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("total,start,size", [
     (4, 0, 2), (6, 2, 3), (8, 0, 5), (8, 3, 5), (10, 4, 1), (12, 0, 8), (12, 6, 6),
 ])
-def test_hadamard_sparse_is_bit_identical_to_the_loop(monkeypatch, block, total,
-                                                       start, size):
-    monkeypatch.setattr(qsim, "_ACCUMULATE_BLOCK", block)
+def test_hadamard_sparse_is_bit_identical_to_the_loop(total, start, size):
     rng = np.random.default_rng(total * 100 + start * 10 + size)
     for count in (1, 2, 7, 40):
         # a shuffled support with shared bases that may list exact zeros
@@ -381,12 +396,16 @@ def test_hadamard_sparse_is_bit_identical_to_the_loop(monkeypatch, block, total,
         amps = np.zeros(1 << total, dtype=np.complex128)
         amps[nz] = rng.normal(size=nz.size) + 1j * rng.normal(size=nz.size)
         amps[nz[::5]] = 0.0
-        want, want_idx = _hadamard_sparse_loop(amps, start, size, nz)
-        idx, vals = qsim._hadamard_sparse(nz, amps[nz], start, size)
-        assert np.array_equal(idx, want_idx)
-        got = np.zeros_like(want)
-        got[idx] = vals
-        assert np.array_equal(got, want)
+        _check_hadamard_sparse(amps, nz, start, size)
+
+
+def test_hadamard_sparse_is_bit_identical_on_4096_inputs_into_one_base():
+    # the second Hadamard of Simon sampling on a constant f at the n = 12 cap
+    rng = np.random.default_rng(4096)
+    nz = rng.permutation(1 << 12)
+    amps = rng.normal(size=nz.size) + 1j * rng.normal(size=nz.size)
+    amps[nz[::5]] = 0.0
+    _check_hadamard_sparse(amps, nz, 0, 12)
 
 
 def _dense_hadamard(psi, start, size):
