@@ -62,8 +62,10 @@ from .ciphers import (
 )
 
 MAX_SEARCH_BITS = 20
-# measured peak of building the EXACT joint circuit and running one search
-JOINT_BYTES_PER_AMPLITUDE = 29
+# peak of building the EXACT joint circuit and running its searches: the
+# state, the work buffer and the index map at 8 B each, and the test's
+# V^T times the rows at 8*|S|/2^(c*u) <= 4 B (|S| is at most half the tuples)
+JOINT_BYTES_PER_AMPLITUDE = 28
 # entries the span DP's transition cache may hold; 2^22 admits u <= 7 at any
 # c. Each costs about 200 B (185 B measured at u = 6, c = 8, rising with u).
 MAX_SPAN_DP_TRANSITIONS = 1 << 22
@@ -501,10 +503,11 @@ class _JointCircuit:
     Every gate is real, so the state is one float64 vector. Work layout (low
     bits first): the guess register (search_bits), the c payloads (n_out bits
     each), then the c inputs (u bits each, register 0 lowest). With the inputs
-    on top each input Hadamard acts on two contiguous halves, and the state as
-    a (2^(c*u), -1) matrix has one row per input tuple, packed as
-    _rank_deficient_table indexes it. fwd sends each work index to its image
-    under its guess's transform: scattering applies it, gathering undoes it.
+    on top the state as a (2^(c*u), -1) matrix has one row per input tuple,
+    packed as _rank_deficient_table indexes it, so a guess test is one
+    operator on those rows (_test_reflection), not 2*c*u Hadamard passes.
+    fwd sends each work index to its image under its guess's transform:
+    scattering applies it, gathering undoes it.
     """
 
     def __init__(self, db: QueryDatabase, family: GuessFamily):
@@ -536,11 +539,17 @@ class _JointCircuit:
                    excluded: Set[int]) -> Tuple[int, List[int]]:
         """One full amplified search; returns the measured guess and samples."""
         space = 1 << self.m
-        active = np.ones(space, dtype=bool)
-        active[list(excluded)] = False
-        rank_lt = _rank_deficient_table(self.db.u, self.db.c)
-        flip = rank_lt[:, None] & np.tile(active, (1 << self.total) // (rank_lt.size * space))
-        in_qubits = range(self.total - self.db.c * self.db.u, self.total)
+        skipped = np.zeros(space, dtype=bool)
+        skipped[list(excluded)] = True
+        amps = self._amplify(iterations, skipped)
+        probs = np.square(amps).reshape(-1, space).sum(axis=0)
+        g = int(rng.choice(space, p=probs / probs.sum()))
+        return g, self._sample_branch(amps[g::space], g, rng)
+
+    def _amplify(self, iterations: int, skipped: np.ndarray) -> np.ndarray:
+        """The joint state after the search's iterations; its work buffer is
+        gone when it returns."""
+        space = 1 << self.m
         # initial state: uniform guesses tensor the database registers
         amp = space ** -0.5
         for _ in range(self.db.c):
@@ -551,21 +560,32 @@ class _JointCircuit:
         work = np.empty_like(amps)  # both maps' target; mode="raise" would buffer a take
         for _ in range(iterations):
             work[self.fwd] = amps
-            amps, work = work, amps
-            for q in in_qubits:
-                qsim.hadamard_qubit(amps, q)
-            rows = amps.reshape(rank_lt.size, -1)
-            np.negative(rows, out=rows, where=flip)
-            for q in in_qubits:
-                qsim.hadamard_qubit(amps, q)
+            self._test(work, amps, skipped)
             np.take(amps, self.fwd, out=work, mode="clip")
             amps, work = work, amps
-            # reflect about the uniform guess superposition, identity elsewhere
+            # reflect about the uniform guess superposition, identity elsewhere;
+            # the means go to the free buffer
             mat = amps.reshape(-1, space)
-            np.subtract(2.0 * mat.mean(axis=1, keepdims=True), mat, out=mat)
-        probs = np.square(amps, out=work).reshape(-1, space).sum(axis=0)
-        g = int(rng.choice(space, p=probs / probs.sum()))
-        return g, self._sample_branch(amps[g::space], g, rng)
+            mean = np.mean(mat, axis=1, keepdims=True, out=work[:mat.shape[0], None])
+            mean *= 2.0
+            np.subtract(mean, mat, out=mat)
+        return amps
+
+    def _test(self, state: np.ndarray, out: np.ndarray, skipped: np.ndarray) -> None:
+        """Write the test sign * (I - 2 V V^T) of state's input-tuple rows to
+        out; the guesses that the boolean skipped marks keep their columns."""
+        sign, basis = _test_reflection(self.db.u, self.db.c)
+        rows, tested = state.reshape(basis.shape[0], -1), out.reshape(basis.shape[0], -1)
+        overlap = np.matmul(basis.T, rows)
+        overlap *= -2.0 * sign
+        np.matmul(basis, overlap, out=tested)
+        if sign > 0:
+            tested += rows
+        else:
+            tested -= rows
+        if skipped.any():
+            by_guess = (rows.shape[0], -1, skipped.size)
+            np.copyto(tested.reshape(by_guess), rows.reshape(by_guess), where=skipped)
 
     def _sample_branch(self, branch: np.ndarray, g: int,
                        rng: np.random.Generator) -> List[int]:
@@ -597,6 +617,25 @@ def _rank_deficient_table(u: int, c: int) -> np.ndarray:
         rows = [(key >> (i * u)) & mask for i in range(c)]
         out[key] = len(gf2._reduced_rows(rows)) < u
     return out
+
+
+@lru_cache(maxsize=None)
+def _test_reflection(u: int, c: int) -> Tuple[float, np.ndarray]:
+    """(sign, V) with sign * (I - 2 V V^T) = H diag((-1)^[rank < u]) H over the
+    packed c*u-bit sample tuples, H the normalized Walsh-Hadamard matrix.
+
+    V holds the columns of H at S, the smaller of the rank-deficient tuples
+    (sign +1) and the full-rank ones (sign -1); they are built from the
+    parities of a & s, never from the whole of H. V is read-only.
+    """
+    deficient = _rank_deficient_table(u, c)
+    sign = 1.0 if 2 * np.count_nonzero(deficient) <= deficient.size else -1.0
+    index = np.arange(deficient.size, dtype=np.min_scalar_type(deficient.size))
+    chosen = index[deficient if sign > 0 else ~deficient]
+    scale = deficient.size ** -0.5
+    basis = np.where(np.bitwise_count(index[:, None] & chosen) & 1, -scale, scale)
+    basis.flags.writeable = False
+    return sign, basis
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def test_validate_rejects_a_qubit_cap_over_the_default():
     assert cfg.validate() == []
     cfg.qubit_cap = 40
     (error,) = cfg.validate()
-    assert error.startswith("qubit_cap:") and f"{29 << 40:,} bytes" in error
+    assert error.startswith("qubit_cap:") and f"{28 << 40:,} bytes" in error
 
 
 def test_validate_rejects_a_search_space_over_the_limit():

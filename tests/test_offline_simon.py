@@ -699,24 +699,76 @@ def test_exact_qubit_budget_has_one_formula():
         assert circuit.total == qubits, cfg
 
 
-def test_joint_circuit_memory_per_amplitude():
+@pytest.mark.parametrize("kappa, u, c", [(3, 2, 3), (1, 3, 3)])
+def test_joint_circuit_memory_per_amplitude(kappa, u, c):
     import tracemalloc
 
-    inst = efx_instance(3, 3, 11)
-    db = build_database_cpa(inst, 2, 3)
-    family = guess_family_for(inst, 2)
-    offline_simon._rank_deficient_table(2, 3)
+    # EFX n = 3 at 19 qubits: the test's V holds 22 of 64 tuples at u = 2 and
+    # 168 of 512 at u = 3
+    inst = efx_instance(3, kappa, 11)
+    db = build_database_cpa(inst, u, c)
+    family = guess_family_for(inst, u)
+    offline_simon._test_reflection(u, c)
+    # at least one iteration, so the test step runs even where m = 1 needs none
+    iterations = max(1, qsim.search_iterations(family.search_bits))
     tracemalloc.start()
     try:
         circuit = offline_simon._JointCircuit(db, family)
         assert circuit.total == 19
-        circuit.run_search(np.random.default_rng(0), qsim.search_iterations(4), set())
+        rng = np.random.default_rng(0)
+        first, _ = circuit.run_search(rng, iterations, set())
+        circuit.run_search(rng, iterations, {first})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # float64 state, work buffer and index map, bool phase mask, Hadamard
-    # temporary; a complex128 state would need about 49 B
-    assert peak < 36 * (1 << 19)
+    # float64 state, work buffer and index map, and V^T times the state's
+    # rows at 8*|S|/2^(c*u) <= 4 B
+    assert peak < offline_simon.JOINT_BYTES_PER_AMPLITUDE * (1 << 19) <= 36 * (1 << 19)
+
+
+def _test_operator_reference(u, c):
+    """H diag((-1)^[rank < u]) H over the packed c*u-bit tuples, from
+    hadamard_qubit passes over the rows of an identity matrix."""
+    size = 1 << (c * u)
+    mat = np.eye(size)
+    for q in range(c * u, 2 * c * u):
+        qsim.hadamard_qubit(mat.reshape(-1), q)
+    mat[offline_simon._rank_deficient_table(u, c)] *= -1.0
+    for q in range(c * u, 2 * c * u):
+        qsim.hadamard_qubit(mat.reshape(-1), q)
+    return mat
+
+
+@pytest.mark.parametrize("u, c", [(u, c) for u in range(9) for c in range(1, 9)
+                                  if c * u <= 8])
+def test_test_reflection_is_the_hadamard_sandwich(u, c):
+    sign, basis = offline_simon._test_reflection(u, c)
+    size = 1 << (c * u)
+    assert basis.shape[0] == size and 2 * basis.shape[1] <= size
+    assert not basis.flags.writeable
+    operator = sign * (np.eye(size) - 2.0 * basis @ basis.T)
+    assert np.allclose(operator, _test_operator_reference(u, c), rtol=0.0, atol=1e-12)
+    # an orthogonal involution
+    assert np.allclose(operator, operator.T, rtol=0.0, atol=1e-12)
+    assert np.allclose(operator @ operator, np.eye(size), rtol=0.0, atol=1e-12)
+    if u == 0 or c < u:
+        # no tuple is deficient at u = 0, every one is below u: I and -I
+        assert basis.shape[1] == 0 and sign == (1.0 if u == 0 else -1.0)
+
+
+def test_test_step_leaves_excluded_guesses_bit_for_bit():
+    inst = efx_instance(2, 2, 3)
+    db = build_database_cpa(inst, 2, 2)
+    circuit = offline_simon._JointCircuit(db, guess_family_for(inst, 2))
+    space = 1 << circuit.m
+    skipped = np.array([False, True, True, False])
+    state = np.random.default_rng(4).standard_normal(1 << circuit.total)
+    out = np.empty_like(state)
+    circuit._test(state, out, skipped)
+    before, after = state.reshape(-1, space), out.reshape(-1, space)
+    assert np.array_equal(after[:, skipped], before[:, skipped])
+    expected = (_test_operator_reference(2, 2) @ state.reshape(1 << 4, -1)).reshape(-1, space)
+    assert np.allclose(after[:, ~skipped], expected[:, ~skipped], rtol=0.0, atol=1e-12)
 
 
 # run_search outputs (guess, samples) of two searches, the second excluding the
