@@ -21,7 +21,10 @@ Two fidelity modes are provided:
   the scalable idealization.
 * EXACT simulates the joint state (guess register plus all c query registers)
   gate for gate, including the disturbance that imperfect tests inflict on
-  the shared database within a search. With no search register the c
+  the shared database within a search. Every guess test O_g is an orthogonal
+  involution, so guess g's branch of the state stays A + O_g B and a search
+  updates two register-space vectors, (A, B) <- (2 mean_h O_h A + B, -A);
+  it never holds the whole joint state. With no search register the c
   registers never entangle, so EXACT samples each register's exact
   distribution, as TENSOR does.
 
@@ -62,10 +65,14 @@ from .ciphers import (
 )
 
 MAX_SEARCH_BITS = 20
-# peak of building the EXACT joint circuit and running its searches: the
-# state, the work buffer and the index map at 8 B each, and the test's
-# V^T times the rows at 8*|S|/2^(c*u) <= 4 B (|S| is at most half the tuples)
-JOINT_BYTES_PER_AMPLITUDE = 28
+# peak of an EXACT search per amplitude of the joint state (2^m guesses times
+# 2^(c*(u+n)) register states): the table S at 8 B, the int32 maps at 4 B,
+# three register-space vectors (A, B and the test's scatter target) at
+# 24/2^m B and the test's V^T times the rows at 8*k/2^(c*u+m) <= 4/2^m B
+# (V has k columns, at most half the tuples); 25.6 B measured at m = 1
+JOINT_BYTES_PER_AMPLITUDE = 26
+# register entries an EXACT test scatters, reflects and gathers at a time
+_TEST_BLOCK = 1 << 14
 # entries the span DP's transition cache may hold; 2^22 admits u <= 7 at any
 # c. Each costs about 200 B (185 B measured at u = 6, c = 8, rising with u).
 MAX_SPAN_DP_TRANSITIONS = 1 << 22
@@ -497,95 +504,144 @@ def _tensor_draw(db: QueryDatabase, family: GuessFamily, rng: np.random.Generato
 
 
 class _JointCircuit:
-    """Joint state of the guess register (search_bits > 0) and the c query
-    registers.
+    """The EXACT search over the guess register (search_bits > 0) and the c
+    query registers, held as two register-space vectors.
 
-    Every gate is real, so the state is one float64 vector. Work layout (low
-    bits first): the guess register (search_bits), the c payloads (n_out bits
-    each), then the c inputs (u bits each, register 0 lowest). With the inputs
-    on top the state as a (2^(c*u), -1) matrix has one row per input tuple,
-    packed as _rank_deficient_table indexes it, so a guess test is one
-    operator on those rows (_test_reflection), not 2*c*u Hadamard passes.
-    fwd sends each work index to its image under its guess's transform:
-    scattering applies it, gathering undoes it.
+    Every gate is real, so amplitudes are float64. The joint state is one
+    branch psi_g per guess over the 2^(c*(u+n_out)) register states. Guess
+    g's test is O_g = F_g^T T F_g: F_g permutes the register states as the
+    guess's transform does, T = sign * (I - 2 V V^T) is the cached test
+    (_test_reflection), and O_g = I for an excluded guess. Each O_g is an
+    orthogonal involution, so the state stays of the form
+    psi_g = A + O_g B: one iteration (test, then reflection about the
+    uniform guess mean) gives psi'_g = (2 N + B) + O_g (-A) with
+    N = mean_h O_h A. A search starts from A = psi_0, B = 0 and updates
+    (A, B) <- (2 N + B, -A); the table S of the rows O_h A is kept from the
+    last iteration, so then psi_g = A - S[g].
+
+    Register layout (low bits first): the c payloads (n_out bits each), then
+    the c inputs (u bits each, register 0 lowest). With the inputs on top a
+    register vector as a (2^(c*u), -1) matrix has one row per input tuple,
+    packed as _rank_deficient_table indexes it, so T is one operator on
+    those rows. The tests run on blocks of guesses of about _TEST_BLOCK
+    register entries, the guess inside its block between the input tuple and
+    the payloads: maps[g] sends each register state to its block index under
+    guess g's transform, so scattering through it applies F_g and gathering
+    undoes it. The maps are built on the first test, so a search with no
+    iterations only computes the measured guess's map.
     """
 
     def __init__(self, db: QueryDatabase, family: GuessFamily):
         self.db = db
+        self.family = family
         self.m = m = family.search_bits
         self.total = exact_qubits(m, db.u, db.n_out, db.c)
-        # the image (x2, w2)[g, x, w] of every register state under each guess
-        x2, w2 = family.maps(np.arange(1 << m)).apply(
-            np.arange(1 << db.u)[:, None], np.arange(1 << db.n_out),
-            np.arange(1 << m)[:, None, None])
-        self.fwd = self._layout_indices(x2, w2)
+        self.size = 1 << (db.c * (db.u + db.n_out))
+        self.block = min(1 << m, max(1, _TEST_BLOCK // self.size))
+        self.maps: Optional[np.ndarray] = None
 
-    def _layout_indices(self, xt: np.ndarray, wt: np.ndarray) -> np.ndarray:
-        """Work-layout indices whose register i holds (xt, wt)[g, x_i, w_i]:
-        one per (x_{c-1}..x_0, w_{c-1}..w_0, g) of the tables' broadcast
-        extents, g over every guess."""
-        c, u, n, m = self.db.c, self.db.u, self.db.n_out, self.m
+    def _images(self, start: int, count: int, x_shift: int) -> np.ndarray:
+        """Layout indices of the images of every register state under guesses
+        start..start+count-1, one row each, with the inputs from bit x_shift:
+        register i of entry (x_{c-1}..x_0, w_{c-1}..w_0) holds the image of
+        (x_i, w_i) under the row's guess."""
+        c, u, n = self.db.c, self.db.u, self.db.n_out
+        xt, wt = self.family.maps(np.arange(start, start + count)).apply(
+            np.arange(1 << u)[:, None], np.arange(1 << n), np.arange(count)[:, None, None])
+        return self._layout_indices(xt, wt, x_shift)
+
+    def _layout_indices(self, xt: np.ndarray, wt: np.ndarray, x_shift: int) -> np.ndarray:
+        """Indices whose register i holds (xt, wt)[row, x_i, w_i], inputs from
+        bit x_shift: one row per leading table entry, one column per
+        (x_{c-1}..x_0, w_{c-1}..w_0) of the tables' broadcast extents."""
+        c, u, n = self.db.c, self.db.u, self.db.n_out
         dims = np.broadcast_shapes(xt.shape, wt.shape)
-        out = np.zeros(dims[1:2] * c + dims[2:] * c + (1 << m,), dtype=np.int64)
-        out |= np.arange(1 << m)
+        out = np.zeros(dims[:1] + dims[1:2] * c + dims[2:] * c, dtype=np.int64)
         for i in range(c):
-            shape = [1] * (2 * c + 1)
-            shape[c - 1 - i], shape[2 * c - 1 - i], shape[-1] = dims[1], dims[2], dims[0]
-            table = (xt << (m + c * n + i * u)) | (wt << (m + i * n))
-            out |= table.transpose(1, 2, 0).reshape(shape)
-        return out.ravel()
+            shape = [dims[0]] + [1] * (2 * c)
+            shape[c - i], shape[2 * c - i] = dims[1], dims[2]
+            out |= ((xt << (x_shift + i * u)) | (wt << (i * n))).reshape(shape)
+        return out.reshape(dims[0], -1)
+
+    def _build_maps(self) -> None:
+        """Every guess's block-index map as one int32 table; a block holds
+        fewer than 2^26 entries under the qubit cap."""
+        low = self.db.c * self.db.n_out
+        bits = self.block.bit_length() - 1
+        self.maps = np.empty((1 << self.m, self.size), dtype=np.int32)
+        local = np.arange(self.block)[:, None] << low
+        for start in range(0, 1 << self.m, self.block):
+            np.bitwise_or(self._images(start, self.block, low + bits), local,
+                          out=self.maps[start:start + self.block])
 
     def run_search(self, rng: np.random.Generator, iterations: int,
                    excluded: Set[int]) -> Tuple[int, List[int]]:
         """One full amplified search; returns the measured guess and samples."""
-        space = 1 << self.m
-        skipped = np.zeros(space, dtype=bool)
-        skipped[list(excluded)] = True
-        amps = self._amplify(iterations, skipped)
-        probs = np.square(amps).reshape(-1, space).sum(axis=0)
-        g = int(rng.choice(space, p=probs / probs.sum()))
-        return g, self._sample_branch(amps[g::space], g, rng)
+        branches = self._amplify(iterations, excluded)
+        probs = np.einsum("ij,ij->i", branches, branches)
+        g = int(rng.choice(branches.shape[0], p=probs / probs.sum()))
+        return g, self._sample_branch(branches[g], g, rng)
 
-    def _amplify(self, iterations: int, skipped: np.ndarray) -> np.ndarray:
-        """The joint state after the search's iterations; its work buffer is
-        gone when it returns."""
-        space = 1 << self.m
+    def _amplify(self, iterations: int, excluded: Set[int]) -> np.ndarray:
+        """The state after the search's iterations, one row per guess's branch:
+        A - S[g], or a read-only view of A in every row when there are no
+        iterations."""
         # initial state: uniform guesses tensor the database registers
-        amp = space ** -0.5
+        amp = (1 << self.m) ** -0.5
         for _ in range(self.db.c):
             amp = (1 << self.db.u) ** -0.5 * amp
-        amps = np.zeros(1 << self.total)
-        amps[self._layout_indices(np.arange(1 << self.db.u)[None, :, None],
-                                  np.asarray(self.db.payload)[None, :, None])] = amp
-        work = np.empty_like(amps)  # both maps' target; mode="raise" would buffer a take
+        a = np.zeros(self.size)
+        a[self._layout_indices(np.arange(1 << self.db.u)[None, :, None],
+                               np.asarray(self.db.payload)[None, :, None],
+                               self.db.c * self.db.n_out)] = amp
+        if not iterations:
+            return np.broadcast_to(a, (1 << self.m, self.size))
+        b = np.zeros_like(a)
+        tested = np.empty((1 << self.m, self.size))
         for _ in range(iterations):
-            work[self.fwd] = amps
-            self._test(work, amps, skipped)
-            np.take(amps, self.fwd, out=work, mode="clip")
-            amps, work = work, amps
-            # reflect about the uniform guess superposition, identity elsewhere;
-            # the means go to the free buffer
-            mat = amps.reshape(-1, space)
-            mean = np.mean(mat, axis=1, keepdims=True, out=work[:mat.shape[0], None])
+            self._test(a, excluded, tested)
+            # (A, B) <- (2 N + B, -A), N the mean of the rows O_h A; N goes
+            # before the next test allocates its scatter target
+            mean = np.mean(tested, axis=0)
             mean *= 2.0
-            np.subtract(mean, mat, out=mat)
-        return amps
+            b += mean
+            del mean
+            np.negative(a, out=a)
+            a, b = b, a
+        return np.subtract(a, tested, out=tested)
 
-    def _test(self, state: np.ndarray, out: np.ndarray, skipped: np.ndarray) -> None:
-        """Write the test sign * (I - 2 V V^T) of state's input-tuple rows to
-        out; the guesses that the boolean skipped marks keep their columns."""
+    def _test(self, state: np.ndarray, excluded: Set[int], out: np.ndarray) -> None:
+        """Write O_h state to row h of out for every guess h, a block of
+        guesses at a time: scatter through the maps, reflect the input-tuple
+        rows, gather back. An excluded guess's row is state itself."""
+        if self.maps is None:
+            self._build_maps()
         sign, basis = _test_reflection(self.db.u, self.db.c)
-        rows, tested = state.reshape(basis.shape[0], -1), out.reshape(basis.shape[0], -1)
-        overlap = np.matmul(basis.T, rows)
-        overlap *= -2.0 * sign
-        np.matmul(basis, overlap, out=tested)
-        if sign > 0:
-            tested += rows
-        else:
-            tested -= rows
-        if skipped.any():
-            by_guess = (rows.shape[0], -1, skipped.size)
-            np.copyto(tested.reshape(by_guess), rows.reshape(by_guess), where=skipped)
+        work = np.empty(self.block * self.size)
+        rows = work.reshape(basis.shape[0], -1)
+        overlap = np.empty((basis.shape[1], rows.shape[1]))
+        # the maps pass through an int64 buffer, one chunk of register states
+        # at a time: take would cast a whole int32 index to a full int64
+        # copy, and a scatter casts it in small buffers at twice the time
+        index = np.empty((self.block, min(self.size, _TEST_BLOCK)), dtype=np.int64)
+        width = index.shape[1]
+        for start in range(0, 1 << self.m, self.block):
+            maps = self.maps[start:start + self.block]
+            tested = out[start:start + self.block]
+            for lo in range(0, self.size, width):
+                np.copyto(index, maps[:, lo:lo + width])
+                work[index] = state[lo:lo + width]
+            np.matmul(basis.T, rows, out=overlap)
+            overlap *= -2.0 * sign
+            np.matmul(basis, overlap, out=rows)
+            for lo in range(0, self.size, width):
+                np.copyto(index, maps[:, lo:lo + width])
+                np.take(work, index, out=tested[:, lo:lo + width], mode="clip")
+            if sign > 0:
+                tested += state
+            else:
+                tested -= state
+        out[list(excluded)] = state
 
     def _sample_branch(self, branch: np.ndarray, g: int,
                        rng: np.random.Generator) -> List[int]:
@@ -593,7 +649,7 @@ class _JointCircuit:
         measure them register by register."""
         u, low = self.db.u, self.db.c * self.db.n_out
         state = np.empty_like(branch)
-        state[self.fwd[g::1 << self.m] >> self.m] = branch
+        state[self._images(g, 1, low)[0]] = branch
         for q in range(low, low + self.db.c * u):
             qsim.hadamard_qubit(state, q)
         samples = []

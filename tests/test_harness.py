@@ -85,7 +85,7 @@ def test_validate_rejects_a_qubit_cap_over_the_default():
     assert cfg.validate() == []
     cfg.qubit_cap = 40
     (error,) = cfg.validate()
-    assert error.startswith("qubit_cap:") and f"{28 << 40:,} bytes" in error
+    assert error.startswith("qubit_cap:") and f"{26 << 40:,} bytes" in error
 
 
 def test_validate_rejects_a_search_space_over_the_limit():
@@ -253,7 +253,7 @@ def assert_rejected_before_running(argv, capsys, monkeypatch):
     "attack = em_q2\nconstruction = EM\nn = 13\nkappa = 1\nc = 17",
     # 4 search bits + 6 registers of 4 + 4 qubits
     "attack = grover_meets_simon\nconstruction = EFX\nn = 4\nkappa = 4\nc = 6\nmode = EXACT",
-    # 36 qubits, about 2 TB at 29 B per amplitude
+    # 36 qubits, about 1.8 TB at 26 B per amplitude
     "attack = offline_simon\nconstruction = EFX\nn = 4\nkappa = 4\nu = 2\nc = 5\n"
     "mode = EXACT\nqubit_cap = 40",
     # 48 key bits to enumerate; 32 bits of inner key and whitening to guess

@@ -721,9 +721,9 @@ def test_joint_circuit_memory_per_amplitude(kappa, u, c):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # float64 state, work buffer and index map, and V^T times the state's
-    # rows at 8*|S|/2^(c*u) <= 4 B
-    assert peak < offline_simon.JOINT_BYTES_PER_AMPLITUDE * (1 << 19) <= 36 * (1 << 19)
+    # the float64 table S and the int32 maps, plus register-space vectors and
+    # V^T times the rows that weigh most at m = 1
+    assert peak < offline_simon.JOINT_BYTES_PER_AMPLITUDE * (1 << 19) <= 28 * (1 << 19)
 
 
 def _test_operator_reference(u, c):
@@ -756,19 +756,68 @@ def test_test_reflection_is_the_hadamard_sandwich(u, c):
         assert basis.shape[1] == 0 and sign == (1.0 if u == 0 else -1.0)
 
 
-def test_test_step_leaves_excluded_guesses_bit_for_bit():
+@pytest.mark.parametrize("block", [1 << 4, offline_simon._TEST_BLOCK])
+def test_test_step_leaves_excluded_guesses_bit_for_bit(monkeypatch, block):
+    # 2^4 entries test one guess at a time in 16 map chunks; the default
+    # block holds all four guesses of the 2^8 register states
+    monkeypatch.setattr(offline_simon, "_TEST_BLOCK", block)
     inst = efx_instance(2, 2, 3)
     db = build_database_cpa(inst, 2, 2)
     circuit = offline_simon._JointCircuit(db, guess_family_for(inst, 2))
-    space = 1 << circuit.m
-    skipped = np.array([False, True, True, False])
-    state = np.random.default_rng(4).standard_normal(1 << circuit.total)
-    out = np.empty_like(state)
-    circuit._test(state, out, skipped)
-    before, after = state.reshape(-1, space), out.reshape(-1, space)
-    assert np.array_equal(after[:, skipped], before[:, skipped])
-    expected = (_test_operator_reference(2, 2) @ state.reshape(1 << 4, -1)).reshape(-1, space)
-    assert np.allclose(after[:, ~skipped], expected[:, ~skipped], rtol=0.0, atol=1e-12)
+    assert circuit.block == (1 if block < circuit.size else 4)
+    excluded = {1, 2}
+    state = np.random.default_rng(4).standard_normal(circuit.size)
+    out = np.empty((1 << circuit.m, circuit.size))
+    circuit._test(state, excluded, out)
+    operator = _test_operator_reference(2, 2)
+    for h in range(1 << circuit.m):
+        if h in excluded:
+            assert np.array_equal(out[h], state)
+            continue
+        # O_h = F_h^T T F_h: scatter through guess h's map, test, gather back
+        image = circuit._images(h, 1, db.c * db.n_out)[0]
+        moved = np.empty_like(state)
+        moved[image] = state
+        expected = (operator @ moved.reshape(1 << 4, -1)).reshape(-1)[image]
+        assert np.allclose(out[h], expected, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_small_exact_instances()), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_joint_circuit_keeps_the_state_normalised(case, iterations, seed, data):
+    # the branches' squared norms sum to 1 before the draw normalises them
+    kind, n, kappa, u, c = case
+    inst = build_instance(kind, n, kappa, seed)
+    family = guess_family_for(inst, u)
+    excluded = data.draw(st.sets(st.integers(0, (1 << family.search_bits) - 1),
+                                 max_size=(1 << family.search_bits) - 1))
+    circuit = offline_simon._JointCircuit(build_database_cpa(inst, u, c), family)
+    branches = circuit._amplify(iterations, excluded)
+    assert abs(np.sum(np.square(branches)) - 1.0) <= 1e-12
+
+
+def test_zero_iteration_search_holds_register_vectors_only():
+    import tracemalloc
+
+    # EFX n = 3, kappa = 1, u = 3 has one guess bit and no iterations: the
+    # search needs neither the maps of every guess nor the tested rows
+    inst = efx_instance(3, 1, 11)
+    db = build_database_cpa(inst, 3, 3)
+    family = guess_family_for(inst, 3)
+    assert qsim.search_iterations(family.search_bits) == 0
+    tracemalloc.start()
+    try:
+        circuit = offline_simon._JointCircuit(db, family)
+        assert circuit.total == 19
+        rng = np.random.default_rng(0)
+        first, _ = circuit.run_search(rng, 0, set())
+        circuit.run_search(rng, 0, {first})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert circuit.maps is None
+    assert peak < 16 * (1 << 19)
 
 
 # run_search outputs (guess, samples) of two searches, the second excluding the
