@@ -12,6 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+# the largest power of two a float holds is 2^1023
+MAX_EXPONENT = 1023
+
 
 @dataclass
 class BoundParams:
@@ -29,9 +32,12 @@ class BoundParams:
     def validate(self) -> None:
         if self.n < 1 or self.kappa < 0:
             raise ValueError("sizes must be positive")
+        if self.n > MAX_EXPONENT:
+            raise ValueError(f"n: {self.n} is over the limit of {MAX_EXPONENT}")
         for name in ("D", "T"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative")
         if self.D > 2.0 ** self.n:
             raise ValueError("D cannot exceed the codebook")
 

@@ -12,7 +12,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 MAX_BITS = 16
 
@@ -66,12 +66,6 @@ class IdealCipher:
             perm = make_permutation(self.n, derive_seed(self.seed, "key", key))
             self.cache[key] = perm
         return perm
-
-    def forward(self, key: int, x: int) -> int:
-        return self.permutation(key).table[x]
-
-    def backward(self, key: int, y: int) -> int:
-        return self.permutation(key).inverse_table[y]
 
 
 def make_ideal_cipher(n: int, kappa: int, seed: int) -> IdealCipher:
@@ -294,6 +288,19 @@ def decrypt_with(kind: ConstructionKind, components: Sequence,
                                                            ^ _unapply(outer, y)))
 
 
+def pair_check(instance: ConstructionInstance, km: KeyMaterial,
+               pairs: Iterable[Tuple[int, int]]) -> Tuple[bool, int]:
+    """(whether km sends every pair's plaintext to its ciphertext, evaluations
+    spent), one evaluation per layer for each pair tried up to the first miss."""
+    layers = SPECS[instance.kind].evals
+    evals = 0
+    for pt, ct in pairs:
+        evals += layers
+        if encrypt_with(instance.kind, instance.components, km, pt) != ct:
+            return False, evals
+    return True, evals
+
+
 def complete_key(kind: ConstructionKind, components: Sequence,
                  k: Optional[int], w1: int, pt: int, ct: int) -> Tuple[KeyMaterial, int]:
     """Key material with inner key k and first whitening w1 that sends pt to ct.
@@ -312,31 +319,22 @@ def complete_key(kind: ConstructionKind, components: Sequence,
 
 @dataclass
 class ConstructionInstance:
-    """A keyed construction exposing encrypt/decrypt with online query counters."""
+    """A keyed construction exposing encryption with an online query counter."""
 
     kind: ConstructionKind
     components: List
     key_material: KeyMaterial
     n: int
     online_forward: int = 0
-    online_backward: int = 0
 
     def encrypt(self, x: int) -> int:
         self.online_forward += 1
         return self._raw_encrypt(x)
 
-    def decrypt(self, y: int) -> int:
-        x = self._raw_decrypt(y)  # a forward-only kind raises before counting
-        self.online_backward += 1
-        return x
-
     # uncounted access, used by simulators that realize black-box quantum
     # oracles; callers account for oracle applications themselves
     def _raw_encrypt(self, x: int) -> int:
         return encrypt_with(self.kind, self.components, self.key_material, x)
-
-    def _raw_decrypt(self, y: int) -> int:
-        return decrypt_with(self.kind, self.components, self.key_material, y)
 
     def layers(self, k: Optional[int]) -> Layers:
         """(relabel, inner, outer) under inner-key guess k."""

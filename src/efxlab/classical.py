@@ -15,16 +15,15 @@ import numpy as np
 
 from . import gf2
 from .ciphers import (
-    SPECS,
     ConstructionInstance,
     ConstructionKind,
     KeyMaterial,
     check_attack,
-    encrypt_with,
     key_material,
     key_widths,
     layer_inverse_table,
     layer_table,
+    pair_check,
     report_keys,
 )
 
@@ -85,17 +84,6 @@ def _key_space(kind: ConstructionKind, n: int, kappa: int):
         yield KeyMaterial(**dict(zip(names, values)))
 
 
-def _pair_check(instance: ConstructionInstance, km: KeyMaterial,
-                pairs: Sequence[Tuple[int, int]]) -> Tuple[bool, int]:
-    """(whether km sends every pair's plaintext to its ciphertext, evaluations
-    spent), one evaluation per layer for each pair tried up to the first miss."""
-    layers = SPECS[instance.kind].evals
-    for tried, (pt, ct) in enumerate(pairs, 1):
-        if encrypt_with(instance.kind, instance.components, km, pt) != ct:
-            return False, tried * layers
-    return True, len(pairs) * layers
-
-
 def exhaustive_search(instance: ConstructionInstance,
                       known_pairs: Sequence[Tuple[int, int]],
                       seed: int = 0) -> ClassicalReport:
@@ -106,7 +94,7 @@ def exhaustive_search(instance: ConstructionInstance,
         raise ValueError("need at least two known pairs to pin the key down")
     evals = 0
     for km in _key_space(kind, instance.n, instance.kappa):
-        ok, spent = _pair_check(instance, km, known_pairs)
+        ok, spent = pair_check(instance, km, known_pairs)
         evals += spent
         if ok:
             k, k1, k2 = report_keys(kind, km)
@@ -183,7 +171,7 @@ def guess_and_em_attack(instance: ConstructionInstance, D: int,
             evals += 1
             k2 = peel_cached(x) ^ fwd(x ^ k1)
             km = key_material(kind, guess, k1, k2)
-            ok, spent = _pair_check(instance, km, pairs)
+            ok, spent = pair_check(instance, km, pairs)
             evals += spent
             return report(km) if ok else None
 

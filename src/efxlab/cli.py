@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,6 +59,10 @@ def _cmd_bounds(args) -> int:
         [args.n * i / 4.0 for i in range(5)]
     grid_t = args.grid_t if args.grid_t is not None else \
         [(args.kappa + args.n) * i / 4.0 for i in range(5)]
+    for log2 in grid_d + grid_t:
+        if not (math.isfinite(log2) and log2 <= bounds.MAX_EXPONENT):
+            raise ValueError(f"grid exponent {log2}: must be finite and at most "
+                             f"{bounds.MAX_EXPONENT}")
     lines = ["log2D,log2T,bound_small_D,bound_any_D,quantum_bound"]
     for log2_d in grid_d:
         for log2_t in grid_t:

@@ -63,8 +63,8 @@ class ExperimentConfig:
             errors.append(f"kappa: {self.kappa} out of range [1, 16]")
         if self.attack == "offline_simon" and not 0 <= self.u <= self.n:
             errors.append(f"u: {self.u} out of range [0, n]")
-        if self.c < 1:
-            errors.append(f"c: {self.c} must be at least 1")
+        if not 1 <= self.c <= offline_simon.MAX_REGISTERS:
+            errors.append(f"c: {self.c} out of range [1, {offline_simon.MAX_REGISTERS}]")
         if self.mode not in ("TENSOR", "EXACT"):
             errors.append(f"mode: {self.mode!r} is not TENSOR or EXACT")
         if not 0.0 <= self.alpha < 1.0:

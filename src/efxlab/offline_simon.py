@@ -8,8 +8,8 @@ whitening-suffix guesses. Testing a guess transforms each register in place
 (relabel the input, undo the outer cipher layer, XOR a guess-keyed value)
 and checks whether the resulting function is periodic via the rank of
 Hadamard samples. A guess family keeps each layer as one dense table per
-inner key and gathers a guess's maps, or the stacked maps of many guesses,
-from them; GuessMaps.apply is the one place that applies them.
+inner key, and GuessFamily.maps, the one place that applies them, reads a
+guess's images (or those of an array of guesses) straight from the tables.
 
 Two fidelity modes are provided:
 
@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -58,9 +58,9 @@ from .ciphers import (
     KeyMaterial,
     check_attack,
     complete_key,
-    encrypt_with,
     layer_inverse_table,
     layer_table,
+    pair_check,
     report_keys,
 )
 
@@ -77,6 +77,10 @@ _TEST_BLOCK = 1 << 14
 # c. Each costs about 200 B (185 B measured at u = 6, c = 8, rising with u).
 MAX_SPAN_DP_TRANSITIONS = 1 << 22
 SPAN_DP_BYTES_PER_TRANSITION = 200
+# query registers c a run may hold (em_q2: Simon samples); the span DP and the
+# sampling loops run c steps, and a u = 4, c = 1024 TENSOR trial took 5.5 s
+# on a 2-vCPU VM
+MAX_REGISTERS = 1024
 
 
 def exact_qubits(search_bits: int, u: int, n_out: int, c: int) -> int:
@@ -125,10 +129,6 @@ class QueryDatabase:
 
     def embed(self, x: int) -> int:
         return x << self.embed_shift
-
-    @property
-    def alpha(self) -> float:
-        return len(self.missing) / len(self.payload)
 
     def known_pairs(self) -> List[Tuple[int, int]]:
         """(plaintext, ciphertext) pairs actually obtained from the oracle."""
@@ -203,27 +203,6 @@ def fidelity_bound(c: int, alpha: float) -> float:
 # guess families: key-indexed in-place maps
 
 
-class GuessMaps(NamedTuple):
-    """In-place transforms a guess applies to one register, as int64 tables.
-
-    relabel permutes the input value (u bits), peel is the already-inverted
-    outer layer applied to the payload, xor is XORed into the payload at the
-    relabeled input. Stacked maps carry one row per guess.
-    """
-
-    relabel: np.ndarray
-    peel: np.ndarray
-    xor: np.ndarray
-
-    def apply(self, x, w, *rows):
-        """Image (relabel(x), peel(w) ^ xor(relabel(x))) of input x and payload w.
-
-        rows selects the guess row of each entry when the maps are stacked.
-        """
-        x2 = self.relabel[rows + (x,)]
-        return x2, self.peel[rows + (w,)] ^ self.xor[rows + (x2,)]
-
-
 @dataclass
 class GuessFamily:
     """Guess-indexed register transforms for one construction instance.
@@ -250,19 +229,16 @@ class GuessFamily:
         return self.kappa_bits + self.suffix_bits
 
     def split(self, g: int) -> Tuple[int, int]:
-        """(y1, y2) of guess g."""
+        """(y1, y2) of guess g, or of each guess of an array."""
         return g >> self.kappa_bits, g & ((1 << self.kappa_bits) - 1)
 
-    def maps(self, g) -> GuessMaps:
-        """Maps of guess g; an array of guesses gives stacked maps, one row each.
-
-        The XOR table is inner(x || y1) under inner key y2.
-        """
-        g = np.asarray(g, dtype=np.int64)
-        y2 = g & ((1 << self.kappa_bits) - 1)
-        inputs = (np.arange(1 << self.u, dtype=np.int64) << self.suffix_bits) \
-            | (g[..., None] >> self.kappa_bits)
-        return GuessMaps(self.relabel[y2], self.peel[y2], self.inner[y2[..., None], inputs])
+    def maps(self, g, x, w):
+        """Images (relabel(x), peel(w) ^ inner(relabel(x) || y1)) of inputs x
+        and payloads w under inner key y2; g is one guess or an array of
+        guesses broadcast against x and w."""
+        y1, y2 = self.split(g)
+        x2 = self.relabel[y2, x]
+        return x2, self.peel[y2, w] ^ self.inner[y2, (x2 << self.suffix_bits) | y1]
 
 
 def guess_family_for(instance: ConstructionInstance, u: int) -> GuessFamily:
@@ -290,11 +266,13 @@ def guess_family_for(instance: ConstructionInstance, u: int) -> GuessFamily:
 # per-register test statistics
 
 
-def transformed_payload(payload: Sequence[int], maps: GuessMaps) -> np.ndarray:
-    """The payload table after the guess maps, indexed by the relabeled input;
-    stacked maps give one row per guess."""
-    rows = (np.arange(len(maps.xor))[:, None],) if maps.xor.ndim == 2 else ()
-    x2, w2 = maps.apply(np.arange(len(payload)), np.asarray(payload, dtype=np.int64), *rows)
+def transformed_payload(payload: Sequence[int], family: GuessFamily, g) -> np.ndarray:
+    """The payload table after guess g's maps, indexed by the relabeled input;
+    an array of guesses gives one row per guess."""
+    g = np.asarray(g)
+    rows = (np.arange(g.size)[:, None],) if g.ndim else ()
+    x2, w2 = family.maps(g[..., None], np.arange(len(payload)),
+                         np.asarray(payload, dtype=np.int64))
     h = np.empty_like(w2)
     h[rows + (x2,)] = w2
     return h
@@ -325,14 +303,14 @@ def register_distribution(h: np.ndarray, u: int) -> np.ndarray:
 def _scan_distributions(db: QueryDatabase, family: GuessFamily) -> np.ndarray:
     """register_distribution of every guess, one row per guess.
 
-    Guesses are gathered in chunks that keep the stacked peel tables near
-    2^20 entries.
+    Guesses are mapped in chunks of at most 2^20 >> (n_out - u) register
+    entries.
     """
     space = 1 << family.search_bits
     step = max(1, (1 << 20) >> db.n_out)
     return np.concatenate([
         register_distribution(transformed_payload(
-            db.payload, family.maps(np.arange(start, min(start + step, space)))), db.u)
+            db.payload, family, np.arange(start, min(start + step, space))), db.u)
         for start in range(0, space, step)])
 
 
@@ -341,14 +319,15 @@ def _extend_basis(basis: Tuple[int, ...], y: int) -> Tuple[int, ...]:
     return tuple(gf2._reduced_rows(list(basis) + [y]))
 
 
-def exact_pass_probability(dists: Sequence[np.ndarray], u: int) -> float:
-    """Exact P(rank of the c sampled vectors < u), one distribution per register.
+def exact_pass_probability(dist: np.ndarray, u: int, c: int) -> float:
+    """Exact P(rank of c vectors sampled from dist < u), the c registers
+    being identical copies.
 
     Dynamic program over the span of the samples; equivalent to enumerating
     every c-tuple of outcomes weighted by its probability.
     """
     dp: Dict[Tuple[int, ...], float] = {(): 1.0}
-    for dist in dists:
+    for _ in range(c):
         new: Dict[Tuple[int, ...], float] = {}
         for basis, pr in dp.items():
             for y, py in enumerate(dist):
@@ -424,23 +403,10 @@ class EngineOutcome:
     ambiguous: bool
     passing_count: int
     iterations: int
-    flags: List[str] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
 # candidate recovery shared by both modes
-
-
-def _fits_pairs(instance: ConstructionInstance, km: KeyMaterial,
-                pairs: Sequence[Tuple[int, int]], cost: _Cost) -> bool:
-    """Whether km sends every pair's plaintext to its ciphertext; charges one
-    evaluation per layer for each pair tried, stopping at the first miss."""
-    layers = SPECS[instance.kind].evals
-    for pt, ct in pairs:
-        cost.offline_evals += layers
-        if encrypt_with(instance.kind, instance.components, km, pt) != ct:
-            return False
-    return True
 
 
 def _candidate_verifier(instance: ConstructionInstance, db: QueryDatabase,
@@ -465,8 +431,9 @@ def _candidate_verifier(instance: ConstructionInstance, db: QueryDatabase,
         for prefix in [m for m in members if m] + [0]:
             k1 = (prefix << db.embed_shift) | y1
             km, evals = complete_key(instance.kind, instance.components, y2, k1, pt0, ct0)
-            cost.offline_evals += evals
-            if _fits_pairs(instance, km, pairs, cost):
+            ok, checked = pair_check(instance, km, pairs)
+            cost.offline_evals += evals + checked
+            if ok:
                 return km
         return None
 
@@ -545,9 +512,9 @@ class _JointCircuit:
         start..start+count-1, one row each, with the inputs from bit x_shift:
         register i of entry (x_{c-1}..x_0, w_{c-1}..w_0) holds the image of
         (x_i, w_i) under the row's guess."""
-        c, u, n = self.db.c, self.db.u, self.db.n_out
-        xt, wt = self.family.maps(np.arange(start, start + count)).apply(
-            np.arange(1 << u)[:, None], np.arange(1 << n), np.arange(count)[:, None, None])
+        guesses = np.arange(start, start + count)[:, None, None]
+        xt, wt = self.family.maps(guesses, np.arange(1 << self.db.u)[:, None],
+                                  np.arange(1 << self.db.n_out))
         return self._layout_indices(xt, wt, x_shift)
 
     def _layout_indices(self, xt: np.ndarray, wt: np.ndarray, x_shift: int) -> np.ndarray:
@@ -713,7 +680,8 @@ def generalized_offline_simon(db: QueryDatabase, family: GuessFamily,
     simulates the joint state when there is a guess register, and otherwise
     samples each unentangled register's exact distribution, as TENSOR does.
     EXACT checks its qubit count against qsim.DEFAULT_QUBIT_CAP, and both modes
-    check span_dp_transitions against MAX_SPAN_DP_TRANSITIONS, before the scan.
+    check c against MAX_REGISTERS and span_dp_transitions against
+    MAX_SPAN_DP_TRANSITIONS, before the scan.
 
     try_candidates(guess, samples) turns a measured guess plus Simon samples
     into verified key material (None rejects the guess and the search
@@ -727,6 +695,8 @@ def generalized_offline_simon(db: QueryDatabase, family: GuessFamily,
         if qubits > qsim.DEFAULT_QUBIT_CAP:
             raise ValueError(f"EXACT state needs {qubits} qubits, "
                              f"cap is {qsim.DEFAULT_QUBIT_CAP}")
+    if db.c > MAX_REGISTERS:
+        raise ValueError(f"{db.c} registers, limit is {MAX_REGISTERS}")
     transitions = span_dp_transitions(db.u, db.c)
     if transitions > MAX_SPAN_DP_TRANSITIONS:
         raise ValueError(f"span DP needs {transitions:,} transitions, "
@@ -735,9 +705,8 @@ def generalized_offline_simon(db: QueryDatabase, family: GuessFamily,
     space = 1 << m
     dists = _scan_distributions(db, family)
     passing = [g for g in range(space)
-               if exact_pass_probability([dists[g]] * db.c, db.u) >= 0.5]
+               if exact_pass_probability(dists[g], db.u, db.c) >= 0.5]
     ambiguous = len(passing) > 1
-    flags = ["ambiguous-passing-set"] if ambiguous else []
     if mode == "EXACT" and m > 0:
         draw = partial(_JointCircuit(db, family).run_search, rng, iterations)
     else:
@@ -762,7 +731,7 @@ def generalized_offline_simon(db: QueryDatabase, family: GuessFamily,
             break
         excluded.add(g)
     return EngineOutcome(recovered, g if recovered is not None else None, searches,
-                         ambiguous, len(passing), iterations, flags)
+                         ambiguous, len(passing), iterations)
 
 
 def _search_attack(instance: ConstructionInstance, db: QueryDatabase, u: int,
@@ -791,7 +760,7 @@ def _search_attack(instance: ConstructionInstance, db: QueryDatabase, u: int,
         searches=outcome.searches,
         ambiguous=outcome.ambiguous,
         passing_count=outcome.passing_count,
-        flags=outcome.flags,
+        flags=["ambiguous-passing-set"] if outcome.ambiguous else [],
         search_time_units=cost.sim_time - build_time,
         **fields,
     )
@@ -876,8 +845,9 @@ def em_q2_attack(instance: ConstructionInstance, c: int,
     if result.is_period:
         km, evals = complete_key(kind, instance.components, None, result.period,
                                  0, instance.encrypt(0))
-        cost.offline_evals += evals
-        if not _fits_pairs(instance, km, enumerate(codebook), cost):
+        ok, checked = pair_check(instance, km, enumerate(codebook))
+        cost.offline_evals += evals + checked
+        if not ok:
             flags.append("period-verification-failed")
             km = None
     else:

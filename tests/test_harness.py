@@ -262,6 +262,10 @@ def assert_rejected_before_running(argv, capsys, monkeypatch):
     # span DPs of 104 M and 67 M transitions, about 21 and 13 GB
     "attack = offline_simon\nconstruction = EFX\nn = 8\nkappa = 1\nalpha = 0.1\nc = 6",
     "attack = offline_simon\nconstruction = EM\nn = 13\nu = 13\nc = 2\nmode = EXACT",
+    # more registers than MAX_REGISTERS: the pass test and sampling loop c times
+    "attack = offline_simon\nconstruction = EFX\nn = 4\nkappa = 4\nu = 2\n"
+    "c = 100000000000000000000",
+    "attack = em_q2\nconstruction = EM\nn = 4\nkappa = 1\nc = 1025",
 ])
 def test_cli_rejects_unsupported_config_before_running(tmp_path, capsys, monkeypatch,
                                                        config):
@@ -281,9 +285,14 @@ def test_cli_rejects_unsupported_config_before_running(tmp_path, capsys, monkeyp
     ["sweep", "--axis", "u", "--values", "1", "--config", "{dir}"],
     ["plot", "--in", "{dir}", "--out", "{dir}/x.svg"],
     ["plot", "--in", "{dir}/short.csv", "--out", "{dir}/x.svg"],
+    # 2^1100, 2^2000 and 2^1100 overflow a float; nan is no exponent
+    ["bounds", "--n", "4", "--kappa", "8", "--grid-t", "1100"],
+    ["bounds", "--n", "4", "--kappa", "8", "--grid-d", "2000"],
+    ["bounds", "--n", "1100", "--kappa", "8", "--grid-d", "1", "--grid-t", "1"],
+    ["bounds", "--n", "4", "--kappa", "8", "--grid-d", "nan"],
 ], ids=["sweep-u", "sweep-D", "sweep-n", "curves-n-zero", "curves-n-negative",
         "curves-kappa-negative", "attack-config-dir", "sweep-config-dir", "plot-in-dir",
-        "plot-short-row"])
+        "plot-short-row", "bounds-t-1100", "bounds-d-2000", "bounds-n-1100", "bounds-d-nan"])
 def test_cli_rejects_misuse_before_running(tmp_path, capsys, monkeypatch, argv):
     if argv[0] == "sweep" and "--config" not in argv:
         cfg_path = tmp_path / "exp.cfg"

@@ -13,7 +13,6 @@ from efxlab.ciphers import ConstructionKind, KeyMaterial, derive_seed, make_cons
 from efxlab.harness import ExperimentConfig, build_instance, true_keys
 from efxlab.offline_simon import (
     GuessFamily,
-    GuessMaps,
     build_database_cpa,
     build_database_kpa,
     database_overlap,
@@ -36,8 +35,8 @@ def efx_instance(n, kappa, seed):
 def pass_probability(db, g, family):
     """Exact chance that guess g's c post-Hadamard samples have rank below u,
     computed as the attack's scan computes it."""
-    dist = register_distribution(transformed_payload(db.payload, family.maps(g)), db.u)
-    return exact_pass_probability([dist] * db.c, db.u)
+    dist = register_distribution(transformed_payload(db.payload, family, g), db.u)
+    return exact_pass_probability(dist, db.u, db.c)
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +47,7 @@ def test_cpa_database_full_codebook():
     inst = efx_instance(4, 4, 1)
     db = build_database_cpa(inst, 4, 3)
     assert inst.online_forward == 16
-    assert db.alpha == 0.0
+    assert db.missing == frozenset()
     assert db.c == 3
     assert db.payload == tuple(inst._raw_encrypt(x) for x in range(16))
     # report keys are completed from these pairs, so they must stay Python ints
@@ -75,18 +74,18 @@ def test_kpa_database_matches_cpa_when_everything_known():
     full = build_database_cpa(a, 4, 2)
     known = build_database_kpa(b, range(16), 2)
     assert known.payload == full.payload
-    assert known.alpha == 0.0
+    assert len(known.missing) / len(known.payload) == 0.0
 
 
 def test_kpa_database_degenerate_and_partial():
     inst = efx_instance(4, 4, 5)
     db = build_database_kpa(inst, [], 2)
-    assert db.alpha == 1.0
+    assert len(db.missing) / len(db.payload) == 1.0
     assert all(v == 0 for v in db.payload)
     inst2 = efx_instance(4, 4, 6)
     db2 = build_database_kpa(inst2, [x for x in range(16) if x != 7], 3)
     assert db2.missing == {7}
-    assert db2.alpha == 1 / 16
+    assert len(db2.missing) / len(db2.payload) == 1 / 16
 
 
 def test_database_overlap_closed_form():
@@ -160,18 +159,23 @@ def brute_force_pass_probability(dists, u):
     return total
 
 
-def test_exact_pass_probability_matches_tuple_enumeration():
-    rng = np.random.default_rng(11)
-    for u, c in [(1, 4), (2, 3), (2, 4), (3, 2)]:
-        for _ in range(5):
-            dists = []
-            for _ in range(c):
-                d = rng.random(1 << u)
-                d /= d.sum()
-                dists.append(d)
-            exact = exact_pass_probability(dists, u)
-            brute = brute_force_pass_probability(dists, u)
-            assert abs(exact - brute) < 1e-12
+@st.composite
+def distribution_and_copies(draw):
+    """A random distribution over u-bit outcomes (zeros included) and c copies
+    with c * u <= 8."""
+    u = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 8 // u))
+    weights = draw(st.lists(st.integers(0, 1000), min_size=1 << u, max_size=1 << u)
+                   .filter(any))
+    return np.array(weights) / sum(weights), u, c
+
+
+@settings(max_examples=100, deadline=None)
+@given(distribution_and_copies())
+def test_exact_pass_probability_matches_tuple_enumeration(case):
+    dist, u, c = case
+    exact = exact_pass_probability(dist, u, c)
+    assert abs(exact - brute_force_pass_probability([dist] * c, u)) < 1e-12
 
 
 def test_correct_guess_passes_with_probability_one():
@@ -207,7 +211,7 @@ def test_single_register_single_bit_hand_enumeration():
     # u=1, c=1: a periodic register samples y=0 always, so rank<1 always holds
     dist = register_distribution(np.array([5, 5]), 1)
     assert np.allclose(dist, [1.0, 0.0])
-    assert exact_pass_probability([dist], 1) == 1.0
+    assert exact_pass_probability(dist, 1, 1) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +359,7 @@ def test_span_dp_over_the_limit_is_rejected_before_the_scan(monkeypatch, kind, n
 def test_span_dp_transitions_counts_the_cache(u, c):
     offline_simon._extend_basis.cache_clear()
     uniform = np.full(1 << u, 1.0 / (1 << u))
-    exact_pass_probability([uniform] * c, u)
+    exact_pass_probability(uniform, u, c)
     assert offline_simon._extend_basis.cache_info().currsize == \
         offline_simon.span_dp_transitions(u, c)
 
@@ -466,7 +470,7 @@ def test_generalized_engine_reproduces_fx_attack():
     e = inst.components[0]
     db = build_database_cpa(inst, 4, 8)
 
-    inner = np.array([[e.forward(k, x) for x in range(16)] for k in range(16)])
+    inner = np.array([e.permutation(k).table for k in range(16)])
     identity = np.tile(np.arange(16), (16, 1))
     family = GuessFamily(u=4, n_out=4, kappa_bits=4, suffix_bits=0,
                          relabel=identity, inner=inner, peel=identity)
@@ -518,36 +522,52 @@ def test_verifier_tries_every_nullspace_member():
 
 
 @st.composite
-def register_and_maps(draw):
+def register_and_family(draw):
+    """A payload and a family of random tables: up to one key bit and one
+    suffix bit, relabel and peel permutations, arbitrary inner values."""
     u = draw(st.integers(0, 5))
     n_out = draw(st.integers(1, 4))
+    kappa_bits, suffix_bits = draw(st.integers(0, 1)), draw(st.integers(0, 1))
     values = st.integers(0, (1 << n_out) - 1)
     payload = draw(st.lists(values, min_size=1 << u, max_size=1 << u))
-    maps = GuessMaps(relabel=np.array(draw(st.permutations(range(1 << u)))),
-                     peel=np.array(draw(st.permutations(range(1 << n_out)))),
-                     xor=np.array(draw(st.lists(values, min_size=1 << u, max_size=1 << u))))
-    return u, n_out, payload, maps
+    width = 1 << (u + suffix_bits)
+
+    def tables(strategy):
+        return np.array([draw(strategy) for _ in range(1 << kappa_bits)])
+
+    family = GuessFamily(u, n_out, kappa_bits, suffix_bits,
+                         relabel=tables(st.permutations(range(1 << u))),
+                         inner=tables(st.lists(values, min_size=width, max_size=width)),
+                         peel=tables(st.permutations(range(1 << n_out))))
+    return u, n_out, payload, family
 
 
 @settings(max_examples=150, deadline=None)
-@given(register_and_maps())
+@given(register_and_family())
 def test_register_distribution_matches_gate_level_simulation(case):
-    u, n_out, payload, maps = case
-    # gate level: write the transformed register, Hadamard every input qubit
-    vec = np.zeros(1 << (u + n_out), dtype=np.complex128)
-    for x, w in enumerate(payload):
-        xp = int(maps.relabel[x])
-        vec[xp | ((int(maps.peel[w]) ^ int(maps.xor[xp])) << u)] = (1 << u) ** -0.5
-    for q in range(u):
-        qsim.hadamard_qubit(vec, q)
-    born = np.bincount(np.arange(vec.size) & ((1 << u) - 1),
-                       weights=np.abs(vec) ** 2, minlength=1 << u)
-    dist = register_distribution(offline_simon.transformed_payload(payload, maps), u)
-    assert np.allclose(dist, born, atol=1e-12)
-    # stacked maps give the same row for every guess they hold
-    stacked = GuessMaps(*(np.stack([t, t]) for t in maps))
-    rows = register_distribution(offline_simon.transformed_payload(payload, stacked), u)
-    assert np.array_equal(rows, np.stack([dist, dist]))
+    u, n_out, payload, family = case
+    space = 1 << family.search_bits
+    xs, ws = np.arange(1 << u), np.array(payload)
+    x_rows, w_rows = family.maps(np.arange(space)[:, None], xs, ws)
+    dists = register_distribution(transformed_payload(payload, family, np.arange(space)), u)
+    for g in range(space):
+        y1, y2 = g >> family.kappa_bits, g & ((1 << family.kappa_bits) - 1)
+        # gate level: write the transformed register, Hadamard every input qubit
+        vec = np.zeros(1 << (u + n_out), dtype=np.complex128)
+        for x, w in enumerate(payload):
+            xp = int(family.relabel[y2, x])
+            w2 = int(family.peel[y2, w]) ^ int(family.inner[y2, (xp << family.suffix_bits) | y1])
+            vec[xp | (w2 << u)] = (1 << u) ** -0.5
+        for q in range(u):
+            qsim.hadamard_qubit(vec, q)
+        born = np.bincount(np.arange(vec.size) & ((1 << u) - 1),
+                           weights=np.abs(vec) ** 2, minlength=1 << u)
+        dist = register_distribution(transformed_payload(payload, family, g), u)
+        assert np.allclose(dist, born, atol=1e-12)
+        # an array of guesses gives, row by row, what scalar maps calls give
+        x2, w2 = family.maps(g, xs, ws)
+        assert np.array_equal(x_rows[g], x2) and np.array_equal(w_rows[g], w2)
+        assert np.array_equal(dists[g], dist)
 
 
 @settings(max_examples=25, deadline=None)
@@ -579,12 +599,12 @@ def _reference_search(db, family, iterations, excluded, rng):
     m, u, n, c = family.search_bits, db.u, db.n_out, db.c
     reg, space = u + n, 1 << family.search_bits
 
-    def forward(maps, idx, base, *rows):
+    def forward(g, idx, base):
         image, inputs = np.zeros_like(idx), np.zeros_like(idx)
         for i in range(c):
             off = base + i * reg
             x = (idx >> off) & ((1 << u) - 1)
-            x2, w2 = maps.apply(x, (idx >> (off + u)) & ((1 << n) - 1), *rows)
+            x2, w2 = family.maps(g, x, (idx >> (off + u)) & ((1 << n) - 1))
             image |= (x2 << off) | (w2 << (off + u))
             inputs |= x << (i * u)
         return image, inputs
@@ -596,7 +616,7 @@ def _reference_search(db, family, iterations, excluded, rng):
 
     idx = np.arange(1 << (m + c * reg))
     guess = idx & (space - 1)
-    fwd, inputs = forward(family.maps(np.arange(space)), idx, m, guess)
+    fwd, inputs = forward(guess, idx, m)
     fwd |= guess
     bwd = inverse(fwd)
     deficient = np.array([gf2.rank([(key >> (i * u)) & ((1 << u) - 1) for i in range(c)], u) < u
@@ -622,7 +642,7 @@ def _reference_search(db, family, iterations, excluded, rng):
     g = int(rng.choice(space, p=probs / probs.sum()))
     branch = amps.reshape(-1, space)[:, g]
     idx = np.arange(branch.size)
-    state = branch[inverse(forward(family.maps(g), idx, 0)[0])]
+    state = branch[inverse(forward(g, idx, 0)[0])]
     for i in range(c):
         for j in range(u):
             _reference_hadamard(state, i * reg + j)
