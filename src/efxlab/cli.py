@@ -23,8 +23,7 @@ def _load_config(path: str, seed) -> harness.ExperimentConfig:
     cfg = harness.parse_config(Path(path).read_text())
     if seed is not None:
         cfg.seed = seed
-    errors = cfg.validate()
-    if errors:
+    if errors := cfg.validate():
         raise ValueError("; ".join(errors))
     return cfg
 

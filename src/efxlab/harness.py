@@ -80,29 +80,18 @@ class ExperimentConfig:
             if spec.full_domain and self.attack == "offline_simon" \
                     and self.effective_u != self.n:
                 errors.append(f"u: {kind.value} needs the full domain (u = n)")
-            search_bits = self.effective_kappa + self.n - self.effective_u
             widths = dict(key_widths(kind, self.n, self.kappa))
             label, bits = {
-                **dict.fromkeys(SEARCH_ATTACKS, ("kappa + n - u", search_bits)),
                 "guess_and_em": ("kappa + n", self.effective_kappa + self.n),
                 "exhaustive": (" + ".join(widths), sum(widths.values())),
             }.get(self.attack, ("", 0))
             if bits > offline_simon.MAX_SEARCH_BITS:
                 errors.append(f"search space: {label} = {bits} bits, "
                               f"over the limit of {offline_simon.MAX_SEARCH_BITS}")
-            if self.mode == "EXACT" and self.attack in SEARCH_ATTACKS:
-                needed = offline_simon.exact_qubits(search_bits, self.effective_u,
-                                                    self.n, self.c)
-                if needed > self.qubit_cap:
-                    errors.append(f"mode: EXACT joint state needs {needed} qubits, "
-                                  f"cap is {self.qubit_cap}")
             if self.attack in SEARCH_ATTACKS and 0 <= self.effective_u <= self.n <= 16:
-                dp = offline_simon.span_dp_transitions(self.effective_u, self.c)
-                if dp > offline_simon.MAX_SPAN_DP_TRANSITIONS:
-                    errors.append(f"span DP: u = {self.effective_u}, c = {self.c} caches "
-                                  f"{dp:,} transitions, about "
-                                  f"{dp * offline_simon.SPAN_DP_BYTES_PER_TRANSITION:,} bytes, "
-                                  f"over the limit of {offline_simon.MAX_SPAN_DP_TRANSITIONS:,}")
+                errors += offline_simon.search_limits(
+                    self.effective_kappa + self.n - self.effective_u, self.effective_u,
+                    self.n, self.c, self.mode, self.qubit_cap)
         if self.qubit_cap > qsim.DEFAULT_QUBIT_CAP:
             errors.append(
                 f"qubit_cap: {self.qubit_cap} is over the limit of {qsim.DEFAULT_QUBIT_CAP}; "
@@ -216,8 +205,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
 
 def run_attack(cfg: ExperimentConfig) -> dict:
     """Run all trials and assemble the aggregate report (deterministic in seed)."""
-    errors = cfg.validate()
-    if errors:
+    if errors := cfg.validate():
         raise ValueError("; ".join(errors))
     trials = [run_trial(cfg, i) for i in range(cfg.trials)]
     n_ok = sum(1 for t in trials if t["success"])
@@ -286,8 +274,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> List[dic
     base_rate = None
     if axis == "alpha":
         base_cfg = ExperimentConfig(**{**asdict(cfg), "alpha": 0.0})
-        errors = base_cfg.validate()
-        if errors:
+        if errors := base_cfg.validate():
             raise ValueError("alpha sweep baseline invalid: " + "; ".join(errors))
         base_rate = run_attack(base_cfg)["summary"]["success_rate"]
     for idx, value in enumerate(values):
@@ -301,8 +288,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> List[dic
         else:
             point["n"] = int(value)
         point_cfg = ExperimentConfig(**point)
-        errors = point_cfg.validate()
-        if errors:
+        if errors := point_cfg.validate():
             raise ValueError(f"sweep point {idx} ({axis}={value}): " + "; ".join(errors))
         report = run_attack(point_cfg)
         summary = report["summary"]

@@ -102,6 +102,25 @@ def span_dp_transitions(u: int, c: int) -> int:
     return spans << u
 
 
+def search_limits(search_bits: int, u: int, n_out: int, c: int, mode: str,
+                  qubit_cap: int = qsim.DEFAULT_QUBIT_CAP) -> List[str]:
+    """One message per limit that a search over search_bits guess bits with c
+    registers of u + n_out bits breaks (none when it fits): the search bits,
+    the EXACT qubits and the span DP's transitions. Every search path asks
+    before it builds the guess family."""
+    errors = []
+    if search_bits > MAX_SEARCH_BITS:
+        errors.append(f"search space: kappa + n - u = {search_bits} bits, "
+                      f"over the limit of {MAX_SEARCH_BITS}")
+    if mode == "EXACT" and (qubits := exact_qubits(search_bits, u, n_out, c)) > qubit_cap:
+        errors.append(f"mode: EXACT joint state needs {qubits} qubits, cap is {qubit_cap}")
+    if (transitions := span_dp_transitions(u, c)) > MAX_SPAN_DP_TRANSITIONS:
+        errors.append(f"span DP: u = {u}, c = {c} caches {transitions:,} transitions, "
+                      f"about {transitions * SPAN_DP_BYTES_PER_TRANSITION:,} bytes, "
+                      f"over the limit of {MAX_SPAN_DP_TRANSITIONS:,}")
+    return errors
+
+
 # ---------------------------------------------------------------------------
 # query database
 
@@ -251,9 +270,6 @@ def guess_family_for(instance: ConstructionInstance, u: int) -> GuessFamily:
     n = instance.n
     if spec.full_domain and u != n:
         raise ValueError(f"{instance.kind.value} requires the full input domain (u = n)")
-    if instance.kappa + n - u > MAX_SEARCH_BITS:
-        raise ValueError(f"search space of {instance.kappa + n - u} bits "
-                         "exceeds the desk-scale cap")
     keys = [instance.layers(k) for k in range(1 << instance.kappa)]
     # a relabel layer forces u = n, so the identity is all a shorter input sees
     relabel = np.array([layer_table(r, n)[:1 << u] for r, _, _ in keys], dtype=np.int64)
@@ -502,7 +518,6 @@ class _JointCircuit:
         self.db = db
         self.family = family
         self.m = m = family.search_bits
-        self.total = exact_qubits(m, db.u, db.n_out, db.c)
         self.size = 1 << (db.c * (db.u + db.n_out))
         self.block = min(1 << m, max(1, _TEST_BLOCK // self.size))
         self.maps: Optional[np.ndarray] = None
@@ -679,9 +694,8 @@ def generalized_offline_simon(db: QueryDatabase, family: GuessFamily,
     draw of the measured guess and its samples depends on the mode: EXACT
     simulates the joint state when there is a guess register, and otherwise
     samples each unentangled register's exact distribution, as TENSOR does.
-    EXACT checks its qubit count against qsim.DEFAULT_QUBIT_CAP, and both modes
-    check c against MAX_REGISTERS and span_dp_transitions against
-    MAX_SPAN_DP_TRANSITIONS, before the scan.
+    Before the scan it checks c against MAX_REGISTERS and asks
+    search_limits, with the default qubit cap, whether the search fits.
 
     try_candidates(guess, samples) turns a measured guess plus Simon samples
     into verified key material (None rejects the guess and the search
@@ -689,18 +703,11 @@ def generalized_offline_simon(db: QueryDatabase, family: GuessFamily,
     """
     if mode not in ("TENSOR", "EXACT"):
         raise ValueError(f"unknown mode {mode!r}")
-    m = family.search_bits
-    if mode == "EXACT":
-        qubits = exact_qubits(m, db.u, db.n_out, db.c)
-        if qubits > qsim.DEFAULT_QUBIT_CAP:
-            raise ValueError(f"EXACT state needs {qubits} qubits, "
-                             f"cap is {qsim.DEFAULT_QUBIT_CAP}")
     if db.c > MAX_REGISTERS:
         raise ValueError(f"{db.c} registers, limit is {MAX_REGISTERS}")
-    transitions = span_dp_transitions(db.u, db.c)
-    if transitions > MAX_SPAN_DP_TRANSITIONS:
-        raise ValueError(f"span DP needs {transitions:,} transitions, "
-                         f"limit is {MAX_SPAN_DP_TRANSITIONS:,}")
+    m = family.search_bits
+    if errors := search_limits(m, db.u, db.n_out, db.c, mode):
+        raise ValueError("; ".join(errors))
     iterations = qsim.search_iterations(m)
     space = 1 << m
     dists = _scan_distributions(db, family)
@@ -742,6 +749,8 @@ def _search_attack(instance: ConstructionInstance, db: QueryDatabase, u: int,
     build_time is charged once before the search and again for every
     rebuild between searches; search_time_units leaves out the first charge.
     """
+    if errors := search_limits(instance.kappa + instance.n - u, u, db.n_out, db.c, mode):
+        raise ValueError("; ".join(errors))
     cost = _Cost(sim_time=build_time)
     family = guess_family_for(instance, u)
     outcome = generalized_offline_simon(

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+from .bounds import MAX_EXPONENT
+
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 170, 30, 50
 
@@ -12,7 +14,8 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
 def parse_curve_csv(text: str) -> List[Tuple[str, float, float, str]]:
-    """Rows (attack, log2D_over_n, log2T_over_n, source) from curve CSV text."""
+    """Rows (attack, log2D_over_n, log2T_over_n, source) from curve CSV text;
+    a coordinate is at most MAX_EXPONENT in magnitude, as a float D or T is."""
     rows = []
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
@@ -26,10 +29,13 @@ def parse_curve_csv(text: str) -> List[Tuple[str, float, float, str]]:
         parts = [p.strip() for p in ln.split(",")]
         if len(parts) < len(header):
             raise ValueError(f"line {no}: {len(parts)} fields, the header has {len(header)}")
+        coords = [float(parts[idx[col]]) for col in needed[1:]]
+        for col, value in zip(needed[1:], coords):
+            if not abs(value) <= MAX_EXPONENT:  # false for nan too
+                raise ValueError(f"line {no}: {col} = {value}: must be finite and at "
+                                 f"most {MAX_EXPONENT} in magnitude")
         rows.append((
-            parts[idx["attack"]],
-            float(parts[idx["log2D_over_n"]]),
-            float(parts[idx["log2T_over_n"]]),
+            parts[idx["attack"]], *coords,
             parts[idx["measured_or_formula"]] if "measured_or_formula" in idx else "formula",
         ))
     return rows

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -290,17 +295,40 @@ def test_cli_rejects_unsupported_config_before_running(tmp_path, capsys, monkeyp
     ["bounds", "--n", "4", "--kappa", "8", "--grid-d", "2000"],
     ["bounds", "--n", "1100", "--kappa", "8", "--grid-d", "1", "--grid-t", "1"],
     ["bounds", "--n", "4", "--kappa", "8", "--grid-d", "nan"],
+    ["plot", "--in", "{dir}/nan.csv", "--out", "{dir}/x.svg"],
 ], ids=["sweep-u", "sweep-D", "sweep-n", "curves-n-zero", "curves-n-negative",
         "curves-kappa-negative", "attack-config-dir", "sweep-config-dir", "plot-in-dir",
-        "plot-short-row", "bounds-t-1100", "bounds-d-2000", "bounds-n-1100", "bounds-d-nan"])
+        "plot-short-row", "bounds-t-1100", "bounds-d-2000", "bounds-n-1100", "bounds-d-nan",
+        "plot-nan"])
 def test_cli_rejects_misuse_before_running(tmp_path, capsys, monkeypatch, argv):
     if argv[0] == "sweep" and "--config" not in argv:
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(BASE_CONFIG)
         argv = argv + ["--config", str(cfg_path)]
     (tmp_path / "short.csv").write_text("attack,log2D_over_n,log2T_over_n\nq1,0.5\n")
+    (tmp_path / "nan.csv").write_text("attack,log2D_over_n,log2T_over_n\nq1,0.5,nan\n")
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     assert_rejected_before_running(argv, capsys, monkeypatch)
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "1e300"])
+def test_cli_plot_refuses_an_unbounded_coordinate_in_a_subprocess(tmp_path, value):
+    # the tick loop never ended on these values and grew by about 40 MB/s: a hang
+    # fails here on the timeout or on the 1 GB address-space limit
+    csv_path = tmp_path / "curve.csv"
+    csv_path.write_text(f"attack,log2D_over_n,log2T_over_n\nq1,{value},0.5\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "efxlab", "plot", "--in", str(csv_path),
+                           "--out", str(tmp_path / "x.svg")],
+                          capture_output=True, text=True, timeout=60, env=env,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                (1 << 30, 1 << 30)))
+    assert done.returncode == cli.EXIT_CONFIG_ERROR
+    assert done.stderr.startswith("error: line 2: log2D_over_n")
+    assert "Traceback" not in done.stderr
     assert not (tmp_path / "x.svg").exists()
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from efxlab import ciphers, gf2, offline_simon, qsim
 from efxlab.ciphers import ConstructionKind, KeyMaterial, derive_seed, make_construction
-from efxlab.harness import ExperimentConfig, build_instance, true_keys
+from efxlab.harness import ExperimentConfig, build_instance, parse_config, true_keys
 from efxlab.offline_simon import (
     GuessFamily,
     build_database_cpa,
@@ -329,10 +329,10 @@ def test_exact_mode_qubit_cap():
 ])
 def test_exact_over_the_cap_is_rejected_before_the_scan(monkeypatch, kind, n, kappa, u, c,
                                                         qubits):
-    def no_scan(db, family):
-        raise AssertionError("the guess scan ran")
+    def no_family(instance, u):
+        raise AssertionError("the guess family was built")
 
-    monkeypatch.setattr(offline_simon, "_scan_distributions", no_scan)
+    monkeypatch.setattr(offline_simon, "guess_family_for", no_family)
     inst = build_instance(kind, n, kappa, 1350)
     with pytest.raises(ValueError, match=f"needs {qubits} qubits"):
         offline_simon_attack(inst, u, c, "EXACT", np.random.default_rng(0))
@@ -340,19 +340,36 @@ def test_exact_over_the_cap_is_rejected_before_the_scan(monkeypatch, kind, n, ka
 
 @pytest.mark.parametrize("kind, n, kappa, u, c, mode", [
     (ConstructionKind.EFX, 8, 1, 8, 4, "TENSOR"),
+    # 2^16 inner keys: building their family takes about 20 s and 1 GB
+    (ConstructionKind.EFX, 8, 16, 8, 4, "TENSOR"),
     (ConstructionKind.EM, 13, 1, 13, 2, "EXACT"),  # 26 qubits, under the cap
 ])
 def test_span_dp_over_the_limit_is_rejected_before_the_scan(monkeypatch, kind, n, kappa,
                                                             u, c, mode):
-    def no_scan(db, family):
-        raise AssertionError("the guess scan ran")
+    def no_family(instance, u):
+        raise AssertionError("the guess family was built")
 
-    monkeypatch.setattr(offline_simon, "_scan_distributions", no_scan)
+    monkeypatch.setattr(offline_simon, "guess_family_for", no_family)
     inst = build_instance(kind, n, kappa, 1360)
     transitions = offline_simon.span_dp_transitions(u, c)
     assert transitions > offline_simon.MAX_SPAN_DP_TRANSITIONS
-    with pytest.raises(ValueError, match=f"span DP needs {transitions:,} transitions"):
+    with pytest.raises(ValueError, match=f"span DP: u = {u}, c = {c} caches {transitions:,} "
+                                         "transitions"):
         offline_simon_attack(inst, u, c, mode, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("config", [
+    "construction = EFX\nn = 8\nkappa = 16\nu = 2",  # 22 search bits
+    "construction = EFX\nn = 4\nkappa = 4\nu = 2\nc = 5\nmode = EXACT",  # 36 qubits
+    "construction = EFX\nn = 8\nkappa = 1\nu = 8\nc = 4",  # 27,700,736 transitions
+])
+def test_validate_and_the_engine_refuse_with_one_message(config):
+    cfg = parse_config(config)
+    (error,) = cfg.validate()
+    inst = build_instance(ConstructionKind(cfg.construction), cfg.n, cfg.kappa, 1370)
+    with pytest.raises(ValueError) as refused:
+        offline_simon_attack(inst, cfg.u, cfg.c, cfg.mode, np.random.default_rng(0))
+    assert str(refused.value) == error
 
 
 @pytest.mark.parametrize("u, c", [(1, 4), (2, 3), (3, 2), (3, 5), (4, 6)])
@@ -716,7 +733,7 @@ def test_exact_qubit_budget_has_one_formula():
         inst = build_instance(kind, n, kappa, 7)
         circuit = offline_simon._JointCircuit(build_database_cpa(inst, u, c),
                                               guess_family_for(inst, u))
-        assert circuit.total == qubits, cfg
+        assert (1 << circuit.m) * circuit.size == 1 << qubits, cfg
 
 
 @pytest.mark.parametrize("kappa, u, c", [(3, 2, 3), (1, 3, 3)])
@@ -734,7 +751,7 @@ def test_joint_circuit_memory_per_amplitude(kappa, u, c):
     tracemalloc.start()
     try:
         circuit = offline_simon._JointCircuit(db, family)
-        assert circuit.total == 19
+        assert (1 << circuit.m) * circuit.size == 1 << 19
         rng = np.random.default_rng(0)
         first, _ = circuit.run_search(rng, iterations, set())
         circuit.run_search(rng, iterations, {first})
@@ -829,7 +846,7 @@ def test_zero_iteration_search_holds_register_vectors_only():
     tracemalloc.start()
     try:
         circuit = offline_simon._JointCircuit(db, family)
-        assert circuit.total == 19
+        assert (1 << circuit.m) * circuit.size == 1 << 19
         rng = np.random.default_rng(0)
         first, _ = circuit.run_search(rng, 0, set())
         circuit.run_search(rng, 0, {first})
