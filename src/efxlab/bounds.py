@@ -16,6 +16,14 @@ from typing import Tuple
 MAX_EXPONENT = 1023
 
 
+def check_sizes(n: int, kappa: int) -> None:
+    """Refuse n outside [1, MAX_EXPONENT] or kappa outside [0, MAX_EXPONENT]."""
+    if not 1 <= n <= MAX_EXPONENT:
+        raise ValueError(f"n: {n} out of range [1, {MAX_EXPONENT}]")
+    if not 0 <= kappa <= MAX_EXPONENT:
+        raise ValueError(f"kappa: {kappa} out of range [0, {MAX_EXPONENT}]")
+
+
 @dataclass
 class BoundParams:
     """Parameters of the distinguishing game.
@@ -30,10 +38,7 @@ class BoundParams:
     T: float = 0.0
 
     def validate(self) -> None:
-        if self.n < 1 or self.kappa < 0:
-            raise ValueError("sizes must be positive")
-        if self.n > MAX_EXPONENT:
-            raise ValueError(f"n: {self.n} is over the limit of {MAX_EXPONENT}")
+        check_sizes(self.n, self.kappa)
         for name in ("D", "T"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

@@ -54,6 +54,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    bounds.check_sizes(args.n, args.kappa)
     grid_d = args.grid_d if args.grid_d is not None else \
         [args.n * i / 4.0 for i in range(5)]
     grid_t = args.grid_t if args.grid_t is not None else \
@@ -75,6 +76,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_curves(args) -> int:
+    bounds.check_sizes(args.n, args.kappa)
     grid = [i * args.n / 16.0 for i in range(17)]
     rows = []
     for attack in classical.CURVE_KINDS:

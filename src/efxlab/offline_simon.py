@@ -28,10 +28,12 @@ Two fidelity modes are provided:
   registers never entangle, so EXACT samples each register's exact
   distribution, as TENSOR does.
 
-Both modes verify measured candidates against the recorded plaintext pairs
-and may re-run the search a bounded number of times, excluding candidates
-that failed verification; the database is rebuilt from the stored classical
-answers between searches, so online queries never exceed the initial pass.
+One engine, generalized_offline_simon, goes from the stored database to
+the report in both modes. It verifies measured candidates against the
+recorded plaintext pairs and may re-run the search a bounded number of
+times, excluding candidates that failed verification; the database is
+rebuilt from the stored classical answers between searches, so online
+queries never exceed the initial pass.
 
 Cost accounting: sim_time_units models the quantum circuit time; database
 build or rebuild costs n*2^u, each amplification iteration costs n^3 for the
@@ -77,6 +79,11 @@ _TEST_BLOCK = 1 << 14
 # c. Each costs about 200 B (185 B measured at u = 6, c = 8, rising with u).
 MAX_SPAN_DP_TRANSITIONS = 1 << 22
 SPAN_DP_BYTES_PER_TRANSITION = 200
+# (inner key, block) entries a guess family may hold: 2^kappa inner keys, each
+# with a permutation list and three int64 tables of up to 2^n entries. Each
+# costs about 200 B (170 B measured at n = 10, 60 B at n = 8).
+MAX_FAMILY_ENTRIES = 1 << 24
+FAMILY_BYTES_PER_ENTRY = 200
 # query registers c a run may hold (em_q2: Simon samples); the span DP and the
 # sampling loops run c steps, and a u = 4, c = 1024 TENSOR trial took 5.5 s
 # on a 2-vCPU VM
@@ -106,12 +113,16 @@ def search_limits(search_bits: int, u: int, n_out: int, c: int, mode: str,
                   qubit_cap: int = qsim.DEFAULT_QUBIT_CAP) -> List[str]:
     """One message per limit that a search over search_bits guess bits with c
     registers of u + n_out bits breaks (none when it fits): the search bits,
-    the EXACT qubits and the span DP's transitions. Every search path asks
-    before it builds the guess family."""
+    the guess family's entries, the EXACT qubits and the span DP's
+    transitions. validate() and the engine ask before the family is built."""
     errors = []
     if search_bits > MAX_SEARCH_BITS:
         errors.append(f"search space: kappa + n - u = {search_bits} bits, "
                       f"over the limit of {MAX_SEARCH_BITS}")
+    if (entries := 1 << (search_bits + u)) > MAX_FAMILY_ENTRIES:
+        errors.append(f"guess family: kappa + n = {search_bits + u} bits hold "
+                      f"{entries:,} entries, about {entries * FAMILY_BYTES_PER_ENTRY:,} "
+                      f"bytes, over the limit of {MAX_FAMILY_ENTRIES:,}")
     if mode == "EXACT" and (qubits := exact_qubits(search_bits, u, n_out, c)) > qubit_cap:
         errors.append(f"mode: EXACT joint state needs {qubits} qubits, cap is {qubit_cap}")
     if (transitions := span_dp_transitions(u, c)) > MAX_SPAN_DP_TRANSITIONS:
@@ -405,55 +416,37 @@ class AttackReport:
         }
 
 
-@dataclass
-class _Cost:
-    offline_evals: int = 0
-    sim_time: int = 0
-
-
-@dataclass
-class EngineOutcome:
-    recovered: Optional[KeyMaterial]
-    measured_guess: Optional[int]
-    searches: int
-    ambiguous: bool
-    passing_count: int
-    iterations: int
-
-
 # ---------------------------------------------------------------------------
 # candidate recovery shared by both modes
 
 
-def _candidate_verifier(instance: ConstructionInstance, db: QueryDatabase,
-                        family: GuessFamily, cost: _Cost):
-    """Closure mapping (guess, Simon samples) to verified key material or None.
+def _verify_candidates(instance: ConstructionInstance, db: QueryDatabase,
+                       family: GuessFamily, pairs: List[Tuple[int, int]], g: int,
+                       samples: Sequence[int]) -> Tuple[Optional[KeyMaterial], int]:
+    """Verified key material for guess g and its Simon samples (None when no
+    candidate verifies), with the cipher evaluations spent.
 
     Enumerates every period candidate consistent with the samples (the whole
     nullspace, so the true whitening prefix is always among them, including
     the constant-function case 0), completes the remaining key by peeling one
     recorded pair, and re-encrypts every recorded pair offline to verify.
     """
-    pairs = db.known_pairs()
-
-    def try_candidates(g: int, samples: Sequence[int]) -> Optional[KeyMaterial]:
-        if not pairs:
-            return None
-        y1, y2 = family.split(g)
-        pt0, ct0 = pairs[0]
-        members = gf2.nullspace_members(samples, db.u)
-        # rank-deficient nonzero samples point at a nonzero period, so try
-        # those first; the zero prefix (a constant test function) comes last
-        for prefix in [m for m in members if m] + [0]:
-            k1 = (prefix << db.embed_shift) | y1
-            km, evals = complete_key(instance.kind, instance.components, y2, k1, pt0, ct0)
-            ok, checked = pair_check(instance, km, pairs)
-            cost.offline_evals += evals + checked
-            if ok:
-                return km
-        return None
-
-    return try_candidates
+    if not pairs:
+        return None, 0
+    y1, y2 = family.split(g)
+    pt0, ct0 = pairs[0]
+    members = gf2.nullspace_members(samples, db.u)
+    spent = 0
+    # rank-deficient nonzero samples point at a nonzero period, so try those
+    # first; the zero prefix (a constant test function) comes last
+    for prefix in [m for m in members if m] + [0]:
+        k1 = (prefix << db.embed_shift) | y1
+        km, evals = complete_key(instance.kind, instance.components, y2, k1, pt0, ct0)
+        ok, checked = pair_check(instance, km, pairs)
+        spent += evals + checked
+        if ok:
+            return km, spent
+    return None, spent
 
 
 # ---------------------------------------------------------------------------
@@ -677,37 +670,34 @@ def _test_reflection(u: int, c: int) -> Tuple[float, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# attack entry points
+# attack entry points: the one search engine and the attacks built on it
 
 
-def generalized_offline_simon(db: QueryDatabase, family: GuessFamily,
-                              rng: np.random.Generator, *,
-                              mode: str = "TENSOR",
-                              max_searches: int = 3,
-                              try_candidates, cost: _Cost, rebuild_time: int) -> EngineOutcome:
-    """Generic engine: find the guess whose transformed database is periodic.
+def generalized_offline_simon(instance: ConstructionInstance, db: QueryDatabase,
+                              rng: np.random.Generator, *, mode: str = "TENSOR",
+                              max_searches: int = 3, build_time: int, seed: int = 0,
+                              **fields) -> AttackReport:
+    """Search db, the stored database of instance, for the key and report.
 
-    The one search loop of both modes. It scans the passing set once, then
-    searches until a candidate verifies, max_searches is spent or every
-    guess is excluded; each search charges the database rebuild (after the
-    first), the amplification iterations and the sampling pass. Only the
-    draw of the measured guess and its samples depends on the mode: EXACT
-    simulates the joint state when there is a guess register, and otherwise
-    samples each unentangled register's exact distribution, as TENSOR does.
-    Before the scan it checks c against MAX_REGISTERS and asks
-    search_limits, with the default qubit cap, whether the search fits.
-
-    try_candidates(guess, samples) turns a measured guess plus Simon samples
-    into verified key material (None rejects the guess and the search
-    repeats, excluding it).
+    The one engine of both modes and both database attacks. It checks the
+    mode, c against MAX_REGISTERS and search_limits (default qubit cap), then
+    builds the guess family, scans the passing set once and searches until a
+    candidate verifies, max_searches is spent or every guess is excluded.
+    Only the draw of the measured guess and its samples depends on the mode:
+    EXACT simulates the joint state when there is a guess register, and
+    otherwise samples each unentangled register's exact distribution, as
+    TENSOR does. build_time is charged before the first search and for each
+    rebuild after it, which search_time_units counts; candidate verification
+    counts in offline_evals only. fields are the other AttackReport fields.
     """
     if mode not in ("TENSOR", "EXACT"):
         raise ValueError(f"unknown mode {mode!r}")
     if db.c > MAX_REGISTERS:
         raise ValueError(f"{db.c} registers, limit is {MAX_REGISTERS}")
-    m = family.search_bits
+    m = instance.kappa + instance.n - db.u
     if errors := search_limits(m, db.u, db.n_out, db.c, mode):
         raise ValueError("; ".join(errors))
+    family = guess_family_for(instance, db.u)
     iterations = qsim.search_iterations(m)
     space = 1 << m
     dists = _scan_distributions(db, family)
@@ -718,59 +708,40 @@ def generalized_offline_simon(db: QueryDatabase, family: GuessFamily,
         draw = partial(_JointCircuit(db, family).run_search, rng, iterations)
     else:
         draw = _tensor_draw(db, family, rng, iterations, passing, dists)
-    c = db.c
-    evals = family.evals
+    c, evals = db.c, family.evals
     per_iter_evals = 2 * c * evals
+    pairs = db.known_pairs()
+    offline_evals, sim_time = 0, build_time
     excluded: Set[int] = set()
-    searches = 0
-    g = recovered = None
+    searches, recovered = 0, None
     while searches < max_searches and len(excluded) < space:
         searches += 1
         if searches > 1:
-            cost.sim_time += rebuild_time
+            sim_time += build_time
         # the amplification iterations, then the sampling pass on the measured guess
-        cost.offline_evals += iterations * per_iter_evals + c * evals
-        cost.sim_time += (iterations * (db.n_out ** 3 + per_iter_evals)
-                          + db.n_out ** 3 + c * evals)
+        offline_evals += iterations * per_iter_evals + c * evals
+        sim_time += (iterations * (db.n_out ** 3 + per_iter_evals)
+                     + db.n_out ** 3 + c * evals)
         g, samples = draw(excluded)
-        recovered = try_candidates(g, samples)
+        recovered, spent = _verify_candidates(instance, db, family, pairs, g, samples)
+        offline_evals += spent
         if recovered is not None:
             break
         excluded.add(g)
-    return EngineOutcome(recovered, g if recovered is not None else None, searches,
-                         ambiguous, len(passing), iterations)
-
-
-def _search_attack(instance: ConstructionInstance, db: QueryDatabase, u: int,
-                   rng: np.random.Generator, *, build_time: int, mode: str,
-                   max_searches: int, seed: int, **fields) -> AttackReport:
-    """Search the database for the key and report; shared by both database attacks.
-
-    build_time is charged once before the search and again for every
-    rebuild between searches; search_time_units leaves out the first charge.
-    """
-    if errors := search_limits(instance.kappa + instance.n - u, u, db.n_out, db.c, mode):
-        raise ValueError("; ".join(errors))
-    cost = _Cost(sim_time=build_time)
-    family = guess_family_for(instance, u)
-    outcome = generalized_offline_simon(
-        db, family, rng, mode=mode, max_searches=max_searches,
-        try_candidates=_candidate_verifier(instance, db, family, cost),
-        cost=cost, rebuild_time=build_time)
-    k, k1, k2 = report_keys(instance.kind, outcome.recovered)
+    k, k1, k2 = report_keys(instance.kind, recovered)
     return AttackReport(
-        success=outcome.recovered is not None,
+        success=recovered is not None,
         k=k, k1=k1, k2=k2,
-        offline_evals=cost.offline_evals,
-        amplification_iterations=outcome.iterations,
-        sim_time_units=cost.sim_time,
+        offline_evals=offline_evals,
+        amplification_iterations=iterations,
+        sim_time_units=sim_time,
         mode=mode,
         seed=seed,
-        searches=outcome.searches,
-        ambiguous=outcome.ambiguous,
-        passing_count=outcome.passing_count,
-        flags=["ambiguous-passing-set"] if outcome.ambiguous else [],
-        search_time_units=cost.sim_time - build_time,
+        searches=searches,
+        ambiguous=ambiguous,
+        passing_count=len(passing),
+        flags=["ambiguous-passing-set"] if ambiguous else [],
+        search_time_units=sim_time - build_time,
         **fields,
     )
 
@@ -790,11 +761,10 @@ def offline_simon_attack(instance: ConstructionInstance, u: int, c: int,
     forward_before = instance.online_forward
     if known_inputs is not None:
         db = build_database_kpa(instance, known_inputs, c)
-        u = instance.n
     else:
         db = build_database_cpa(instance, u, c)
-    return _search_attack(
-        instance, db, u, rng, build_time=db.n_out * (1 << db.u), mode=mode,
+    return generalized_offline_simon(
+        instance, db, rng, build_time=db.n_out * (1 << db.u), mode=mode,
         max_searches=max_searches, seed=seed, query_model="Q1",
         online_queries=instance.online_forward - forward_before)
 
@@ -813,8 +783,8 @@ def grover_meets_simon_attack(instance: ConstructionInstance, c: int,
     """
     check_attack(instance.kind, "grover_meets_simon")
     db = _database_from_oracle(instance, instance.n, c)
-    report = _search_attack(
-        instance, db, instance.n, rng, build_time=0, mode=mode,
+    report = generalized_offline_simon(
+        instance, db, rng, build_time=0, mode=mode,
         max_searches=max_searches, seed=seed, query_model="Q2",
         online_queries=0, recovery_queries=c)
     report.online_queries = 2 * c * report.amplification_iterations * report.searches
@@ -836,17 +806,15 @@ def em_q2_attack(instance: ConstructionInstance, c: int,
     n = instance.n
     codebook = [instance._raw_encrypt(x) for x in range(1 << n)]
     f = [y ^ p for y, p in zip(codebook, instance.components[0].table)]
-    cost = _Cost()
     samples = []
     for _ in range(c):
         samples.append(qsim.simon_subroutine(f, rng, out_bits=n))
-    cost.offline_evals += c  # one public-permutation oracle call per query
-    cost.sim_time += c * 2 + n ** 3
+    offline_evals = c  # one public-permutation oracle call per query
     result = gf2.recover_period(samples, n)
     if result.status == "undetermined":
         # the true period is always in the sampled nullspace; verify candidates
         verified, checked = qsim.verified_periods(f, samples)
-        cost.offline_evals += checked
+        offline_evals += checked
         if len(verified) == 1:
             result = gf2.PeriodResult("period", verified[0])
     flags: List[str] = []
@@ -855,20 +823,19 @@ def em_q2_attack(instance: ConstructionInstance, c: int,
         km, evals = complete_key(kind, instance.components, None, result.period,
                                  0, instance.encrypt(0))
         ok, checked = pair_check(instance, km, enumerate(codebook))
-        cost.offline_evals += evals + checked
+        offline_evals += evals + checked
         if not ok:
             flags.append("period-verification-failed")
             km = None
     else:
         flags.append(f"degenerate-{result.status}")
-    cost.sim_time += cost.offline_evals
     k, k1, k2 = report_keys(kind, km)
     return AttackReport(
         success=km is not None, k=k, k1=k1, k2=k2,
         online_queries=c,
-        offline_evals=cost.offline_evals,
+        offline_evals=offline_evals,
         amplification_iterations=0,
-        sim_time_units=cost.sim_time,
+        sim_time_units=c * 2 + n ** 3 + offline_evals,
         mode="EXACT",
         seed=seed,
         query_model="Q2",

@@ -66,6 +66,10 @@ def test_bound_validation():
         efx_classical_bound(BoundParams(n=4, kappa=4, D=-1, T=1))
     with pytest.raises(ValueError):
         efx_classical_bound(BoundParams(n=4, kappa=4, D=100, T=1))
+    efx_classical_bound(BoundParams(n=1023, kappa=1023, D=1, T=1))
+    for n, kappa in ((0, 4), (1024, 4), (4, -1), (4, 1024)):
+        with pytest.raises(ValueError, match="out of range"):
+            efx_classical_bound(BoundParams(n=n, kappa=kappa, D=1, T=1))
 
 
 def test_required_resources_headline_exponents():

@@ -296,10 +296,16 @@ def test_cli_rejects_unsupported_config_before_running(tmp_path, capsys, monkeyp
     ["bounds", "--n", "1100", "--kappa", "8", "--grid-d", "1", "--grid-t", "1"],
     ["bounds", "--n", "4", "--kappa", "8", "--grid-d", "nan"],
     ["plot", "--in", "{dir}/nan.csv", "--out", "{dir}/x.svg"],
+    # the default grids turned these into floats and overflowed
+    ["curves", "--n", str(10 ** 400), "--kappa", "1"],
+    ["curves", "--n", "4", "--kappa", str(10 ** 400)],
+    ["bounds", "--n", str(10 ** 400), "--kappa", "1"],
+    ["bounds", "--n", "4", "--kappa", str(10 ** 400)],
 ], ids=["sweep-u", "sweep-D", "sweep-n", "curves-n-zero", "curves-n-negative",
         "curves-kappa-negative", "attack-config-dir", "sweep-config-dir", "plot-in-dir",
         "plot-short-row", "bounds-t-1100", "bounds-d-2000", "bounds-n-1100", "bounds-d-nan",
-        "plot-nan"])
+        "plot-nan", "curves-n-huge", "curves-kappa-huge", "bounds-n-huge",
+        "bounds-kappa-huge"])
 def test_cli_rejects_misuse_before_running(tmp_path, capsys, monkeypatch, argv):
     if argv[0] == "sweep" and "--config" not in argv:
         cfg_path = tmp_path / "exp.cfg"

@@ -362,13 +362,23 @@ def test_span_dp_over_the_limit_is_rejected_before_the_scan(monkeypatch, kind, n
     "construction = EFX\nn = 8\nkappa = 16\nu = 2",  # 22 search bits
     "construction = EFX\nn = 4\nkappa = 4\nu = 2\nc = 5\nmode = EXACT",  # 36 qubits
     "construction = EFX\nn = 8\nkappa = 1\nu = 8\nc = 4",  # 27,700,736 transitions
+    "construction = EFX\nn = 10\nkappa = 16\nu = 10\nc = 2",  # 2^26 family entries
 ])
-def test_validate_and_the_engine_refuse_with_one_message(config):
+def test_validate_and_the_engine_refuse_with_one_message(monkeypatch, config):
+    def no_family(instance, u):
+        raise AssertionError("the guess family was built")
+
+    monkeypatch.setattr(offline_simon, "guess_family_for", no_family)
     cfg = parse_config(config)
     (error,) = cfg.validate()
     inst = build_instance(ConstructionKind(cfg.construction), cfg.n, cfg.kappa, 1370)
     with pytest.raises(ValueError) as refused:
         offline_simon_attack(inst, cfg.u, cfg.c, cfg.mode, np.random.default_rng(0))
+    assert str(refused.value) == error
+    db = build_database_cpa(inst, cfg.u, cfg.c)
+    with pytest.raises(ValueError) as refused:
+        generalized_offline_simon(inst, db, np.random.default_rng(0), mode=cfg.mode,
+                                  build_time=0)
     assert str(refused.value) == error
 
 
@@ -487,30 +497,33 @@ def test_generalized_engine_reproduces_fx_attack():
     e = inst.components[0]
     db = build_database_cpa(inst, 4, 8)
 
+    # FX has no relabel or outer layer: the family is the inner cipher's tables
     inner = np.array([e.permutation(k).table for k in range(16)])
     identity = np.tile(np.arange(16), (16, 1))
-    family = GuessFamily(u=4, n_out=4, kappa_bits=4, suffix_bits=0,
-                         relabel=identity, inner=inner, peel=identity)
-    rng = np.random.default_rng(3)
-    cost = offline_simon._Cost()
-    outcome = generalized_offline_simon(
-        db, family, rng, cost=cost, rebuild_time=64,
-        try_candidates=offline_simon._candidate_verifier(inst, db, family, cost))
-    assert outcome.recovered == inst.key_material
-    assert outcome.measured_guess == inst.key_material.k
+    family = guess_family_for(inst, 4)
+    assert (family.kappa_bits, family.suffix_bits) == (4, 0)
+    for got, want in ((family.relabel, identity), (family.inner, inner),
+                      (family.peel, identity)):
+        assert np.array_equal(got, want)
+    rep = generalized_offline_simon(inst, db, np.random.default_rng(3), build_time=64, seed=5,
+                                    online_queries=16)
+    assert rep.success and (rep.k, rep.k1, rep.k2) == true_keys(inst)
+    assert rep.seed == 5 and rep.sim_time_units == 64 + rep.search_time_units
 
 
-def test_generalized_engine_no_periodic_member_fails():
-    rng = np.random.default_rng(4)
+def test_generalized_engine_no_periodic_member_fails(monkeypatch):
+    inst = build_instance(ConstructionKind.FX, 4, 2, 1950)  # 2 search bits
     # payloads drawn to be injective; XOR masks constant so nothing is periodic
     db = offline_simon.QueryDatabase(4, 4, 6, tuple(range(16)))
     identity = np.tile(np.arange(16), (4, 1))
     family = GuessFamily(u=4, n_out=4, kappa_bits=2, suffix_bits=0, relabel=identity,
                          inner=np.repeat(np.arange(4)[:, None], 16, axis=1), peel=identity)
-    outcome = generalized_offline_simon(db, family, rng, cost=offline_simon._Cost(),
-                                        rebuild_time=64, try_candidates=lambda g, samples: None)
-    assert outcome.passing_count == 0
-    assert outcome.recovered is None
+    monkeypatch.setattr(offline_simon, "guess_family_for", lambda instance, u: family)
+    rep = generalized_offline_simon(inst, db, np.random.default_rng(4), build_time=64,
+                                    online_queries=0)
+    assert rep.passing_count == 0
+    assert not rep.success and (rep.k, rep.k1, rep.k2) == (None, None, None)
+    assert rep.searches == 3
 
 
 def test_attack_report_json_stable_fields():
