@@ -37,6 +37,7 @@ from .qsim import (
     hadamard,
     measure,
     simon_full,
+    simon_samples,
     simon_subroutine,
 )
 

@@ -19,9 +19,18 @@ MAX_EXPONENT = 1023
 def check_sizes(n: int, kappa: int) -> None:
     """Refuse n outside [1, MAX_EXPONENT] or kappa outside [0, MAX_EXPONENT]."""
     if not 1 <= n <= MAX_EXPONENT:
-        raise ValueError(f"n: {n} out of range [1, {MAX_EXPONENT}]")
+        raise ValueError(f"n: {_bounded(n)} out of range [1, {MAX_EXPONENT}]")
     if not 0 <= kappa <= MAX_EXPONENT:
-        raise ValueError(f"kappa: {kappa} out of range [0, {MAX_EXPONENT}]")
+        raise ValueError(f"kappa: {_bounded(kappa)} out of range [0, {MAX_EXPONENT}]")
+
+
+def _bounded(value: int) -> str:
+    """The value itself, or its digit count once it is too long for one line."""
+    text = str(value)
+    digits = len(text.lstrip("-"))
+    if digits <= 20:
+        return text
+    return f"a {'negative ' if value < 0 else ''}value of {digits} digits"
 
 
 @dataclass

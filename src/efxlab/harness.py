@@ -369,8 +369,7 @@ def _suite_orthogonality() -> Tuple[bool, str]:
     for rep in range(20):
         s = int(rng.integers(1, 1 << n))
         f = _random_periodic(n, s, rng)
-        for _ in range(8):
-            y = qsim.simon_subroutine(f, rng, out_bits=n)
+        for y in qsim.simon_samples(f, 8, rng, out_bits=n):
             if gf2.dot(y, s) != 0:
                 return False, f"sample {y} not orthogonal to period {s}"
     return True, "all samples orthogonal to the planted period"

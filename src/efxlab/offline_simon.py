@@ -795,20 +795,18 @@ def em_q2_attack(instance: ConstructionInstance, c: int,
                  rng: np.random.Generator, seed: int = 0) -> AttackReport:
     """Exact-simulation Simon attack on Even-Mansour with superposition access.
 
-    Samples c times from the circuit for f(x) = EM(x) XOR P(x), recovers the
-    first whitening key as the period of f, completes the second from one
-    classical query and checks the key against the whole codebook. A constant
-    or rank-deficient sample set is reported as a flagged failure (the
-    degenerate k1 = 0 instance lands here).
+    Draws c Simon samples of f(x) = EM(x) XOR P(x) in one qsim.simon_samples
+    call, recovers the first whitening key as the period of f, completes the
+    second from one classical query and checks the key against the whole
+    codebook. A constant or rank-deficient sample set is reported as a
+    flagged failure (the degenerate k1 = 0 instance lands here).
     """
     kind = instance.kind
     check_attack(kind, "em_q2")
     n = instance.n
     codebook = [instance._raw_encrypt(x) for x in range(1 << n)]
     f = [y ^ p for y, p in zip(codebook, instance.components[0].table)]
-    samples = []
-    for _ in range(c):
-        samples.append(qsim.simon_subroutine(f, rng, out_bits=n))
+    samples = qsim.simon_samples(f, c, rng, out_bits=n)
     offline_evals = c  # one public-permutation oracle call per query
     result = gf2.recover_period(samples, n)
     if result.status == "undetermined":

@@ -3,7 +3,9 @@
 Registers are contiguous little-endian qubit ranges of one complex amplitude
 vector; basis index bit q is qubit q. Everything here is exact simulation,
 the only randomness is Born-rule sampling through an explicit seeded
-generator.
+generator. Simon sampling (simon_samples) draws the circuit's two
+measurements without building its state. The StateVector gates are what the
+unitarity verify suite checks, and the tests' reference for the sampler.
 """
 
 from __future__ import annotations
@@ -188,12 +190,24 @@ def measure(sv: StateVector, register: str,
     return MeasurementOutcome(register, value, float(probs[value])), sv
 
 
-def simon_subroutine(f: Sequence[int], rng: np.random.Generator, out_bits: int) -> int:
-    """One round of Simon sampling: returns y orthogonal to any period of f.
+def simon_samples(f: Sequence[int], c: int, rng: np.random.Generator,
+                  out_bits: int) -> List[int]:
+    """c rounds of Simon sampling, each y orthogonal to any period of f.
 
-    Runs the full circuit on a fresh state of out_bits output qubits:
-    Hadamard the input register, query f, measure the output register,
-    Hadamard again, measure the input register.
+    Draws what c runs of the circuit on a fresh state of out_bits output
+    qubits draw (Hadamard the input register, query f, measure the output
+    register, Hadamard again, measure the input register), with the
+    circuit's float operations in its order, so the values equal theirs on
+    the same rng. Each run is two draws, without a state:
+      z from np.bincount of the (INV_SQRT2^n)^2 weights over f, normalized
+        by its sum, as the output measurement weighs the register;
+      y from the squared Walsh sums of the preimage f^-1(z): each sum runs
+        over x in ascending order with the amplitude (amp / norm) *
+        INV_SQRT2^n, norm the root of the preimage's summed weights.
+    Each draw takes one rng.random() and searches the cdf that
+    Generator.choice searches, z and y alternating as the circuit draws them.
+    The z distribution is built once per table and each y distribution once
+    per distinct z. The checks and their errors are the circuit's.
     """
     size = len(f)
     n_in = size.bit_length() - 1
@@ -201,13 +215,75 @@ def simon_subroutine(f: Sequence[int], rng: np.random.Generator, out_bits: int) 
         raise ValueError("oracle table length must be a power of two")
     if n_in > SIMON_INPUT_CAP:
         raise ValueError(f"input size {n_in} over the cap of {SIMON_INPUT_CAP}")
-    sv = StateVector([("in", n_in), ("out", out_bits)])
-    hadamard(sv, "in")
-    apply_xor_oracle(sv, f, "in", "out")
-    measure(sv, "out", rng)
-    hadamard(sv, "in")
-    outcome, _ = measure(sv, "in", rng)
-    return outcome.value
+    if out_bits < 0:
+        raise ValueError("register 'out' has negative size")
+    if n_in + out_bits > DEFAULT_QUBIT_CAP:
+        raise ValueError(f"{n_in + out_bits} qubits exceed the cap of {DEFAULT_QUBIT_CAP}")
+    if n_in + out_bits == 0:
+        raise ValueError("state vector needs at least one qubit")
+    f_arr = np.asarray(f, dtype=np.int64)
+    if f_arr.min() < 0 or f_arr.max() >= (1 << out_bits):
+        raise ValueError("oracle values do not fit the output register")
+    if c <= 0:
+        return []
+    scale = INV_SQRT2 ** n_in
+    weights = np.full(size, scale * scale)
+    z_cdf = _choice_cdf(np.bincount(f_arr, weights=weights, minlength=1 << out_bits))
+    y_cdfs: Dict[int, np.ndarray] = {}
+    draws = rng.random(2 * c)
+    samples = []
+    for z, u in zip(z_cdf.searchsorted(draws[0::2], side="right").tolist(),
+                    draws[1::2].tolist()):
+        y_cdf = y_cdfs.get(z)
+        if y_cdf is None:
+            preimage = np.flatnonzero(f_arr == z)
+            norm = math.sqrt(float(weights[:preimage.size].sum()))
+            # numpy's complex division multiplies by 1 / norm, which rounds
+            # differently from scale / norm for about a quarter of the norms
+            amp = (np.full(1, scale, dtype=np.complex128) / norm * scale)[0].real
+            y_cdf = y_cdfs[z] = _choice_cdf(_walsh_weights(preimage, amp, size))
+        samples.append(int(y_cdf.searchsorted(u, side="right")))
+    return samples
+
+
+# sign rows per block of _walsh_weights: at most this many entries. A whole
+# 256 x 256 block (the constant f of an em_q2 instance with k1 = 0 at n = 8)
+# took about 1 MB of temporaries; blocks of 2^12 keep an n = 8 trial under
+# 200 KB, since a trial's temporaries add to the peak memory of a run
+_SIGN_BLOCK = 1 << 12
+
+
+def _walsh_weights(xs: np.ndarray, amp: float, m: int) -> np.ndarray:
+    """(sum over x in xs, in order, of (-1)^(x.y) amp)^2 for every y < m.
+
+    Each sum starts at 0.0 and adds one term per x in order, as the sparse
+    Hadamard adds one sign row per input; blocks of rows bound the sign
+    matrix at _SIGN_BLOCK entries.
+    """
+    ys = np.arange(m, dtype=np.int64)
+    acc = np.zeros(m)
+    rows = max(1, _SIGN_BLOCK // m)
+    for lo in range(0, xs.size, rows):
+        terms = np.where(np.bitwise_count(xs[lo:lo + rows, None] & ys) & 1, -amp, amp)
+        terms[0] += acc
+        acc = np.add.accumulate(terms, axis=0)[-1]
+    return acc * acc
+
+
+def _choice_cdf(weights: np.ndarray) -> np.ndarray:
+    """The cdf that rng.choice(len(weights), p=weights / weights.sum()) searches.
+
+    A draw is cdf.searchsorted(rng.random(), side="right"), as in
+    Generator.choice.
+    """
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def simon_subroutine(f: Sequence[int], rng: np.random.Generator, out_bits: int) -> int:
+    """One round of Simon sampling: simon_samples with c = 1."""
+    return simon_samples(f, 1, rng, out_bits)[0]
 
 
 def verified_periods(f: Sequence[int], samples: Sequence[int]) -> Tuple[List[int], int]:
@@ -244,8 +320,7 @@ def recover_period_verified(f: Sequence[int], samples: Sequence[int]):
 
 def simon_full(f: Sequence[int], c: int, rng: np.random.Generator, out_bits: int):
     """c Simon samples, linear-algebra recovery, then candidate verification."""
-    samples = [simon_subroutine(f, rng, out_bits) for _ in range(c)]
-    return recover_period_verified(f, samples)
+    return recover_period_verified(f, simon_samples(f, c, rng, out_bits))
 
 
 def grover_iterations(p: float) -> int:

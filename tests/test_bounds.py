@@ -70,6 +70,12 @@ def test_bound_validation():
     for n, kappa in ((0, 4), (1024, 4), (4, -1), (4, 1024)):
         with pytest.raises(ValueError, match="out of range"):
             efx_classical_bound(BoundParams(n=n, kappa=kappa, D=1, T=1))
+    with pytest.raises(ValueError, match=r"^n: a value of 61 digits out of range \[1, 1023\]$"):
+        efx_classical_bound(BoundParams(n=10 ** 60, kappa=4, D=1, T=1))
+    with pytest.raises(ValueError, match=r"^kappa: a negative value of 21 digits out"):
+        efx_classical_bound(BoundParams(n=4, kappa=-10 ** 20, D=1, T=1))
+    with pytest.raises(ValueError, match=r"^kappa: -\d{20} out"):
+        efx_classical_bound(BoundParams(n=4, kappa=1 - 10 ** 20, D=1, T=1))
 
 
 def test_required_resources_headline_exponents():

@@ -5,6 +5,8 @@ from efxlab import ciphers
 def test_every_exported_name_resolves():
     assert efxlab.__all__
     assert all(hasattr(efxlab, name) for name in efxlab.__all__)
+    for sampler in ("simon_samples", "simon_subroutine", "simon_full"):
+        assert sampler in efxlab.__all__
     for removed in ("KeyDerivation", "test_key_guess", "KeyGuess"):
         assert removed not in efxlab.__all__
         assert not hasattr(efxlab, removed)

@@ -247,6 +247,7 @@ def assert_rejected_before_running(argv, capsys, monkeypatch):
     assert captured.err.startswith("error:")
     assert captured.out == ""
     assert "Traceback" not in captured.err
+    return captured.err
 
 
 @pytest.mark.parametrize("config", [
@@ -301,11 +302,14 @@ def test_cli_rejects_unsupported_config_before_running(tmp_path, capsys, monkeyp
     ["curves", "--n", "4", "--kappa", str(10 ** 400)],
     ["bounds", "--n", str(10 ** 400), "--kappa", "1"],
     ["bounds", "--n", "4", "--kappa", str(10 ** 400)],
+    # named by its digit count, not echoed
+    ["curves", "--n", str(10 ** 60), "--kappa", "1"],
+    ["bounds", "--n", "4", "--kappa", str(-10 ** 60)],
 ], ids=["sweep-u", "sweep-D", "sweep-n", "curves-n-zero", "curves-n-negative",
         "curves-kappa-negative", "attack-config-dir", "sweep-config-dir", "plot-in-dir",
         "plot-short-row", "bounds-t-1100", "bounds-d-2000", "bounds-n-1100", "bounds-d-nan",
         "plot-nan", "curves-n-huge", "curves-kappa-huge", "bounds-n-huge",
-        "bounds-kappa-huge"])
+        "bounds-kappa-huge", "curves-n-61-digits", "bounds-kappa-minus-61-digits"])
 def test_cli_rejects_misuse_before_running(tmp_path, capsys, monkeypatch, argv):
     if argv[0] == "sweep" and "--config" not in argv:
         cfg_path = tmp_path / "exp.cfg"
@@ -314,7 +318,8 @@ def test_cli_rejects_misuse_before_running(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "short.csv").write_text("attack,log2D_over_n,log2T_over_n\nq1,0.5\n")
     (tmp_path / "nan.csv").write_text("attack,log2D_over_n,log2T_over_n\nq1,0.5,nan\n")
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
-    assert_rejected_before_running(argv, capsys, monkeypatch)
+    err = assert_rejected_before_running(argv, capsys, monkeypatch)
+    assert err.count("\n") == 1 and len(err) <= 120, err
     assert not (tmp_path / "x.svg").exists()
 
 

@@ -293,6 +293,69 @@ def test_simon_input_cap():
         qsim.simon_subroutine([0] * (1 << 13), np.random.default_rng(0), out_bits=1)
 
 
+def _circuit_draw(f, rng, out_bits):
+    """One run of Simon's circuit on the sparse StateVector gates."""
+    sv = qsim.StateVector([("in", len(f).bit_length() - 1), ("out", out_bits)])
+    qsim.hadamard(sv, "in")
+    qsim.apply_xor_oracle(sv, f, "in", "out")
+    qsim.measure(sv, "out", rng)
+    qsim.hadamard(sv, "in")
+    outcome, _ = qsim.measure(sv, "in", rng)
+    return outcome.value
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.sampled_from(("permutation", "periodic", "constant", "random")),
+       st.integers(0, 2), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+# n = 9..12, each shape at least once; the constant table at the cap is the
+# widest second Hadamard (4,096 inputs into one base)
+@example(9, "periodic", 1, 5, 9)
+@example(10, "random", 2, 4, 10)
+@example(11, "permutation", 0, 3, 11)
+@example(12, "constant", 2, 2, 12)
+@example(12, "periodic", 0, 4, 13)
+def test_simon_samples_equal_the_circuit_draws(n, shape, spare_bits, c, seed):
+    rng = np.random.default_rng(seed)
+    out_bits = n + spare_bits
+    if shape == "permutation":
+        f = rng.permutation(1 << n).tolist()
+    elif shape == "periodic":
+        f = random_periodic(n, int(rng.integers(1, 1 << n)), rng)
+    elif shape == "constant":
+        f = [int(rng.integers(1 << out_bits))] * (1 << n)
+    else:
+        f = rng.integers(1 << out_bits, size=1 << n).tolist()
+    circuit_rng = np.random.default_rng(seed + 1)
+    sampler_rng = np.random.default_rng(seed + 1)
+    want = [_circuit_draw(f, circuit_rng, out_bits) for _ in range(c)]
+    assert qsim.simon_samples(f, c, sampler_rng, out_bits) == want
+    assert sampler_rng.random() == circuit_rng.random()
+
+
+# the first two were simon_subroutine's own checks before any gate ran; the
+# gates raised the others
+@pytest.mark.parametrize("f, out_bits, message", [
+    ([0, 1, 2], 2, "power of two"),
+    ([0] * (1 << 13), 1, "over the cap of 12"),
+    ([0, 1, 2, 4], 2, "do not fit the output register"),
+    ([0, -1], 1, "do not fit the output register"),
+    ([0, 1], -1, "negative size"),
+    ([0] * (1 << 12), 15, "27 qubits exceed the cap of 26"),
+    ([0], 0, "at least one qubit"),
+], ids=["length-3", "n-13", "value-4-in-2-bits", "value-negative", "out-negative",
+        "27-qubits", "no-qubits"])
+def test_simon_samples_reject_what_the_circuit_rejected(f, out_bits, message):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=message):
+        qsim.simon_samples(f, 3, rng, out_bits)
+    assert rng.random() == np.random.default_rng(0).random()
+    with pytest.raises(ValueError, match=message):
+        qsim.simon_subroutine(f, rng, out_bits)
+    if message not in ("power of two", "over the cap of 12"):
+        with pytest.raises(ValueError, match=message):
+            _circuit_draw(f, np.random.default_rng(0), out_bits)
+
+
 def test_grover_iterations():
     assert qsim.grover_iterations(1.0) == 0
     assert qsim.grover_iterations(0.25) == 1
