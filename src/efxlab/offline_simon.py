@@ -24,9 +24,11 @@ Two fidelity modes are provided:
   the shared database within a search. Every guess test O_g is an orthogonal
   involution, so guess g's branch of the state stays A + O_g B and a search
   updates two register-space vectors, (A, B) <- (2 mean_h O_h A + B, -A);
-  it never holds the whole joint state. With no search register the c
-  registers never entangle, so EXACT samples each register's exact
-  distribution, as TENSOR does.
+  it never holds the whole joint state. Each test adds its guess sum as it
+  runs, only the last iteration keeps the tested rows, and the searches of
+  one trial share their first iteration's test of the common start state.
+  With no search register the c registers never entangle, so EXACT samples
+  each register's exact distribution, as TENSOR does.
 
 One engine, generalized_offline_simon, goes from the stored database to
 the report in both modes. It verifies measured candidates against the
@@ -69,9 +71,11 @@ from .ciphers import (
 MAX_SEARCH_BITS = 20
 # peak of an EXACT search per amplitude of the joint state (2^m guesses times
 # 2^(c*(u+n)) register states): the table S at 8 B, the int32 maps at 4 B,
-# three register-space vectors (A, B and the test's scatter target) at
-# 24/2^m B and the test's V^T times the rows at 8*k/2^(c*u+m) <= 4/2^m B
-# (V has k columns, at most half the tuples); 25.6 B measured at m = 1
+# the test's V^T times the rows at 8*k/2^(c*u+m) <= 4/2^m B (V has k columns,
+# at most half the tuples) and register-space vectors at 8/2^m B each: A, the
+# test's scatter target and its int64 index (B is stored after the first
+# test), plus B and the shared first-step sum from two iterations on, which
+# needs m >= 3; 25.3 B measured at m = 1
 JOINT_BYTES_PER_AMPLITUDE = 26
 # register entries an EXACT test scatters, reflects and gathers at a time
 _TEST_BLOCK = 1 << 14
@@ -492,8 +496,15 @@ class _JointCircuit:
     psi_g = A + O_g B: one iteration (test, then reflection about the
     uniform guess mean) gives psi'_g = (2 N + B) + O_g (-A) with
     N = mean_h O_h A. A search starts from A = psi_0, B = 0 and updates
-    (A, B) <- (2 N + B, -A); the table S of the rows O_h A is kept from the
-    last iteration, so then psi_g = A - S[g].
+    (A, B) <- (2 N + B, -A).
+
+    The guess sum behind N is added row by row in guess order, as np.mean
+    adds, while the test runs, so no iteration but the last keeps its rows:
+    they pass through free rows of the table S. The last iteration keeps
+    the rows O_h A in S, then psi_g = A - S[g]. Every search's first
+    iteration tests the same psi_0, so with two or more iterations its sum
+    over every guess is computed once per circuit, and a search excluding
+    E re-tests only E's guesses: first - sum_{g in E} O_g psi_0 + |E| psi_0.
 
     Register layout (low bits first): the c payloads (n_out bits each), then
     the c inputs (u bits each, register 0 lowest). With the inputs on top a
@@ -514,6 +525,17 @@ class _JointCircuit:
         self.size = 1 << (db.c * (db.u + db.n_out))
         self.block = min(1 << m, max(1, _TEST_BLOCK // self.size))
         self.maps: Optional[np.ndarray] = None
+        # psi_0: uniform guesses tensor the database registers, nonzero at
+        # the layout indices of its 2^(c*u) input tuples
+        amp = (1 << m) ** -0.5
+        for _ in range(db.c):
+            amp = (1 << db.u) ** -0.5 * amp
+        self.amp = amp
+        self.start = self._layout_indices(np.arange(1 << db.u)[None, :, None],
+                                          np.asarray(db.payload)[None, :, None],
+                                          db.c * db.n_out)[0]
+        # sum_h O_h psi_0 over every guess, once a search runs two iterations
+        self.first: Optional[np.ndarray] = None
 
     def _images(self, start: int, count: int, x_shift: int) -> np.ndarray:
         """Layout indices of the images of every register state under guesses
@@ -561,62 +583,119 @@ class _JointCircuit:
         """The state after the search's iterations, one row per guess's branch:
         A - S[g], or a read-only view of A in every row when there are no
         iterations."""
-        # initial state: uniform guesses tensor the database registers
-        amp = (1 << self.m) ** -0.5
-        for _ in range(self.db.c):
-            amp = (1 << self.db.u) ** -0.5 * amp
         a = np.zeros(self.size)
-        a[self._layout_indices(np.arange(1 << self.db.u)[None, :, None],
-                               np.asarray(self.db.payload)[None, :, None],
-                               self.db.c * self.db.n_out)] = amp
+        a[self.start] = self.amp
         if not iterations:
             return np.broadcast_to(a, (1 << self.m, self.size))
-        b = np.zeros_like(a)
-        tested = np.empty((1 << self.m, self.size))
-        for _ in range(iterations):
-            self._test(a, excluded, tested)
-            # (A, B) <- (2 N + B, -A), N the mean of the rows O_h A; N goes
-            # before the next test allocates its scatter target
-            mean = np.mean(tested, axis=0)
-            mean *= 2.0
-            b += mean
-            del mean
-            np.negative(a, out=a)
-            a, b = b, a
-        return np.subtract(a, tested, out=tested)
+        rows = np.empty((1 << self.m, self.size))
+        b = None  # B = 0 is stored once the first test has freed its buffers
+        for step in range(1, iterations + 1):
+            if step == iterations:
+                self._test(a, excluded, rows)
+                # A is not needed once its rows are in S
+                total = np.add.reduce(rows, axis=0, out=a)
+            elif step == 1:
+                total = self._first_step(a, excluded, rows)
+            else:
+                total = self._test(a, excluded, rows, keep=False)
+            # (A, B) <- (2 N + B, -A), N = total / 2^m as np.mean divides
+            total /= 1 << self.m
+            total *= 2.0
+            if b is None:
+                b = np.zeros_like(a)
+            b += total
+            del total  # a new vector after the first step, freed before the next test
+            if step < iterations:
+                np.negative(a, out=a)
+                a, b = b, a
+        return np.subtract(b, rows, out=rows)
 
-    def _test(self, state: np.ndarray, excluded: Set[int], out: np.ndarray) -> None:
-        """Write O_h state to row h of out for every guess h, a block of
-        guesses at a time: scatter through the maps, reflect the input-tuple
-        rows, gather back. An excluded guess's row is state itself."""
+    def _first_step(self, psi0: np.ndarray, excluded: Set[int],
+                    rows: np.ndarray) -> np.ndarray:
+        """sum_h O_h psi_0 for the first of two or more iterations (a new
+        vector): the sum over every guess, tested once per circuit, less
+        O_g psi_0 - psi_0 for each excluded g, whose blocks are re-tested
+        into their rows of rows."""
+        if self.first is None:
+            self.first = self._test(psi0, set(), rows, keep=False).copy()
+        total = self.first.copy()
+        if excluded:
+            test = self._block_test(psi0)
+            for start in sorted({g - g % self.block for g in excluded}):
+                test(start, rows[start:start + self.block])
+            for g in sorted(excluded):
+                np.subtract(psi0, rows[g], out=rows[g])
+                total += rows[g]
+        return total
+
+    def _test(self, state: np.ndarray, excluded: Set[int], rows: np.ndarray,
+              keep: bool = True) -> np.ndarray:
+        """O_h state for every guess h, a block of guesses at a time; an
+        excluded guess's row is state itself, and a block of excluded
+        guesses is not tested. With keep, row h goes to rows[h]. Otherwise
+        the rows are added into rows[0] one at a time in guess order, which
+        gives the floats of np.sum over them, and each block after the first
+        passes through rows[1:]; rows[0] is returned either way."""
+        skip = np.zeros(1 << self.m, dtype=bool)
+        skip[list(excluded)] = True
+        test = self._block_test(state)
+        for start in range(0, 1 << self.m, self.block):
+            at = start if keep else min(start, 1)
+            out = rows[at:at + self.block]
+            mask = skip[start:start + self.block]
+            if not mask.all():
+                test(start, out)
+            out[mask] = state
+            if keep:
+                continue
+            # numpy reduces into an overlapping row through buffers, which
+            # at one guess per block costs three times a plain add
+            if at + self.block == 2:
+                rows[0] += rows[1]
+            elif at + self.block > 2:
+                np.add.reduce(rows[:at + self.block], axis=0, out=rows[0])
+        return rows[0]
+
+    def _block_test(self, state: np.ndarray):
+        """test(start, out): write O_h state to out[h - start] for the guesses
+        h of the block from start, scattering state through their maps,
+        reflecting the input-tuple rows and gathering back."""
         if self.maps is None:
             self._build_maps()
         sign, basis = _test_reflection(self.db.u, self.db.c)
         work = np.empty(self.block * self.size)
-        rows = work.reshape(basis.shape[0], -1)
-        overlap = np.empty((basis.shape[1], rows.shape[1]))
-        # the maps pass through an int64 buffer, one chunk of register states
-        # at a time: take would cast a whole int32 index to a full int64
-        # copy, and a scatter casts it in small buffers at twice the time
-        index = np.empty((self.block, min(self.size, _TEST_BLOCK)), dtype=np.int64)
-        width = index.shape[1]
-        for start in range(0, 1 << self.m, self.block):
-            maps = self.maps[start:start + self.block]
-            tested = out[start:start + self.block]
-            for lo in range(0, self.size, width):
-                np.copyto(index, maps[:, lo:lo + width])
-                work[index] = state[lo:lo + width]
-            np.matmul(basis.T, rows, out=overlap)
-            overlap *= -2.0 * sign
-            np.matmul(basis, overlap, out=rows)
-            for lo in range(0, self.size, width):
-                np.copyto(index, maps[:, lo:lo + width])
-                np.take(work, index, out=tested[:, lo:lo + width], mode="clip")
+        tuples = work.reshape(basis.shape[0], -1)
+        overlap = np.empty((basis.shape[1], tuples.shape[1]))
+        # the block's maps in int64, copied once for the scatter and the
+        # gather (take would cast an int32 index to a full int64 copy, and a
+        # scatter casts it in small buffers at twice the time); one guess's
+        # map is a 1-D index, which numpy scatters and gathers faster
+        index = np.empty((self.block, self.size), dtype=np.int64)
+        flat = index[0] if self.block == 1 else index
+
+        def test(start: int, out: np.ndarray) -> None:
+            np.copyto(index, self.maps[start:start + self.block])
+            work[flat] = state
+            np.matmul(basis.T, tuples, out=overlap)
+            np.multiply(overlap, -2.0 * sign, out=overlap)
+            np.matmul(basis, overlap, out=tuples)
+            np.take(work, flat, out=out.reshape(flat.shape), mode="clip")
             if sign > 0:
-                tested += state
+                out += state
             else:
-                tested -= state
-        out[list(excluded)] = state
+                out -= state
+
+        return test
+
+    def _layout_of(self, g: int) -> np.ndarray:
+        """Layout indices of the images of every register state under guess
+        g: its map row with the block-local guess bits taken out, or
+        _images when the maps are not built."""
+        low = self.db.c * self.db.n_out
+        if self.maps is None:
+            return self._images(g, 1, low)[0]
+        row, bits = self.maps[g], self.block.bit_length() - 1
+        return ((row >> (low + bits)) << low) | (row & ((1 << low) - 1))
 
     def _sample_branch(self, branch: np.ndarray, g: int,
                        rng: np.random.Generator) -> List[int]:
@@ -624,7 +703,7 @@ class _JointCircuit:
         measure them register by register."""
         u, low = self.db.u, self.db.c * self.db.n_out
         state = np.empty_like(branch)
-        state[self._images(g, 1, low)[0]] = branch
+        state[self._layout_of(g)] = branch
         for q in range(low, low + self.db.c * u):
             qsim.hadamard_qubit(state, q)
         samples = []

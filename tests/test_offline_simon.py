@@ -832,6 +832,27 @@ def test_test_step_leaves_excluded_guesses_bit_for_bit(monkeypatch, block):
         assert np.allclose(out[h], expected, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("excluded", [set(), {1}, {1, 2}, {0, 1}, {0, 1, 2, 3}])
+@pytest.mark.parametrize("block", [1 << 4, 1 << 9, offline_simon._TEST_BLOCK])
+def test_test_step_sums_the_rows_in_guess_order(monkeypatch, block, excluded):
+    # one guess per block (the 1-D index path), two blocks of two guesses and
+    # one block of four: the sum the test returns is np.sum over the rows it
+    # tests, bit for bit, excluded rows and untested excluded blocks included
+    monkeypatch.setattr(offline_simon, "_TEST_BLOCK", block)
+    inst = efx_instance(2, 2, 3)
+    db = build_database_cpa(inst, 2, 2)
+    circuit = offline_simon._JointCircuit(db, guess_family_for(inst, 2))
+    assert circuit.block == {1 << 4: 1, 1 << 9: 2}.get(block, 4)
+    state = np.random.default_rng(5).standard_normal(circuit.size)
+    rows = np.empty((1 << circuit.m, circuit.size))
+    circuit._test(state, excluded, rows)
+    free = np.full_like(rows, np.nan)
+    total = circuit._test(state, excluded, free, keep=False)
+    assert np.shares_memory(total, free)
+    assert np.array_equal(total, np.sum(rows, axis=0))
+    assert np.array_equal(total / (1 << circuit.m), np.mean(rows, axis=0))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(_small_exact_instances()), st.integers(1, 3),
        st.integers(0, 2 ** 32 - 1), st.data())
@@ -845,6 +866,48 @@ def test_joint_circuit_keeps_the_state_normalised(case, iterations, seed, data):
     circuit = offline_simon._JointCircuit(build_database_cpa(inst, u, c), family)
     branches = circuit._amplify(iterations, excluded)
     assert abs(np.sum(np.square(branches)) - 1.0) <= 1e-12
+
+
+def _row_mean_branches(circuit, iterations, excluded):
+    """The branches A - S[g] with every iteration's guess mean taken by
+    np.mean over the rows the test keeps."""
+    a = np.zeros(circuit.size)
+    a[circuit.start] = circuit.amp
+    b = np.zeros_like(a)
+    rows = np.empty((1 << circuit.m, circuit.size))
+    for _ in range(iterations):
+        circuit._test(a, excluded, rows)
+        a, b = b + 2.0 * np.mean(rows, axis=0), -a
+    return a - rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_small_exact_instances()), st.integers(2, 3),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_shared_first_step_matches_a_fresh_circuit(case, iterations, seed, data):
+    kind, n, kappa, u, c = case
+    inst = build_instance(kind, n, kappa, seed)
+    family = guess_family_for(inst, u)
+    db = build_database_cpa(inst, u, c)
+    space = 1 << family.search_bits
+    guesses = st.sets(st.integers(0, space - 1), max_size=space - 1)
+    earlier, excluded = data.draw(guesses), data.draw(guesses)
+    # any block size the layout allows, one guess per block included
+    block = data.draw(st.sampled_from([1 << k for k in range(family.search_bits + 1)]))
+    used = offline_simon._JointCircuit(db, family)
+    fresh = offline_simon._JointCircuit(db, family)
+    used.block = fresh.block = block
+    used.run_search(np.random.default_rng(seed + 1), iterations, earlier)
+    assert used.first is not None and fresh.first is None
+    assert (used.run_search(np.random.default_rng(seed), iterations, excluded)
+            == fresh.run_search(np.random.default_rng(seed), iterations, excluded))
+    branches = fresh._amplify(iterations, excluded)
+    reference = _row_mean_branches(fresh, iterations, excluded)
+    if not excluded:
+        assert np.array_equal(branches, reference)
+    norms = np.einsum("ij,ij->i", branches, branches)
+    assert np.allclose(norms, np.einsum("ij,ij->i", reference, reference),
+                       rtol=0.0, atol=1e-12)
 
 
 def test_zero_iteration_search_holds_register_vectors_only():

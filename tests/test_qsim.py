@@ -162,9 +162,12 @@ def test_measure_born_frequencies():
     rng = np.random.default_rng(99)
     hits = 0
     trials = 100_000
+    sv = qsim.StateVector([("q", 1)])
+    qsim.hadamard(sv, "q")
+    plus = sv.amps
     for _ in range(trials):
-        sv = qsim.StateVector([("q", 1)])
-        qsim.hadamard(sv, "q")
+        # measuring collapses the state, so |+> is restored before each draw
+        sv.amps = plus
         outcome, _ = qsim.measure(sv, "q", rng)
         hits += outcome.value == 0
     assert abs(hits / trials - 0.5) < 0.005
