@@ -57,22 +57,27 @@ class ExperimentConfig:
         except ValueError:
             errors.append(f"construction: unknown kind {self.construction!r}")
             kind = None
-        if not 1 <= self.n <= 16:
-            errors.append(f"n: {self.n} out of range [1, 16]")
-        if not 1 <= self.kappa <= 16:
-            errors.append(f"kappa: {self.kappa} out of range [1, 16]")
+        # limits derived from n, kappa and c are checked once those are in range
+        n_ok, kappa_ok = 1 <= self.n <= 16, 1 <= self.kappa <= 16
+        c_ok = 1 <= self.c <= offline_simon.MAX_REGISTERS
+        if not n_ok:
+            errors.append(f"n: {bounds._bounded(self.n)} out of range [1, 16]")
+        if not kappa_ok:
+            errors.append(f"kappa: {bounds._bounded(self.kappa)} out of range [1, 16]")
         if self.attack == "offline_simon" and not 0 <= self.u <= self.n:
-            errors.append(f"u: {self.u} out of range [0, n]")
-        if not 1 <= self.c <= offline_simon.MAX_REGISTERS:
-            errors.append(f"c: {self.c} out of range [1, {offline_simon.MAX_REGISTERS}]")
+            errors.append(f"u: {bounds._bounded(self.u)} out of range [0, n]")
+        if not c_ok:
+            errors.append(f"c: {bounds._bounded(self.c)} out of range "
+                          f"[1, {offline_simon.MAX_REGISTERS}]")
         if self.mode not in ("TENSOR", "EXACT"):
             errors.append(f"mode: {self.mode!r} is not TENSOR or EXACT")
         if not 0.0 <= self.alpha < 1.0:
             errors.append(f"alpha: {self.alpha} out of [0, 1)")
         if self.trials < 0:
-            errors.append(f"trials: {self.trials} must be nonnegative")
+            errors.append(f"trials: {bounds._bounded(self.trials)} must be nonnegative")
         if self.max_searches < 1:
-            errors.append(f"max_searches: {self.max_searches} must be at least 1")
+            errors.append(f"max_searches: {bounds._bounded(self.max_searches)} "
+                          f"must be at least 1")
         if kind is not None:
             spec = SPECS[kind]
             if self.attack in ATTACK_KINDS and self.attack not in spec.attacks:
@@ -80,6 +85,7 @@ class ExperimentConfig:
             if spec.full_domain and self.attack == "offline_simon" \
                     and self.effective_u != self.n:
                 errors.append(f"u: {kind.value} needs the full domain (u = n)")
+        if kind is not None and n_ok and kappa_ok and c_ok:
             widths = dict(key_widths(kind, self.n, self.kappa))
             label, bits = {
                 "guess_and_em": ("kappa + n", self.effective_kappa + self.n),
@@ -88,21 +94,24 @@ class ExperimentConfig:
             if bits > offline_simon.MAX_SEARCH_BITS:
                 errors.append(f"search space: {label} = {bits} bits, "
                               f"over the limit of {offline_simon.MAX_SEARCH_BITS}")
-            if self.attack in SEARCH_ATTACKS and 0 <= self.effective_u <= self.n <= 16:
+            if self.attack in SEARCH_ATTACKS and 0 <= self.effective_u <= self.n:
                 errors += offline_simon.search_limits(
                     self.effective_kappa + self.n - self.effective_u, self.effective_u,
                     self.n, self.c, self.mode, self.qubit_cap)
         if self.qubit_cap > qsim.DEFAULT_QUBIT_CAP:
-            errors.append(
-                f"qubit_cap: {self.qubit_cap} is over the limit of {qsim.DEFAULT_QUBIT_CAP}; "
-                f"an EXACT state of {self.qubit_cap} qubits needs "
+            # the bytes are named up to a 64-bit address space
+            need = "" if self.qubit_cap > 64 else (
+                f"; an EXACT state of {self.qubit_cap} qubits needs "
                 f"{offline_simon.JOINT_BYTES_PER_AMPLITUDE << self.qubit_cap:,} bytes")
-        if self.attack == "em_q2" and self.n > qsim.SIMON_INPUT_CAP:
+            errors.append(f"qubit_cap: {bounds._bounded(self.qubit_cap)} is over the limit "
+                          f"of {qsim.DEFAULT_QUBIT_CAP}{need}")
+        if self.attack == "em_q2" and n_ok and self.n > qsim.SIMON_INPUT_CAP:
             errors.append(f"n: em_q2 simulates Simon on {self.n} input qubits, "
                           f"cap is {qsim.SIMON_INPUT_CAP}")
         if self.attack == "guess_and_em" and self.data < 2:
             errors.append("data: guess_and_em needs a query budget of at least 2")
-        if self.attack in ("guess_and_em", "exhaustive") and self.data > (1 << self.n):
+        if self.attack in ("guess_and_em", "exhaustive") and n_ok \
+                and self.data > (1 << self.n):
             errors.append("data: cannot exceed the codebook")
         return errors
 

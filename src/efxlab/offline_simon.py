@@ -511,11 +511,13 @@ class _JointCircuit:
     register vector as a (2^(c*u), -1) matrix has one row per input tuple,
     packed as _rank_deficient_table indexes it, so T is one operator on
     those rows. The tests run on blocks of guesses of about _TEST_BLOCK
-    register entries, the guess inside its block between the input tuple and
-    the payloads: maps[g] sends each register state to its block index under
-    guess g's transform, so scattering through it applies F_g and gathering
-    undoes it. The maps are built on the first test, so a search with no
-    iterations only computes the measured guess's map.
+    register entries, stacked whole: guess start + i of the block from start
+    owns work[i*size:(i+1)*size], and T is one batched product over them.
+    maps[g] is guess g's layout under its transform plus its slot offset
+    (g % block) * size, so scattering through it applies F_g and gathering
+    undoes it; less the offset, it places g's measured branch. The maps are
+    built on the first test, so a search with no iterations only computes
+    the measured guess's layout.
     """
 
     def __init__(self, db: QueryDatabase, family: GuessFamily):
@@ -532,44 +534,40 @@ class _JointCircuit:
             amp = (1 << db.u) ** -0.5 * amp
         self.amp = amp
         self.start = self._layout_indices(np.arange(1 << db.u)[None, :, None],
-                                          np.asarray(db.payload)[None, :, None],
-                                          db.c * db.n_out)[0]
+                                          np.asarray(db.payload)[None, :, None])[0]
         # sum_h O_h psi_0 over every guess, once a search runs two iterations
         self.first: Optional[np.ndarray] = None
 
-    def _images(self, start: int, count: int, x_shift: int) -> np.ndarray:
+    def _images(self, start: int, count: int) -> np.ndarray:
         """Layout indices of the images of every register state under guesses
-        start..start+count-1, one row each, with the inputs from bit x_shift:
-        register i of entry (x_{c-1}..x_0, w_{c-1}..w_0) holds the image of
-        (x_i, w_i) under the row's guess."""
+        start..start+count-1, one row each: register i of entry (x_{c-1}..x_0,
+        w_{c-1}..w_0) holds the image of (x_i, w_i) under the row's guess."""
         guesses = np.arange(start, start + count)[:, None, None]
         xt, wt = self.family.maps(guesses, np.arange(1 << self.db.u)[:, None],
                                   np.arange(1 << self.db.n_out))
-        return self._layout_indices(xt, wt, x_shift)
+        return self._layout_indices(xt, wt)
 
-    def _layout_indices(self, xt: np.ndarray, wt: np.ndarray, x_shift: int) -> np.ndarray:
-        """Indices whose register i holds (xt, wt)[row, x_i, w_i], inputs from
-        bit x_shift: one row per leading table entry, one column per
-        (x_{c-1}..x_0, w_{c-1}..w_0) of the tables' broadcast extents."""
+    def _layout_indices(self, xt: np.ndarray, wt: np.ndarray) -> np.ndarray:
+        """Indices whose register i holds (xt, wt)[row, x_i, w_i]: one row per
+        leading table entry, one column per (x_{c-1}..x_0, w_{c-1}..w_0) of
+        the tables' broadcast extents."""
         c, u, n = self.db.c, self.db.u, self.db.n_out
         dims = np.broadcast_shapes(xt.shape, wt.shape)
         out = np.zeros(dims[:1] + dims[1:2] * c + dims[2:] * c, dtype=np.int64)
         for i in range(c):
             shape = [dims[0]] + [1] * (2 * c)
             shape[c - i], shape[2 * c - i] = dims[1], dims[2]
-            out |= ((xt << (x_shift + i * u)) | (wt << (i * n))).reshape(shape)
+            out |= ((xt << (c * n + i * u)) | (wt << (i * n))).reshape(shape)
         return out.reshape(dims[0], -1)
 
     def _build_maps(self) -> None:
-        """Every guess's block-index map as one int32 table; a block holds
-        fewer than 2^26 entries under the qubit cap."""
-        low = self.db.c * self.db.n_out
-        bits = self.block.bit_length() - 1
+        """Every guess's map, its layout plus its slot's offset, as one int32
+        table; a block holds fewer than 2^26 entries under the qubit cap."""
         self.maps = np.empty((1 << self.m, self.size), dtype=np.int32)
-        local = np.arange(self.block)[:, None] << low
+        slots = np.arange(self.block)[:, None] * self.size
         for start in range(0, 1 << self.m, self.block):
-            np.bitwise_or(self._images(start, self.block, low + bits), local,
-                          out=self.maps[start:start + self.block])
+            np.add(self._images(start, self.block), slots,
+                   out=self.maps[start:start + self.block])
 
     def run_search(self, rng: np.random.Generator, iterations: int,
                    excluded: Set[int]) -> Tuple[int, List[int]]:
@@ -664,8 +662,8 @@ class _JointCircuit:
             self._build_maps()
         sign, basis = _test_reflection(self.db.u, self.db.c)
         work = np.empty(self.block * self.size)
-        tuples = work.reshape(basis.shape[0], -1)
-        overlap = np.empty((basis.shape[1], tuples.shape[1]))
+        tuples = work.reshape(self.block, basis.shape[0], -1)
+        overlap = np.empty((self.block, basis.shape[1], tuples.shape[2]))
         # the block's maps in int64, copied once for the scatter and the
         # gather (take would cast an int32 index to a full int64 copy, and a
         # scatter casts it in small buffers at twice the time); one guess's
@@ -687,23 +685,16 @@ class _JointCircuit:
 
         return test
 
-    def _layout_of(self, g: int) -> np.ndarray:
-        """Layout indices of the images of every register state under guess
-        g: its map row with the block-local guess bits taken out, or
-        _images when the maps are not built."""
-        low = self.db.c * self.db.n_out
-        if self.maps is None:
-            return self._images(g, 1, low)[0]
-        row, bits = self.maps[g], self.block.bit_length() - 1
-        return ((row >> (low + bits)) << low) | (row & ((1 << low) - 1))
-
     def _sample_branch(self, branch: np.ndarray, g: int,
                        rng: np.random.Generator) -> List[int]:
         """Apply guess g's transform to its branch, Hadamard the inputs and
         measure them register by register."""
         u, low = self.db.u, self.db.c * self.db.n_out
         state = np.empty_like(branch)
-        state[self._layout_of(g)] = branch
+        if self.maps is None:
+            state[self._images(g, 1)[0]] = branch
+        else:
+            state[self.maps[g] - (g % self.block) * self.size] = branch
         for q in range(low, low + self.db.c * u):
             qsim.hadamard_qubit(state, q)
         samples = []

@@ -280,10 +280,37 @@ def test_cli_rejects_unsupported_config_before_running(tmp_path, capsys, monkeyp
     assert_rejected_before_running(["attack", "--config", str(cfg_path)], capsys, monkeypatch)
 
 
+@pytest.mark.parametrize("field, config", [
+    ("kappa", f"attack = offline_simon\nconstruction = EFX\nn = 4\nkappa = {10 ** 20}"),
+    ("kappa", f"attack = grover_meets_simon\nconstruction = FX\nn = 4\nkappa = {10 ** 20}"),
+    ("n", f"attack = guess_and_em\nconstruction = EFX\ndata = 16\nn = {10 ** 20}"),
+    ("n", f"attack = exhaustive\nconstruction = EFX\nn = {10 ** 20}"),
+    ("qubit_cap", f"attack = offline_simon\nconstruction = EFX\nqubit_cap = {10 ** 20}"),
+    ("kappa", "attack = offline_simon\nconstruction = EFX\nkappa = 100000"),
+    ("qubit_cap", "attack = offline_simon\nconstruction = EFX\nqubit_cap = 100000"),
+    ("n", "attack = exhaustive\nconstruction = EFX\nn = -5"),
+    ("kappa", "attack = offline_simon\nconstruction = EFX\nkappa = -100"),
+], ids=["offline-kappa-1e20", "grover-kappa-1e20", "guess-and-em-n-1e20",
+        "exhaustive-n-1e20", "qubit-cap-1e20", "kappa-100000", "qubit-cap-100000",
+        "exhaustive-n-negative", "kappa-negative"])
+def test_cli_names_an_out_of_range_field_in_one_line(tmp_path, capsys, monkeypatch,
+                                                     field, config):
+    # 1 << n, 26 << qubit_cap and search_limits overflowed on 10^20, a derived
+    # message broke the int-to-str digit limit on 100000, and a negative size
+    # made a negative shift count
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(config + "\n")
+    err = assert_rejected_before_running(["attack", "--config", str(cfg_path)], capsys,
+                                         monkeypatch)
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1, err
+    assert len(err) <= 120, err
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--axis", "u", "--values", "2.5", "1.9"],
     ["sweep", "--axis", "D", "--values", "4", "4.5"],
     ["sweep", "--axis", "n", "--values", "3.5"],
+    ["sweep", "--axis", "n", "--values", "1e300"],
     ["curves", "--n", "0", "--kappa", "4"],
     ["curves", "--n", "-3", "--kappa", "4"],
     ["curves", "--n", "4", "--kappa", "-2"],
@@ -305,7 +332,7 @@ def test_cli_rejects_unsupported_config_before_running(tmp_path, capsys, monkeyp
     # named by its digit count, not echoed
     ["curves", "--n", str(10 ** 60), "--kappa", "1"],
     ["bounds", "--n", "4", "--kappa", str(-10 ** 60)],
-], ids=["sweep-u", "sweep-D", "sweep-n", "curves-n-zero", "curves-n-negative",
+], ids=["sweep-u", "sweep-D", "sweep-n", "sweep-n-1e300", "curves-n-zero", "curves-n-negative",
         "curves-kappa-negative", "attack-config-dir", "sweep-config-dir", "plot-in-dir",
         "plot-short-row", "bounds-t-1100", "bounds-d-2000", "bounds-n-1100", "bounds-d-nan",
         "plot-nan", "curves-n-huge", "curves-kappa-huge", "bounds-n-huge",

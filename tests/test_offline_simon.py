@@ -825,11 +825,35 @@ def test_test_step_leaves_excluded_guesses_bit_for_bit(monkeypatch, block):
             assert np.array_equal(out[h], state)
             continue
         # O_h = F_h^T T F_h: scatter through guess h's map, test, gather back
-        image = circuit._images(h, 1, db.c * db.n_out)[0]
+        image = circuit._images(h, 1)[0]
         moved = np.empty_like(state)
         moved[image] = state
         expected = (operator @ moved.reshape(1 << 4, -1)).reshape(-1)[image]
         assert np.allclose(out[h], expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("block", [1 << 4, 1 << 9, offline_simon._TEST_BLOCK])
+def test_joint_circuit_maps_are_layouts_plus_slot_offsets(monkeypatch, block):
+    # each guess's map is its layout shifted into its slot of the block, and
+    # the measured branch lands in the same place whether or not the maps exist
+    monkeypatch.setattr(offline_simon, "_TEST_BLOCK", block)
+    inst = efx_instance(2, 2, 3)
+    db = build_database_cpa(inst, 2, 2)
+    circuit = offline_simon._JointCircuit(db, guess_family_for(inst, 2))
+    branch = np.random.default_rng(6).standard_normal(circuit.size)
+    branch /= np.linalg.norm(branch)
+    space = 1 << circuit.m
+    unmapped = [circuit._sample_branch(branch, g, np.random.default_rng(g))
+                for g in range(space)]
+    assert circuit.maps is None
+    circuit._build_maps()
+    for start in range(0, space, circuit.block):
+        entries = np.sort(circuit.maps[start:start + circuit.block], axis=None)
+        assert np.array_equal(entries, np.arange(circuit.block * circuit.size))
+    for g in range(space):
+        assert np.array_equal(circuit.maps[g] - (g % circuit.block) * circuit.size,
+                              circuit._images(g, 1)[0])
+        assert circuit._sample_branch(branch, g, np.random.default_rng(g)) == unmapped[g]
 
 
 @pytest.mark.parametrize("excluded", [set(), {1}, {1, 2}, {0, 1}, {0, 1, 2, 3}])
@@ -971,7 +995,9 @@ def test_joint_circuit_draws_are_pinned(kind, n, kappa, u, c, seed):
 EXACT_GRID_DIGEST = "cb37371168de9e88d26dec6d6d889ddeb9fa5cc18cd63b5066c34e465f5d38b8"
 
 
-def test_joint_circuit_draws_on_the_grid_are_pinned():
+@pytest.mark.parametrize("block", [1 << 4, 1 << 9, offline_simon._TEST_BLOCK])
+def test_joint_circuit_draws_on_the_grid_are_pinned(monkeypatch, block):
+    monkeypatch.setattr(offline_simon, "_TEST_BLOCK", block)
     digest = hashlib.sha256()
     for kind, n, kappa, u, c in _small_exact_instances():
         for seed in (1, 2):
