@@ -28,14 +28,9 @@ from .offline_simon import (
 )
 from .qsim import (
     MeasurementOutcome,
-    StateVector,
     amplitude_amplify,
     amplify_success_probability,
-    apply_inplace_perm,
-    apply_xor_oracle,
     grover_iterations,
-    hadamard,
-    measure,
     simon_full,
     simon_samples,
     simon_subroutine,

@@ -9,13 +9,14 @@ and nothing records wall-clock time or paths.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import bounds, classical, gf2, offline_simon, qsim
 from .ciphers import (
+    MAX_BITS,
     SPECS,
     ConstructionKind,
     KeyMaterial,
@@ -30,6 +31,11 @@ from .ciphers import (
 # the attacks that run an amplified search over a guess space
 SEARCH_ATTACKS = ("offline_simon", "grover_meets_simon")
 ATTACK_KINDS = SEARCH_ATTACKS + ("em_q2", "guess_and_em", "exhaustive")
+# run_attack holds every trial's report until the last one ends, then its JSON
+# text: about 5.4 KB a trial by tracemalloc (100 trials of each shipped config,
+# caches warm) and 6.0 KB by peak RSS (efx_tensor, 2,100 trials against 100),
+# so a run at the cap peaks near 1.2 GB
+MAX_TRIALS = 200_000
 
 
 @dataclass
@@ -57,27 +63,34 @@ class ExperimentConfig:
         except ValueError:
             errors.append(f"construction: unknown kind {self.construction!r}")
             kind = None
-        # limits derived from n, kappa and c are checked once those are in range
-        n_ok, kappa_ok = 1 <= self.n <= 16, 1 <= self.kappa <= 16
-        c_ok = 1 <= self.c <= offline_simon.MAX_REGISTERS
-        if not n_ok:
-            errors.append(f"n: {bounds._bounded(self.n)} out of range [1, 16]")
-        if not kappa_ok:
-            errors.append(f"kappa: {bounds._bounded(self.kappa)} out of range [1, 16]")
-        if self.attack == "offline_simon" and not 0 <= self.u <= self.n:
-            errors.append(f"u: {bounds._bounded(self.u)} out of range [0, n]")
-        if not c_ok:
-            errors.append(f"c: {bounds._bounded(self.c)} out of range "
-                          f"[1, {offline_simon.MAX_REGISTERS}]")
+        # one inclusive range per integer field but seed (any int); u and data,
+        # where the attack reads them, are bounded by n, so they are declared
+        # once n is in range
+        ranges = {"n": (1, MAX_BITS), "kappa": (1, MAX_BITS),
+                  "c": (1, offline_simon.MAX_REGISTERS), "trials": (0, MAX_TRIALS),
+                  "max_searches": (1, 1 << offline_simon.MAX_SEARCH_BITS),
+                  "qubit_cap": (1, qsim.DEFAULT_QUBIT_CAP)}
+        if 1 <= self.n <= MAX_BITS:
+            if self.attack == "offline_simon":
+                ranges["u"] = (0, self.n)
+            if self.attack in ("guess_and_em", "exhaustive"):
+                ranges["data"] = (2 if self.attack == "guess_and_em" else 0, 1 << self.n)
+        bad = set()
+        for name, (lo, hi) in ranges.items():
+            value = getattr(self, name)
+            if lo <= value <= hi:
+                continue
+            bad.add(name)
+            error = f"{name}: {bounds._bounded(value)} out of range [{lo}, {hi}]"
+            if name == "qubit_cap" and hi < value <= 64:
+                # the bytes are named up to a 64-bit address space
+                error += (f"; an EXACT state of {value} qubits needs "
+                          f"{offline_simon.JOINT_BYTES_PER_AMPLITUDE << value:,} bytes")
+            errors.append(error)
         if self.mode not in ("TENSOR", "EXACT"):
             errors.append(f"mode: {self.mode!r} is not TENSOR or EXACT")
         if not 0.0 <= self.alpha < 1.0:
             errors.append(f"alpha: {self.alpha} out of [0, 1)")
-        if self.trials < 0:
-            errors.append(f"trials: {bounds._bounded(self.trials)} must be nonnegative")
-        if self.max_searches < 1:
-            errors.append(f"max_searches: {bounds._bounded(self.max_searches)} "
-                          f"must be at least 1")
         if kind is not None:
             spec = SPECS[kind]
             if self.attack in ATTACK_KINDS and self.attack not in spec.attacks:
@@ -85,7 +98,7 @@ class ExperimentConfig:
             if spec.full_domain and self.attack == "offline_simon" \
                     and self.effective_u != self.n:
                 errors.append(f"u: {kind.value} needs the full domain (u = n)")
-        if kind is not None and n_ok and kappa_ok and c_ok:
+        if kind is not None and not bad & {"n", "kappa", "c"}:
             widths = dict(key_widths(kind, self.n, self.kappa))
             label, bits = {
                 "guess_and_em": ("kappa + n", self.effective_kappa + self.n),
@@ -94,25 +107,13 @@ class ExperimentConfig:
             if bits > offline_simon.MAX_SEARCH_BITS:
                 errors.append(f"search space: {label} = {bits} bits, "
                               f"over the limit of {offline_simon.MAX_SEARCH_BITS}")
-            if self.attack in SEARCH_ATTACKS and 0 <= self.effective_u <= self.n:
+            if self.attack in SEARCH_ATTACKS and "u" not in bad:
                 errors += offline_simon.search_limits(
                     self.effective_kappa + self.n - self.effective_u, self.effective_u,
                     self.n, self.c, self.mode, self.qubit_cap)
-        if self.qubit_cap > qsim.DEFAULT_QUBIT_CAP:
-            # the bytes are named up to a 64-bit address space
-            need = "" if self.qubit_cap > 64 else (
-                f"; an EXACT state of {self.qubit_cap} qubits needs "
-                f"{offline_simon.JOINT_BYTES_PER_AMPLITUDE << self.qubit_cap:,} bytes")
-            errors.append(f"qubit_cap: {bounds._bounded(self.qubit_cap)} is over the limit "
-                          f"of {qsim.DEFAULT_QUBIT_CAP}{need}")
-        if self.attack == "em_q2" and n_ok and self.n > qsim.SIMON_INPUT_CAP:
+        if self.attack == "em_q2" and "n" not in bad and self.n > qsim.SIMON_INPUT_CAP:
             errors.append(f"n: em_q2 simulates Simon on {self.n} input qubits, "
                           f"cap is {qsim.SIMON_INPUT_CAP}")
-        if self.attack == "guess_and_em" and self.data < 2:
-            errors.append("data: guess_and_em needs a query budget of at least 2")
-        if self.attack in ("guess_and_em", "exhaustive") and n_ok \
-                and self.data > (1 << self.n):
-            errors.append("data: cannot exceed the codebook")
         return errors
 
     @property
@@ -144,14 +145,8 @@ def parse_config(text: str) -> ExperimentConfig:
         value = value.strip()
         if key not in known:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        typ = known[key]
         try:
-            if typ is int:
-                setattr(cfg, key, int(value))
-            elif typ is float:
-                setattr(cfg, key, float(value))
-            else:
-                setattr(cfg, key, value)
+            setattr(cfg, key, known[key](value))  # int, float or str
         except ValueError:
             raise ValueError(f"line {lineno}: cannot parse {value!r} for {key}") from None
     return cfg
@@ -250,7 +245,8 @@ def report_json(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # sweeps
 
-SWEEP_AXES = ("u", "alpha", "D", "n")
+# each sweep axis and the config field and type its values set
+SWEEP_AXES = {"u": ("u", int), "alpha": ("alpha", float), "D": ("data", int), "n": ("n", int)}
 
 SWEEP_COLUMNS = ["axis", "value", "attack", "construction", "n", "kappa", "u",
                  "c", "mode", "trials", "success_rate", "planted_rate", "mean_online",
@@ -274,29 +270,21 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> List[dic
     fidelity columns on the alpha axis only; u, D and n take integer values.
     """
     if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}")
-    if axis != "alpha":
+        raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}")
+    field, typ = SWEEP_AXES[axis]
+    if typ is int:
         for value in values:
             if not float(value).is_integer():
                 raise ValueError(f"{axis} takes integer values, got {value}")
     rows = []
     base_rate = None
     if axis == "alpha":
-        base_cfg = ExperimentConfig(**{**asdict(cfg), "alpha": 0.0})
+        base_cfg = replace(cfg, alpha=0.0)
         if errors := base_cfg.validate():
             raise ValueError("alpha sweep baseline invalid: " + "; ".join(errors))
         base_rate = run_attack(base_cfg)["summary"]["success_rate"]
     for idx, value in enumerate(values):
-        point = dict(asdict(cfg))
-        if axis == "u":
-            point["u"] = int(value)
-        elif axis == "alpha":
-            point["alpha"] = float(value)
-        elif axis == "D":
-            point["data"] = int(value)
-        else:
-            point["n"] = int(value)
-        point_cfg = ExperimentConfig(**point)
+        point_cfg = replace(cfg, **{field: typ(value)})
         if errors := point_cfg.validate():
             raise ValueError(f"sweep point {idx} ({axis}={value}): " + "; ".join(errors))
         report = run_attack(point_cfg)
@@ -307,25 +295,17 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> List[dic
             vals = [t.get("meta", {}).get(key, 0) for t in trials]
             return sum(vals) / len(vals) if vals else 0.0
 
-        iters = trials[0].get("iterations", 0) if trials else 0
-        row = {
-            "axis": axis, "value": value,
-            "attack": point_cfg.attack, "construction": point_cfg.construction,
-            "n": point_cfg.n, "kappa": point_cfg.kappa, "u": point_cfg.u,
-            "c": point_cfg.c, "mode": point_cfg.mode, "trials": point_cfg.trials,
-            "success_rate": summary["success_rate"],
-            "planted_rate": summary["planted_rate"],
-            "mean_online": summary["mean_online_queries"],
-            "mean_offline": summary["mean_offline_evals"],
-            "mean_sim_time": summary["mean_sim_time_units"],
-            "mean_search_time": tmean("search_time_units"),
-            "iterations": iters,
-            "iterations_formula": "",
-            "ref_time": "",
-            "fidelity_bound": "",
-            "bound_times_base": "",
-            "bound_ok": "",
-        }
+        row = dict.fromkeys(SWEEP_COLUMNS, "")
+        row.update({"axis": axis, "value": value,
+                    "success_rate": summary["success_rate"],
+                    "planted_rate": summary["planted_rate"],
+                    "mean_online": summary["mean_online_queries"],
+                    "mean_offline": summary["mean_offline_evals"],
+                    "mean_sim_time": summary["mean_sim_time_units"],
+                    "mean_search_time": tmean("search_time_units"),
+                    "iterations": trials[0].get("iterations", 0) if trials else 0})
+        for col in ("attack", "construction", "n", "kappa", "u", "c", "mode", "trials"):
+            row[col] = getattr(point_cfg, col)
         if point_cfg.attack in SEARCH_ATTACKS:
             search = (point_cfg.n, point_cfg.effective_kappa, point_cfg.effective_u)
             row["iterations_formula"] = iterations_formula(*search)
@@ -352,24 +332,25 @@ def sweep_csv(rows: Sequence[dict]) -> str:
 
 def _suite_unitarity() -> Tuple[bool, str]:
     rng = np.random.default_rng(derive_seed(11, "verify-unitarity"))
-    from .ciphers import make_permutation as mk_perm
-    for rep in range(20):
-        sv = qsim.StateVector([("a", 3), ("b", 3)])
-        raw = rng.normal(size=sv.amps.size) + 1j * rng.normal(size=sv.amps.size)
-        sv.amps = raw / np.linalg.norm(raw)
-        qsim.hadamard(sv, "a")
-        table = [int(rng.integers(8)) for _ in range(8)]
-        qsim.apply_xor_oracle(sv, table, "a", "b")
-        perm = mk_perm(3, derive_seed(11, "perm", rep))
-        qsim.apply_inplace_perm(sv, perm, "b")
-        if abs(sv.norm_squared() - 1.0) > qsim.NORM_TOL:
-            return False, f"norm drifted to {sv.norm_squared()}"
-        before = sv.amps.copy()
-        qsim.hadamard(sv, "a")
-        qsim.hadamard(sv, "a")
-        if np.max(np.abs(sv.amps - before)) > 1e-9:
+    for _ in range(20):
+        raw = rng.normal(size=1 << 6)
+        amps = raw / np.linalg.norm(raw)
+        before = amps.copy()
+        for q in range(6):
+            qsim.hadamard_qubit(amps, q)
+        if abs(float(amps @ amps) - 1.0) > qsim.NORM_TOL:
+            return False, f"norm drifted to {float(amps @ amps)}"
+        for q in range(6):
+            qsim.hadamard_qubit(amps, q)
+        if np.max(np.abs(amps - before)) > 1e-9:
             return False, "H twice is not the identity"
-    return True, "gates preserve the norm"
+    # an orthonormal V makes each guess test sign * (I - 2 V V^T) an
+    # orthogonal involution, which the two-vector EXACT search relies on
+    for u, c in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 3)):
+        _, basis = offline_simon._test_reflection(u, c)
+        if not np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-9):
+            return False, f"test reflection basis at u = {u}, c = {c} is not orthonormal"
+    return True, "H keeps the norm and undoes itself; the test bases are orthonormal"
 
 
 def _suite_orthogonality() -> Tuple[bool, str]:

@@ -4,8 +4,8 @@ Registers are contiguous little-endian qubit ranges of one complex amplitude
 vector; basis index bit q is qubit q. Everything here is exact simulation,
 the only randomness is Born-rule sampling through an explicit seeded
 generator. Simon sampling (simon_samples) draws the circuit's two
-measurements without building its state. The StateVector gates are what the
-unitarity verify suite checks, and the tests' reference for the sampler.
+measurements without building its state. The StateVector gates remain only
+as the tests' reference for the sampler.
 """
 
 from __future__ import annotations

@@ -5,8 +5,11 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efxlab import cli, harness, offline_simon, plot_svg, qsim
 from efxlab.harness import parse_config, run_attack, sweep, sweep_csv, verify
@@ -91,6 +94,46 @@ def test_validate_rejects_a_qubit_cap_over_the_default():
     cfg.qubit_cap = 40
     (error,) = cfg.validate()
     assert error.startswith("qubit_cap:") and f"{26 << 40:,} bytes" in error
+
+
+# each integer field's declared range on a valid base config: TENSOR offline
+# Simon (n = 4, so u in [0, 4]) and, for data, the two attacks that read it
+FIELD_RANGES = [
+    ("", "n", 1, 16), ("", "kappa", 1, 16), ("", "c", 1, 1024),
+    ("", "trials", 0, harness.MAX_TRIALS), ("", "max_searches", 1, 1 << 20),
+    ("", "qubit_cap", 1, 26), ("", "u", 0, 4),
+    ("attack = guess_and_em\ndata = 16", "data", 2, 16),
+    ("attack = exhaustive\ndata = 16", "data", 0, 16),
+]
+
+
+@st.composite
+def field_values(draw):
+    """(base config, field, its range, a value inside it or just or far outside)."""
+    extra, field, lo, hi = draw(st.sampled_from(FIELD_RANGES))
+    value = draw(st.integers(lo, hi) | st.sampled_from([lo - 1, hi + 1, 10 ** 20, -10 ** 20]))
+    return extra, field, lo, hi, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_values())
+def test_validate_checks_every_integer_field_against_its_range(case):
+    extra, field, lo, hi, value = case
+    cfg = parse_config(BASE_CONFIG + extra)
+    assert cfg.validate() == []
+    setattr(cfg, field, value)
+    with mock.patch.object(harness, "run_trial", side_effect=AssertionError("a trial ran")):
+        errors = cfg.validate()
+        if not lo <= value <= hi:
+            with pytest.raises(ValueError, match=f"{field}: "):
+                run_attack(cfg)
+    named = [e for e in errors if e.startswith(f"{field}:")]
+    if lo <= value <= hi:
+        assert named == []
+    else:
+        (error,) = named
+        assert f" out of range [{lo}, {hi}]" in error
+        assert "\n" not in error and len(error) <= 120, error
 
 
 def test_validate_rejects_a_search_space_over_the_limit():
@@ -290,9 +333,15 @@ def test_cli_rejects_unsupported_config_before_running(tmp_path, capsys, monkeyp
     ("qubit_cap", "attack = offline_simon\nconstruction = EFX\nqubit_cap = 100000"),
     ("n", "attack = exhaustive\nconstruction = EFX\nn = -5"),
     ("kappa", "attack = offline_simon\nconstruction = EFX\nkappa = -100"),
+    # these ran: 10^20 trials until killed with no output, the others a trial each
+    ("trials", f"attack = em_q2\nconstruction = EM\nn = 4\nc = 6\ntrials = {10 ** 20}"),
+    ("qubit_cap", "attack = offline_simon\nconstruction = EFX\nqubit_cap = -7"),
+    ("max_searches", f"attack = offline_simon\nconstruction = EFX\nmax_searches = {10 ** 20}"),
+    ("data", "attack = exhaustive\nconstruction = EFX\nn = 3\nkappa = 2\ndata = -5"),
 ], ids=["offline-kappa-1e20", "grover-kappa-1e20", "guess-and-em-n-1e20",
         "exhaustive-n-1e20", "qubit-cap-1e20", "kappa-100000", "qubit-cap-100000",
-        "exhaustive-n-negative", "kappa-negative"])
+        "exhaustive-n-negative", "kappa-negative", "em-q2-trials-1e20",
+        "qubit-cap-negative", "max-searches-1e20", "exhaustive-data-negative"])
 def test_cli_names_an_out_of_range_field_in_one_line(tmp_path, capsys, monkeypatch,
                                                      field, config):
     # 1 << n, 26 << qubit_cap and search_limits overflowed on 10^20, a derived
