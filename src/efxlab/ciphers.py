@@ -33,11 +33,23 @@ class Permutation:
 
 
 def make_permutation(n: int, seed: int) -> Permutation:
-    """Uniformly drawn bijection on {0,...,2^n-1} (Fisher-Yates over the seeded stream)."""
+    """Uniformly drawn bijection on {0,...,2^n-1} (Fisher-Yates over the seeded stream).
+
+    The draw is random.Random(seed).shuffle's, written out so that the tables
+    do not hang on a stdlib helper: for i from 2^n - 1 down to 1, j is the
+    first getrandbits((i + 1).bit_length()) value that is at most i, and
+    entries i and j swap.
+    """
     if not 1 <= n <= MAX_BITS:
         raise ValueError(f"block size n={n} out of range [1, {MAX_BITS}]")
+    getrandbits = random.Random(seed).getrandbits
     table = list(range(1 << n))
-    random.Random(seed).shuffle(table)
+    for i in range(len(table) - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        table[i], table[j] = table[j], table[i]
     inverse = [0] * (1 << n)
     for x, y in enumerate(table):
         inverse[y] = x

@@ -245,8 +245,13 @@ def report_json(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # sweeps
 
-# each sweep axis and the config field and type its values set
-SWEEP_AXES = {"u": ("u", int), "alpha": ("alpha", float), "D": ("data", int), "n": ("n", int)}
+# each sweep axis: the config field and type its values set, and the attacks
+# that read that field (offline_simon reads u only at alpha = 0; at alpha > 0
+# its database is the full domain)
+SWEEP_AXES = {"u": ("u", int, ("offline_simon",)),
+              "alpha": ("alpha", float, ("offline_simon",)),
+              "D": ("data", int, ("guess_and_em", "exhaustive")),
+              "n": ("n", int, ATTACK_KINDS)}
 
 SWEEP_COLUMNS = ["axis", "value", "attack", "construction", "n", "kappa", "u",
                  "c", "mode", "trials", "success_rate", "planted_rate", "mean_online",
@@ -268,10 +273,16 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> List[dic
 
     The search reference columns are filled for SEARCH_ATTACKS only, and the
     fidelity columns on the alpha axis only; u, D and n take integer values.
+    An axis whose field the attack does not read is refused before any trial.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}")
-    field, typ = SWEEP_AXES[axis]
+    field, typ, readers = SWEEP_AXES[axis]
+    if cfg.attack in ATTACK_KINDS:
+        if cfg.attack not in readers:
+            raise ValueError(f"axis {axis}: {cfg.attack} does not read {field}")
+        if field == "u" and cfg.alpha > 0:
+            raise ValueError(f"axis u: {cfg.attack} does not read u at alpha > 0 (u = n)")
     if typ is int:
         for value in values:
             if not float(value).is_integer():

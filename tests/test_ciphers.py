@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efxlab import ciphers
 from efxlab.ciphers import (
@@ -47,6 +50,27 @@ def test_permutation_inverse_and_dump():
     p = make_permutation(4, 99)
     assert sorted(p.table) == list(range(16))
     assert all(p.inverse_table[p.table[x]] == x for x in range(16))
+
+
+def _assert_stdlib_shuffle(n, seed):
+    p = make_permutation(n, seed)
+    expected = list(range(1 << n))
+    random.Random(seed).shuffle(expected)
+    assert p.table == expected
+    assert all(p.inverse_table[y] == x for x, y in enumerate(p.table))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 64 - 1))
+def test_permutation_is_the_stdlib_shuffle(n, seed):
+    # the in-module draw must give random.shuffle's table, on which every
+    # pinned report digest rests
+    _assert_stdlib_shuffle(n, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_permutation_is_the_stdlib_shuffle_at_max_bits(seed):
+    _assert_stdlib_shuffle(ciphers.MAX_BITS, seed)
 
 
 def test_permutation_uniformity_chi_square():

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from efxlab import cli, harness, offline_simon, plot_svg, qsim
 from efxlab.harness import parse_config, run_attack, sweep, sweep_csv, verify
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 BASE_CONFIG = """
 # comment line
 attack = offline_simon
@@ -381,16 +383,27 @@ def test_cli_names_an_out_of_range_field_in_one_line(tmp_path, capsys, monkeypat
     # named by its digit count, not echoed
     ["curves", "--n", str(10 ** 60), "--kappa", "1"],
     ["bounds", "--n", "4", "--kappa", str(-10 ** 60)],
+    # these ran the same attack once per value: the attack does not read the axis
+    ["sweep", "--axis", "D", "--values", "2", "16"],
+    ["sweep", "--axis", "u", "--values", "1", "5", "--config", str(CONFIGS / "em_q2.cfg")],
+    ["sweep", "--axis", "alpha", "--values", "0.1", "0.5",
+     "--config", str(CONFIGS / "em_q2.cfg")],
+    ["sweep", "--axis", "u", "--values", "1", "3", "4", "--config", str(CONFIGS / "efx_kpa.cfg")],
+    ["sweep", "--axis", "u", "--values", "0", "2", "--config", "{dir}/grover.cfg"],
 ], ids=["sweep-u", "sweep-D", "sweep-n", "sweep-n-1e300", "curves-n-zero", "curves-n-negative",
         "curves-kappa-negative", "attack-config-dir", "sweep-config-dir", "plot-in-dir",
         "plot-short-row", "bounds-t-1100", "bounds-d-2000", "bounds-n-1100", "bounds-d-nan",
         "plot-nan", "curves-n-huge", "curves-kappa-huge", "bounds-n-huge",
-        "bounds-kappa-huge", "curves-n-61-digits", "bounds-kappa-minus-61-digits"])
+        "bounds-kappa-huge", "curves-n-61-digits", "bounds-kappa-minus-61-digits",
+        "sweep-D-offline-simon", "sweep-u-em-q2", "sweep-alpha-em-q2", "sweep-u-efx-kpa",
+        "sweep-u-grover"])
 def test_cli_rejects_misuse_before_running(tmp_path, capsys, monkeypatch, argv):
     if argv[0] == "sweep" and "--config" not in argv:
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(BASE_CONFIG)
         argv = argv + ["--config", str(cfg_path)]
+    (tmp_path / "grover.cfg").write_text(BASE_CONFIG.replace("offline_simon",
+                                                             "grover_meets_simon"))
     (tmp_path / "short.csv").write_text("attack,log2D_over_n,log2T_over_n\nq1,0.5\n")
     (tmp_path / "nan.csv").write_text("attack,log2D_over_n,log2T_over_n\nq1,0.5,nan\n")
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
