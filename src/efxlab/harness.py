@@ -64,14 +64,14 @@ class ExperimentConfig:
             errors.append(f"construction: unknown kind {self.construction!r}")
             kind = None
         # one inclusive range per integer field but seed (any int); u and data,
-        # where the attack reads them, are bounded by n, so they are declared
-        # once n is in range
+        # where the attack reads them (offline_simon reads u at alpha = 0
+        # only), are bounded by n, so they are declared once n is in range
         ranges = {"n": (1, MAX_BITS), "kappa": (1, MAX_BITS),
                   "c": (1, offline_simon.MAX_REGISTERS), "trials": (0, MAX_TRIALS),
                   "max_searches": (1, 1 << offline_simon.MAX_SEARCH_BITS),
                   "qubit_cap": (1, qsim.DEFAULT_QUBIT_CAP)}
         if 1 <= self.n <= MAX_BITS:
-            if self.attack == "offline_simon":
+            if self.attack == "offline_simon" and self.effective_u == self.u:
                 ranges["u"] = (0, self.n)
             if self.attack in ("guess_and_em", "exhaustive"):
                 ranges["data"] = (2 if self.attack == "guess_and_em" else 0, 1 << self.n)
@@ -273,7 +273,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> List[dic
 
     The search reference columns are filled for SEARCH_ATTACKS only, and the
     fidelity columns on the alpha axis only; u, D and n take integer values.
-    An axis whose field the attack does not read is refused before any trial.
+    An axis whose field the attack does not read, and an invalid baseline or
+    point, are refused before any trial.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}")
@@ -287,17 +288,16 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> List[dic
         for value in values:
             if not float(value).is_integer():
                 raise ValueError(f"{axis} takes integer values, got {value}")
-    rows = []
-    base_rate = None
-    if axis == "alpha":
-        base_cfg = replace(cfg, alpha=0.0)
-        if errors := base_cfg.validate():
-            raise ValueError("alpha sweep baseline invalid: " + "; ".join(errors))
-        base_rate = run_attack(base_cfg)["summary"]["success_rate"]
-    for idx, value in enumerate(values):
-        point_cfg = replace(cfg, **{field: typ(value)})
+    base_cfg = replace(cfg, alpha=0.0) if axis == "alpha" else None
+    if base_cfg is not None and (errors := base_cfg.validate()):
+        raise ValueError("alpha sweep baseline invalid: " + "; ".join(errors))
+    points = [replace(cfg, **{field: typ(value)}) for value in values]
+    for idx, (value, point_cfg) in enumerate(zip(values, points)):
         if errors := point_cfg.validate():
             raise ValueError(f"sweep point {idx} ({axis}={value}): " + "; ".join(errors))
+    base_rate = None if base_cfg is None else run_attack(base_cfg)["summary"]["success_rate"]
+    rows = []
+    for value, point_cfg in zip(values, points):
         report = run_attack(point_cfg)
         summary = report["summary"]
         trials = report["trials"]

@@ -24,9 +24,9 @@ Two fidelity modes are provided:
   the shared database within a search. Every guess test O_g is an orthogonal
   involution, so guess g's branch of the state stays A + O_g B and a search
   updates two register-space vectors, (A, B) <- (2 mean_h O_h A + B, -A);
-  it never holds the whole joint state. Each test adds its guess sum as it
-  runs, only the last iteration keeps the tested rows, and the searches of
-  one trial share their first iteration's test of the common start state.
+  it never holds the whole joint state. Each test writes every guess's row
+  and sums the rows once, and the searches of one trial share their first
+  iteration's test of the common start state.
   With no search register the c registers never entangle, so EXACT samples
   each register's exact distribution, as TENSOR does.
 
@@ -74,8 +74,9 @@ MAX_SEARCH_BITS = 20
 # the test's V^T times the rows at 8*k/2^(c*u+m) <= 4/2^m B (V has k columns,
 # at most half the tuples) and register-space vectors at 8/2^m B each: A, the
 # test's scatter target and its int64 index (B is stored after the first
-# test), plus B and the shared first-step sum from two iterations on, which
-# needs m >= 3; 25.3 B measured at m = 1
+# test, and an iteration's guess sum once its test has freed the last two),
+# plus B and the shared first-step sum from two iterations on, which needs
+# m >= 3; 25.3 B measured at m = 1
 JOINT_BYTES_PER_AMPLITUDE = 26
 # register entries an EXACT test scatters, reflects and gathers at a time
 _TEST_BLOCK = 1 << 14
@@ -498,10 +499,10 @@ class _JointCircuit:
     N = mean_h O_h A. A search starts from A = psi_0, B = 0 and updates
     (A, B) <- (2 N + B, -A).
 
-    The guess sum behind N is added row by row in guess order, as np.mean
-    adds, while the test runs, so no iteration but the last keeps its rows:
-    they pass through free rows of the table S. The last iteration keeps
-    the rows O_h A in S, then psi_g = A - S[g]. Every search's first
+    Each test writes every row O_h A into the table S, and the guess sum
+    behind N is S summed once along its guess axis, which adds the rows in
+    guess order as np.mean does. After the last iteration psi_g = A - S[g],
+    and that sum goes into A's vector, free by then. Every search's first
     iteration tests the same psi_0, so with two or more iterations its sum
     over every guess is computed once per circuit, and a search excluding
     E re-tests only E's guesses: first - sum_{g in E} O_g psi_0 + |E| psi_0.
@@ -515,9 +516,9 @@ class _JointCircuit:
     owns work[i*size:(i+1)*size], and T is one batched product over them.
     maps[g] is guess g's layout under its transform plus its slot offset
     (g % block) * size, so scattering through it applies F_g and gathering
-    undoes it; less the offset, it places g's measured branch. The maps are
-    built on the first test, so a search with no iterations only computes
-    the measured guess's layout.
+    undoes it. The maps are built on the first test, and the measured branch
+    is placed through its guess's layout alone, so a search with no
+    iterations builds no maps.
     """
 
     def __init__(self, db: QueryDatabase, family: GuessFamily):
@@ -588,21 +589,19 @@ class _JointCircuit:
         rows = np.empty((1 << self.m, self.size))
         b = None  # B = 0 is stored once the first test has freed its buffers
         for step in range(1, iterations + 1):
-            if step == iterations:
-                self._test(a, excluded, rows)
-                # A is not needed once its rows are in S
-                total = np.add.reduce(rows, axis=0, out=a)
-            elif step == 1:
+            if step == 1 and iterations > 1:
                 total = self._first_step(a, excluded, rows)
             else:
-                total = self._test(a, excluded, rows, keep=False)
+                self._test(a, excluded, rows)
+                # A is not needed once the last iteration's rows are in S
+                total = np.add.reduce(rows, axis=0, out=a if step == iterations else None)
             # (A, B) <- (2 N + B, -A), N = total / 2^m as np.mean divides
             total /= 1 << self.m
             total *= 2.0
             if b is None:
                 b = np.zeros_like(a)
             b += total
-            del total  # a new vector after the first step, freed before the next test
+            del total  # a new vector before the last step, freed before the next test
             if step < iterations:
                 np.negative(a, out=a)
                 a, b = b, a
@@ -615,7 +614,8 @@ class _JointCircuit:
         O_g psi_0 - psi_0 for each excluded g, whose blocks are re-tested
         into their rows of rows."""
         if self.first is None:
-            self.first = self._test(psi0, set(), rows, keep=False).copy()
+            self._test(psi0, set(), rows)
+            self.first = np.add.reduce(rows, axis=0)
         total = self.first.copy()
         if excluded:
             test = self._block_test(psi0)
@@ -626,33 +626,19 @@ class _JointCircuit:
                 total += rows[g]
         return total
 
-    def _test(self, state: np.ndarray, excluded: Set[int], rows: np.ndarray,
-              keep: bool = True) -> np.ndarray:
-        """O_h state for every guess h, a block of guesses at a time; an
-        excluded guess's row is state itself, and a block of excluded
-        guesses is not tested. With keep, row h goes to rows[h]. Otherwise
-        the rows are added into rows[0] one at a time in guess order, which
-        gives the floats of np.sum over them, and each block after the first
-        passes through rows[1:]; rows[0] is returned either way."""
+    def _test(self, state: np.ndarray, excluded: Set[int], rows: np.ndarray) -> None:
+        """Write O_h state to rows[h] for every guess h, a block of guesses at
+        a time; an excluded guess's row is state itself, and a block of
+        excluded guesses is not tested."""
         skip = np.zeros(1 << self.m, dtype=bool)
         skip[list(excluded)] = True
         test = self._block_test(state)
         for start in range(0, 1 << self.m, self.block):
-            at = start if keep else min(start, 1)
-            out = rows[at:at + self.block]
+            out = rows[start:start + self.block]
             mask = skip[start:start + self.block]
             if not mask.all():
                 test(start, out)
             out[mask] = state
-            if keep:
-                continue
-            # numpy reduces into an overlapping row through buffers, which
-            # at one guess per block costs three times a plain add
-            if at + self.block == 2:
-                rows[0] += rows[1]
-            elif at + self.block > 2:
-                np.add.reduce(rows[:at + self.block], axis=0, out=rows[0])
-        return rows[0]
 
     def _block_test(self, state: np.ndarray):
         """test(start, out): write O_h state to out[h - start] for the guesses
@@ -691,10 +677,7 @@ class _JointCircuit:
         measure them register by register."""
         u, low = self.db.u, self.db.c * self.db.n_out
         state = np.empty_like(branch)
-        if self.maps is None:
-            state[self._images(g, 1)[0]] = branch
-        else:
-            state[self.maps[g] - (g % self.block) * self.size] = branch
+        state[self._images(g, 1)[0]] = branch
         for q in range(low, low + self.db.c * u):
             qsim.hadamard_qubit(state, q)
         samples = []

@@ -4,6 +4,7 @@ dependencies; the output is a standalone file)."""
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
+from xml.sax.saxutils import escape
 
 from .bounds import MAX_EXPONENT
 
@@ -112,7 +113,7 @@ def plot_curves(rows: Sequence[Tuple[str, float, float, str]]) -> str:
         parts.append(f'<rect x="{lx}" y="{legend_y - 8}" width="12" height="12" '
                      f'fill="{color}"/>')
         parts.append(f'<text x="{lx + 18}" y="{legend_y + 2}" font-size="11">'
-                     f'{attack} ({src})</text>')
+                     f'{escape(f"{attack} ({src})")}</text>')
         legend_y += 20
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

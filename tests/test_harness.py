@@ -89,6 +89,28 @@ def test_validate_ignores_u_for_attacks_that_do_not_read_it():
     assert cfg.effective_u == 1
 
 
+def test_validate_checks_u_only_where_offline_simon_reads_it():
+    # at alpha > 0 the database is the full domain and u is not read
+    cfg = parse_config(BASE_CONFIG)
+    cfg.u, cfg.alpha = 99, 0.0625
+    assert cfg.validate() == []
+    cfg.alpha = 0.0
+    assert cfg.validate() == ["u: 99 out of range [0, 4]"]
+
+
+def test_cli_sweeps_n_below_u_on_a_known_plaintext_config(tmp_path):
+    # efx_kpa sets u = 4, which the run never reads at alpha = 0.0625
+    cfg_path = tmp_path / "efx_kpa.cfg"
+    cfg_path.write_text((CONFIGS / "efx_kpa.cfg").read_text().replace("trials = 200",
+                                                                        "trials = 2"))
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--axis", "n", "--values", "3",
+                     "--out", str(out)]) == cli.EXIT_OK
+    header, row = out.read_text().splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    assert (row["n"], row["u"], row["trials"]) == ("3", "4", "2")
+
+
 def test_validate_rejects_a_qubit_cap_over_the_default():
     cfg = parse_config(BASE_CONFIG)
     cfg.qubit_cap = qsim.DEFAULT_QUBIT_CAP
@@ -257,6 +279,24 @@ def test_plot_reference_polylines(tmp_path):
         (a, x, y, s) for a, x, y, s in rows]
 
 
+def test_plot_escapes_its_legend_text():
+    import xml.etree.ElementTree as ET
+
+    rows = [("<b>&x", 0.0, 1.0, "formula"), ("<b>&x", 0.5, 1.5, "formula"),
+            ('q"a', 0.25, 1.0, "measured")]
+    root = ET.fromstring(plot_svg.plot_curves(rows))
+    texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "<b>&x (formula)" in texts and 'q"a (measured)' in texts
+
+
+def test_plot_draws_one_circle_per_measured_row():
+    rows = [("q1", 0.25, 1.0, "measured"), ("q1", 0.5, 0.75, "measured"),
+            ("q2", 0.5, 1.5, "measured"), ("q1", 0.0, 1.0, "formula"),
+            ("q1", 1.0, 0.5, "formula")]
+    svg = plot_svg.plot_curves(rows)
+    assert svg.count("<circle") == 3 and svg.count("<polyline") == 1
+
+
 def test_plot_empty_csv_gives_axes_only():
     svg = plot_svg.plot_curves([])
     assert "<polyline" not in svg
@@ -279,6 +319,17 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli.main(["attack", "--config", str(cfg_path)]) == cli.EXIT_CONFIG_ERROR
     assert cli.main(["attack", "--config", str(tmp_path / "missing.cfg")]) == \
         cli.EXIT_CONFIG_ERROR
+
+
+def test_cli_attack_exits_1_when_no_trial_succeeds(tmp_path):
+    # with 99.9% of the codebook missing no candidate verifies
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("attack = offline_simon\nconstruction = EFX\nn = 3\nkappa = 2\n"
+                        "u = 2\nc = 3\nalpha = 0.999\n")
+    out = tmp_path / "report.json"
+    assert cli.main(["attack", "--config", str(cfg_path), "--out", str(out)]) == \
+        cli.EXIT_ATTACK_FAILURE
+    assert json.loads(out.read_text())["summary"]["successes"] == 0
 
 
 def assert_rejected_before_running(argv, capsys, monkeypatch):
@@ -323,6 +374,15 @@ def test_cli_rejects_unsupported_config_before_running(tmp_path, capsys, monkeyp
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(config + "\n")
     assert_rejected_before_running(["attack", "--config", str(cfg_path)], capsys, monkeypatch)
+
+
+def test_cli_refuses_defx_below_the_full_domain(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("attack = offline_simon\nconstruction = DEFX\nn = 3\nkappa = 2\n"
+                        "u = 2\n")
+    err = assert_rejected_before_running(["attack", "--config", str(cfg_path)], capsys,
+                                         monkeypatch)
+    assert err == "error: u: DEFX needs the full domain (u = n)\n"
 
 
 @pytest.mark.parametrize("field, config", [
@@ -390,13 +450,17 @@ def test_cli_names_an_out_of_range_field_in_one_line(tmp_path, capsys, monkeypat
      "--config", str(CONFIGS / "em_q2.cfg")],
     ["sweep", "--axis", "u", "--values", "1", "3", "4", "--config", str(CONFIGS / "efx_kpa.cfg")],
     ["sweep", "--axis", "u", "--values", "0", "2", "--config", "{dir}/grover.cfg"],
+    # these ran every trial of the points before the invalid one, or the alpha
+    # = 0 baseline, before they refused it
+    ["sweep", "--axis", "n", "--values", "4", "1", "--config", str(CONFIGS / "efx_tensor.cfg")],
+    ["sweep", "--axis", "alpha", "--values", "0.1", "1.5"],
 ], ids=["sweep-u", "sweep-D", "sweep-n", "sweep-n-1e300", "curves-n-zero", "curves-n-negative",
         "curves-kappa-negative", "attack-config-dir", "sweep-config-dir", "plot-in-dir",
         "plot-short-row", "bounds-t-1100", "bounds-d-2000", "bounds-n-1100", "bounds-d-nan",
         "plot-nan", "curves-n-huge", "curves-kappa-huge", "bounds-n-huge",
         "bounds-kappa-huge", "curves-n-61-digits", "bounds-kappa-minus-61-digits",
         "sweep-D-offline-simon", "sweep-u-em-q2", "sweep-alpha-em-q2", "sweep-u-efx-kpa",
-        "sweep-u-grover"])
+        "sweep-u-grover", "sweep-n-efx-tensor-late-point", "sweep-alpha-late-point"])
 def test_cli_rejects_misuse_before_running(tmp_path, capsys, monkeypatch, argv):
     if argv[0] == "sweep" and "--config" not in argv:
         cfg_path = tmp_path / "exp.cfg"
@@ -410,6 +474,19 @@ def test_cli_rejects_misuse_before_running(tmp_path, capsys, monkeypatch, argv):
     err = assert_rejected_before_running(argv, capsys, monkeypatch)
     assert err.count("\n") == 1 and len(err) <= 120, err
     assert not (tmp_path / "x.svg").exists()
+
+
+def test_cli_alpha_sweep_refuses_a_point_before_its_baseline_runs(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the alpha = 0 baseline ran its 5 trials before the span DP refused the
+    # full-domain point
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("attack = offline_simon\nconstruction = EFX\nn = 8\nkappa = 1\n"
+                        "u = 2\nc = 6\ntrials = 5\n")
+    err = assert_rejected_before_running(["sweep", "--config", str(cfg_path), "--axis",
+                                          "alpha", "--values", "0.1"], capsys, monkeypatch)
+    assert err.startswith("error: sweep point 0 (alpha=0.1): span DP: u = 8, c = 6 ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["inf", "1e300"])

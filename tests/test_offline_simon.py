@@ -526,6 +526,28 @@ def test_generalized_engine_no_periodic_member_fails(monkeypatch):
     assert rep.searches == 3
 
 
+def test_generalized_engine_refuses_an_unknown_mode_and_too_many_registers():
+    inst = efx_instance(3, 2, 1)
+    db = build_database_cpa(inst, 2, 2)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="^unknown mode 'FOO'$"):
+        generalized_offline_simon(inst, db, rng, mode="FOO", build_time=0)
+    with pytest.raises(ValueError, match="^1025 registers, limit is 1024$"):
+        generalized_offline_simon(inst, dataclasses.replace(db, c=1025), rng, build_time=0)
+
+
+def test_kpa_run_with_no_known_pair_spends_no_verification():
+    # each search measures a guess, has no recorded pair to verify it against
+    # and excludes it, so the run stops after max_searches searches, charged
+    # only their iterations and sampling passes: 3 * (1 * 2 * 3 + 3) * 2
+    inst = efx_instance(3, 2, 5)
+    rep = offline_simon_attack(inst, 3, 3, "TENSOR", np.random.default_rng(0),
+                               known_inputs=[])
+    assert qsim.search_iterations(2) == 1 and guess_family_for(inst, 3).evals == 2
+    assert not rep.success and rep.searches == 3 and rep.online_queries == 0
+    assert rep.offline_evals == 54
+
+
 def test_attack_report_json_stable_fields():
     inst = efx_instance(4, 4, 2000)
     rng = np.random.default_rng(1)
@@ -835,7 +857,7 @@ def test_test_step_leaves_excluded_guesses_bit_for_bit(monkeypatch, block):
 @pytest.mark.parametrize("block", [1 << 4, 1 << 9, offline_simon._TEST_BLOCK])
 def test_joint_circuit_maps_are_layouts_plus_slot_offsets(monkeypatch, block):
     # each guess's map is its layout shifted into its slot of the block, and
-    # the measured branch lands in the same place whether or not the maps exist
+    # building the maps leaves the measured branch's placement as it was
     monkeypatch.setattr(offline_simon, "_TEST_BLOCK", block)
     inst = efx_instance(2, 2, 3)
     db = build_database_cpa(inst, 2, 2)
@@ -860,21 +882,33 @@ def test_joint_circuit_maps_are_layouts_plus_slot_offsets(monkeypatch, block):
 @pytest.mark.parametrize("block", [1 << 4, 1 << 9, offline_simon._TEST_BLOCK])
 def test_test_step_sums_the_rows_in_guess_order(monkeypatch, block, excluded):
     # one guess per block (the 1-D index path), two blocks of two guesses and
-    # one block of four: the sum the test returns is np.sum over the rows it
-    # tests, bit for bit, excluded rows and untested excluded blocks included
+    # one block of four: the test writes every guess's row, O_h state or, for
+    # an excluded guess, state itself bit for bit, untested excluded blocks
+    # included; and the one sum the search takes of them adds the rows in
+    # guess order, as np.mean adds them
     monkeypatch.setattr(offline_simon, "_TEST_BLOCK", block)
     inst = efx_instance(2, 2, 3)
     db = build_database_cpa(inst, 2, 2)
     circuit = offline_simon._JointCircuit(db, guess_family_for(inst, 2))
     assert circuit.block == {1 << 4: 1, 1 << 9: 2}.get(block, 4)
     state = np.random.default_rng(5).standard_normal(circuit.size)
-    rows = np.empty((1 << circuit.m, circuit.size))
-    circuit._test(state, excluded, rows)
-    free = np.full_like(rows, np.nan)
-    total = circuit._test(state, excluded, free, keep=False)
-    assert np.shares_memory(total, free)
-    assert np.array_equal(total, np.sum(rows, axis=0))
-    assert np.array_equal(total / (1 << circuit.m), np.mean(rows, axis=0))
+    rows = np.full((1 << circuit.m, circuit.size), np.nan)
+    assert circuit._test(state, excluded, rows) is None
+    operator = _test_operator_reference(2, 2)
+    for h in range(1 << circuit.m):
+        if h in excluded:
+            assert np.array_equal(rows[h], state)
+            continue
+        image = circuit._images(h, 1)[0]
+        moved = np.empty_like(state)
+        moved[image] = state
+        expected = (operator @ moved.reshape(1 << 4, -1)).reshape(-1)[image]
+        assert np.allclose(rows[h], expected, rtol=0.0, atol=1e-12)
+    in_order = rows[0].copy()
+    for row in rows[1:]:
+        in_order += row
+    assert np.array_equal(np.add.reduce(rows, axis=0), in_order)
+    assert np.array_equal(in_order / (1 << circuit.m), np.mean(rows, axis=0))
 
 
 @settings(max_examples=100, deadline=None)

@@ -570,3 +570,11 @@ def test_em_q2_trial_at_the_simon_cap_stays_small():
     # the sparse kernels peak at 1.8 MiB; one dense 2^(2n) complex state is
     # 256 MiB, and dense-state kernels peaked at 657 MiB
     assert peak < 8 << 20
+
+
+def test_recover_period_verified_leaves_a_constant_table_undetermined():
+    # every sample of a constant table is 0, and every nonzero candidate verifies
+    f = [5] * 8
+    samples = qsim.simon_samples(f, 4, np.random.default_rng(0), out_bits=3)
+    assert samples == [0, 0, 0, 0]
+    assert qsim.recover_period_verified(f, samples) == gf2.UNDETERMINED
