@@ -273,6 +273,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> List[dic
 
     The search reference columns are filled for SEARCH_ATTACKS only, and the
     fidelity columns on the alpha axis only; u, D and n take integer values.
+    The u column is the u the run used (effective_u), as the reference
+    columns use it.
     An axis whose field the attack does not read, and an invalid baseline or
     point, are refused before any trial.
     """
@@ -315,8 +317,9 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> List[dic
                     "mean_sim_time": summary["mean_sim_time_units"],
                     "mean_search_time": tmean("search_time_units"),
                     "iterations": trials[0].get("iterations", 0) if trials else 0})
-        for col in ("attack", "construction", "n", "kappa", "u", "c", "mode", "trials"):
+        for col in ("attack", "construction", "n", "kappa", "c", "mode", "trials"):
             row[col] = getattr(point_cfg, col)
+        row["u"] = point_cfg.effective_u
         if point_cfg.attack in SEARCH_ATTACKS:
             search = (point_cfg.n, point_cfg.effective_kappa, point_cfg.effective_u)
             row["iterations_formula"] = iterations_formula(*search)
@@ -356,12 +359,26 @@ def _suite_unitarity() -> Tuple[bool, str]:
         if np.max(np.abs(amps - before)) > 1e-9:
             return False, "H twice is not the identity"
     # an orthonormal V makes each guess test sign * (I - 2 V V^T) an
-    # orthogonal involution, which the two-vector EXACT search relies on
+    # orthogonal involution, which the two-vector EXACT search relies on;
+    # on the registers' orbits it acts per class as sign * (I - 2 V_r W^T),
+    # which must be one too under the orbit-weighted norm
     for u, c in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 3)):
-        _, basis = offline_simon._test_reflection(u, c)
+        sign, basis = offline_simon._test_reflection(u, c)
         if not np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-9):
             return False, f"test reflection basis at u = {u}, c = {c} is not orthonormal"
-    return True, "H keeps the norm and undoes itself; the test bases are orthonormal"
+        for code in range(1 << (c - 1)):
+            rows, fold, weights = offline_simon._folded_reflection(u, c, code)
+            block = rng.normal(size=(weights.size, 3))
+            once = sign * (block - 2.0 * rows @ (fold @ block))
+            twice = sign * (once - 2.0 * rows @ (fold @ once))
+            where = f"folded test at u = {u}, c = {c}, class {code}"
+            if np.max(np.abs(twice - block)) > 1e-9:
+                return False, f"{where} is not an involution"
+            if not np.allclose(weights @ np.square(once), weights @ np.square(block),
+                               atol=1e-9):
+                return False, f"{where} changes the norm"
+    return True, ("H keeps the norm and undoes itself; the test bases are orthonormal "
+                  "and every folded test is a norm-keeping involution")
 
 
 def _suite_orthogonality() -> Tuple[bool, str]:

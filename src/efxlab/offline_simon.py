@@ -24,9 +24,12 @@ Two fidelity modes are provided:
   the shared database within a search. Every guess test O_g is an orthogonal
   involution, so guess g's branch of the state stays A + O_g B and a search
   updates two register-space vectors, (A, B) <- (2 mean_h O_h A + B, -A);
-  it never holds the whole joint state. Each test writes every guess's row
-  and sums the rows once, and the searches of one trial share their first
-  iteration's test of the common start state.
+  it never holds the whole joint state. The c registers are identical
+  copies and every operation commutes with permuting them, so the vectors
+  hold one amplitude per orbit (multiset) of register states, and only the
+  measured branch is expanded to every register state. Each test writes
+  every guess's row and sums the rows once, and the searches of one trial
+  share their first iteration's test of the common start state.
   With no search register the c registers never entangle, so EXACT samples
   each register's exact distribution, as TENSOR does.
 
@@ -69,16 +72,15 @@ from .ciphers import (
 )
 
 MAX_SEARCH_BITS = 20
-# peak of an EXACT search per amplitude of the joint state (2^m guesses times
-# 2^(c*(u+n)) register states): the table S at 8 B, the int32 maps at 4 B,
-# the test's V^T times the rows at 8*k/2^(c*u+m) <= 4/2^m B (V has k columns,
-# at most half the tuples) and register-space vectors at 8/2^m B each: A, the
-# test's scatter target and its int64 index (B is stored after the first
-# test, and an iteration's guess sum once its test has freed the last two),
-# plus B and the shared first-step sum from two iterations on, which needs
-# m >= 3; 25.3 B measured at m = 1
+# bytes of an EXACT search per amplitude of the joint state (2^m guesses times
+# 2^(c*(u+n)) register states), an upper bound: the dense layout peaked at
+# 25.3 B (m = 1) with S at 8 B and the int32 maps at 4 B an amplitude. Over
+# the registers' orbits, about c! fewer, S and the maps cost 12 B per orbit
+# amplitude; per register state the cached int32 orbit lookup costs 4 B and
+# the measured branch's expansion and measurement up to 24 B, which c = 1
+# (no symmetry) brings to 22.1 B per joint amplitude at m = 1
 JOINT_BYTES_PER_AMPLITUDE = 26
-# register entries an EXACT test scatters, reflects and gathers at a time
+# orbit entries an EXACT test scatters, reflects and gathers at a time
 _TEST_BLOCK = 1 << 14
 # entries the span DP's transition cache may hold; 2^22 admits u <= 7 at any
 # c. Each costs about 200 B (185 B measured at u = 6, c = 8, rising with u).
@@ -481,23 +483,224 @@ def _tensor_draw(db: QueryDatabase, family: GuessFamily, rng: np.random.Generato
 
 
 # ---------------------------------------------------------------------------
-# EXACT-mode search: joint state simulation
+# EXACT-mode search: joint state simulation on the symmetric subspace
+
+
+@lru_cache(maxsize=None)
+def _binomials(top: int, k: int) -> np.ndarray:
+    """C(a, j) for a < top and j <= k, as an int64 table."""
+    table = np.zeros((top, k + 1), dtype=np.int64)
+    table[:, 0] = 1
+    for j in range(1, k + 1):
+        np.cumsum(table[:-1, j - 1], out=table[1:, j])
+    return table
+
+
+def _pattern(code: int, c: int) -> List[int]:
+    """Multiplicities of the payload groups of class code, in ascending
+    payload order: bit i - 1 of code is set when register i starts a group."""
+    starts = [0] + [i for i in range(1, c) if code >> (i - 1) & 1] + [c]
+    return [b - a for a, b in zip(starts, starts[1:])]
+
+
+def _orbit_parts(regs: List[np.ndarray], u: int, binom: np.ndarray):
+    """(class code, row, column) of each orbit given by its sorted register
+    states regs, a state being (w << u) | x.
+
+    Equal payloads form the groups of the class code. The column ranks the
+    distinct payloads in the combinatorial number system; the row ranks each
+    group's multiset of inputs the same way and mixes the groups' ranks with
+    the first group lowest.
+    """
+    shape = regs[0].shape
+    code, row, col, part, first = (np.zeros(shape, dtype=np.int64) for _ in range(5))
+    group, radix = np.full(shape, -1), np.ones(shape, dtype=np.int64)
+    prev = None
+    for i, s in enumerate(regs):
+        w, x = s >> u, s & ((1 << u) - 1)
+        if prev is None:
+            new = np.ones(shape, dtype=bool)
+        else:
+            new = w != prev
+            code |= new.astype(np.int64) << (i - 1)
+            # close the group that ends before register i
+            row += np.where(new, part * radix, 0)
+            radix = np.where(new, radix * binom[(1 << u) + i - first - 1, i - first], radix)
+            part[new] = 0
+            first[new] = i
+        group += new
+        col += np.where(new, binom[w, group + 1], 0)
+        part += binom[x + i - first, i - first + 1]
+        prev = w
+    row += part * radix
+    return code, row, col
+
+
+@lru_cache(maxsize=None)
+def _folded_reflection(u: int, c: int, code: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V_r, W^T, weights) of the test on the rows of class code.
+
+    A row is a class's input part: one multiset of inputs per payload group.
+    V_r is _test_reflection's V at the row's representative input tuple
+    (inputs ascending within each group), W sums V over every input tuple
+    that folds onto the row, and weights counts the register tuples of the
+    row's orbits. T restricted to the class is sign * (I - 2 V_r W^T) on its
+    rows, and the orbit-weighted norm is the full layout's norm.
+    """
+    _, basis = _test_reflection(u, c)
+    pattern = _pattern(code, c)
+    keys = np.arange(1 << (c * u))
+    # a stand-in payload per group keeps the groups apart while sorting
+    groups = np.repeat(np.arange(len(pattern)), pattern)
+    regs = list(np.sort([(int(groups[i]) << u) | ((keys >> (i * u)) & ((1 << u) - 1))
+                         for i in range(c)], axis=0))
+    binom = _binomials((1 << u) + c, c)
+    row = _orbit_parts(regs, u, binom)[1]
+    rows = math.prod(int(binom[(1 << u) + m - 1, m]) for m in pattern)
+    rep = np.zeros(rows, dtype=np.int64)
+    rep[row] = sum((s & ((1 << u) - 1)) << (i * u) for i, s in enumerate(regs))
+    order = np.argsort(row, kind="stable")
+    fold = np.add.reduceat(basis[order], np.searchsorted(row[order], np.arange(rows)), axis=0)
+    arrangements = math.factorial(c) // math.prod(math.factorial(m) for m in pattern)
+    weights = np.bincount(row, minlength=rows) * float(arrangements)
+    out = (np.ascontiguousarray(basis[rep]), np.ascontiguousarray(fold.T), weights)
+    for table in out:
+        table.flags.writeable = False
+    return out
+
+
+# multisets an orbit table places at a time
+_PLACE_CHUNK = 1 << 14
+
+
+def _colex_multisets(size: int, c: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(lookup, tuples) for the multisets of c values in range(size): the
+    rank of every c-tuple's multiset in colexicographic order, the tuple
+    packed with value i as digit i in base size, and the sorted tuple of
+    every rank, one per column.
+
+    A register at a time: inserting value s into the k-multiset t with p
+    entries at most s gives the rank sum_{j<p} C(t_j + j, j + 1)
+    + C(s + p, p + 1) + sum_{j>=p} C(t_j + j + 1, j + 2), and the
+    (k + 1)-multisets in colex order are, for each largest value v, the
+    first C(v + k, k) k-multisets followed by v.
+    """
+    values = np.arange(size, dtype=np.int32)
+    lookup, tuples = values, values[None, :]
+    binom = _binomials(size + c, c + 1) if c > 1 else None
+    for k in range(1, c):
+        below = [binom[tuples[j] + j, j + 1] for j in range(k)]
+        above = [binom[tuples[j] + j + 1, j + 2] for j in range(k)]
+        inserted = np.empty((size, tuples.shape[1]), dtype=np.int32)
+        for s in range(size):
+            at_most = [t <= s for t in tuples]
+            count = sum(at_most)
+            inserted[s] = binom[s + count, count + 1] + sum(
+                np.where(le, lo, hi) for le, lo, hi in zip(at_most, below, above))
+        lookup = inserted[:, lookup].ravel()
+        counts = binom[values + k, k]
+        pick = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        tuples = np.vstack([tuples[:, pick], np.repeat(values, counts)])
+    return lookup, tuples
+
+
+class _OrbitTables:
+    """The orbits of c registers of u + n_out bits under register
+    permutations, laid out by class.
+
+    An orbit is a sorted c-tuple of register states (w << u) | x. Its class
+    is the multiplicity pattern of the payloads w in ascending order, and a
+    class is one dense (rows, cols) block: its rows are the input parts and
+    its columns the ascending sequences of distinct payloads. A register
+    tuple is written as its index in the full layout (low bits first: the c
+    payloads, then the c inputs, register 0 lowest). orbit maps every such
+    index to its orbit's position, so it ranks any tuple with one lookup;
+    states holds each register's state in the sorted tuple of every orbit,
+    and weights each orbit's number of register tuples. folds() gives each
+    class's (V_r, -2 sign W^T), built on the first test.
+    """
+
+    def __init__(self, u: int, n_out: int, c: int):
+        self.u, self.n_out, self.c = u, n_out, c
+        binom = _binomials(max((1 << n_out) + 1, (1 << u) + c), c)
+        # class codes with at most 2^n_out groups; each bit appends codes
+        # above all before, so they ascend
+        codes = np.zeros(1, dtype=np.int64)
+        for bit in range(c - 1):
+            codes = np.concatenate([codes, codes[np.bitwise_count(codes) < (1 << n_out) - 1]
+                                    | (1 << bit)])
+        self.codes = codes.tolist()
+        self.classes = []
+        offset = 0
+        for code in self.codes:
+            pattern = _pattern(code, c)
+            rows = math.prod(int(binom[(1 << u) + m - 1, m]) for m in pattern)
+            cols = int(binom[1 << n_out, len(pattern)])
+            self.classes.append((offset, rows, cols))
+            offset += rows * cols
+        self.size = offset
+        # rank every tuple among the multisets, then place each multiset
+        lookup, tuples = _colex_multisets(1 << (u + n_out), c)
+        position = np.empty(tuples.shape[1], dtype=np.int32)
+        offsets = np.array([cls[0] for cls in self.classes], dtype=np.int64)
+        widths = np.array([cls[2] for cls in self.classes], dtype=np.int64)
+        for lo in range(0, position.size, _PLACE_CHUNK):
+            code, row, col = _orbit_parts(list(tuples[:, lo:lo + _PLACE_CHUNK]), u, binom)
+            cls = np.searchsorted(codes, code)
+            position[lo:lo + _PLACE_CHUNK] = offsets[cls] + row * widths[cls] + col
+        self.states = np.empty((c, self.size), dtype=np.int32)
+        self.states[:, position] = tuples
+        # lookup's digit i is register i's state w * 2^u + x; the full
+        # layout holds the inputs above the payloads
+        digits = position[lookup].reshape((1 << n_out, 1 << u) * c)
+        del lookup, tuples
+        self.orbit = np.ascontiguousarray(
+            digits.transpose(list(range(1, 2 * c, 2)) + list(range(0, 2 * c, 2)))).ravel()
+        # c! / prod(mult!) register tuples per orbit, one sorted register at
+        # a time; at most 2^(c*(u+n_out)), an int32 under the qubit cap
+        self.weights = run = np.ones(self.size, dtype=np.int32)
+        for i in range(1, c):
+            run = np.where(self.states[i] == self.states[i - 1], run + 1, 1)
+            self.weights = self.weights * (i + 1) // run
+        self._folds: Optional[list] = None
+
+    def folds(self) -> list:
+        """Each class's (V_r, -2 sign W^T), built on first use."""
+        if self._folds is None:
+            sign = _test_reflection(self.u, self.c)[0]
+            self._folds = []
+            for code in self.codes:
+                basis, fold, _ = _folded_reflection(self.u, self.c, code)
+                self._folds.append((basis, -2.0 * sign * fold))
+        return self._folds
+
+
+@lru_cache(maxsize=None)
+def _orbit_tables(u: int, n_out: int, c: int) -> _OrbitTables:
+    return _OrbitTables(u, n_out, c)
 
 
 class _JointCircuit:
     """The EXACT search over the guess register (search_bits > 0) and the c
-    query registers, held as two register-space vectors.
+    query registers, held as two vectors over the registers' orbits.
 
     Every gate is real, so amplitudes are float64. The joint state is one
-    branch psi_g per guess over the 2^(c*(u+n_out)) register states. Guess
-    g's test is O_g = F_g^T T F_g: F_g permutes the register states as the
-    guess's transform does, T = sign * (I - 2 V V^T) is the cached test
-    (_test_reflection), and O_g = I for an excluded guess. Each O_g is an
-    orthogonal involution, so the state stays of the form
+    branch psi_g per guess. Guess g's test is O_g = F_g^T T F_g: F_g
+    transforms each register as the guess does, T = sign * (I - 2 V V^T) is
+    the cached test (_test_reflection), and O_g = I for an excluded guess.
+    Each O_g is an orthogonal involution, so the state stays of the form
     psi_g = A + O_g B: one iteration (test, then reflection about the
     uniform guess mean) gives psi'_g = (2 N + B) + O_g (-A) with
     N = mean_h O_h A. A search starts from A = psi_0, B = 0 and updates
     (A, B) <- (2 N + B, -A).
+
+    The c registers are identical copies and every operation commutes with
+    permuting them, so each branch stays in their symmetric subspace: a
+    vector holds one amplitude per orbit (_OrbitTables), about c! times
+    fewer than register states. F_g permutes the orbits, and T acts on each
+    class's block of rows as sign * (I - 2 V_r W^T) (_folded_reflection).
+    A guess's probability weights each orbit's squared amplitude by the
+    number of register tuples in it.
 
     Each test writes every row O_h A into the table S, and the guess sum
     behind N is S summed once along its guess axis, which adds the rows in
@@ -507,63 +710,62 @@ class _JointCircuit:
     over every guess is computed once per circuit, and a search excluding
     E re-tests only E's guesses: first - sum_{g in E} O_g psi_0 + |E| psi_0.
 
-    Register layout (low bits first): the c payloads (n_out bits each), then
-    the c inputs (u bits each, register 0 lowest). With the inputs on top a
-    register vector as a (2^(c*u), -1) matrix has one row per input tuple,
-    packed as _rank_deficient_table indexes it, so T is one operator on
-    those rows. The tests run on blocks of guesses of about _TEST_BLOCK
-    register entries, stacked whole: guess start + i of the block from start
-    owns work[i*size:(i+1)*size], and T is one batched product over them.
-    maps[g] is guess g's layout under its transform plus its slot offset
-    (g % block) * size, so scattering through it applies F_g and gathering
-    undoes it. The maps are built on the first test, and the measured branch
-    is placed through its guess's layout alone, so a search with no
-    iterations builds no maps.
+    The tests run on blocks of guesses of at most _TEST_BLOCK orbit entries
+    (a power of two), stacked whole: guess start + i of the block from start
+    owns work[i*size:(i+1)*size], and each class's reflection is one batched
+    product over them. maps[g] is guess g's orbit permutation plus its slot
+    offset (g % block) * size, so scattering through it applies F_g and
+    gathering undoes it. The maps are built on the first test. The measured
+    branch is placed through its guess's permutation alone, so a search with
+    no iterations builds no maps, and only that branch is expanded to every
+    register state before its Hadamards.
     """
 
     def __init__(self, db: QueryDatabase, family: GuessFamily):
         self.db = db
         self.family = family
         self.m = m = family.search_bits
-        self.size = 1 << (db.c * (db.u + db.n_out))
-        self.block = min(1 << m, max(1, _TEST_BLOCK // self.size))
+        self.tables = _orbit_tables(db.u, db.n_out, db.c)
+        self.size = self.tables.size
+        self.block = min(1 << m, 1 << max(0, (_TEST_BLOCK // self.size).bit_length() - 1))
         self.maps: Optional[np.ndarray] = None
         # psi_0: uniform guesses tensor the database registers, nonzero at
-        # the layout indices of its 2^(c*u) input tuples
+        # the orbit of each multiset of c inputs
         amp = (1 << m) ** -0.5
         for _ in range(db.c):
             amp = (1 << db.u) ** -0.5 * amp
         self.amp = amp
-        self.start = self._layout_indices(np.arange(1 << db.u)[None, :, None],
-                                          np.asarray(db.payload)[None, :, None])[0]
+        c, u, n = db.c, db.u, db.n_out
+        payload = np.asarray(db.payload)
+        inputs = np.arange(1 << (c * u))
+        index = 0
+        for i in range(c):
+            x = (inputs >> (i * u)) & ((1 << u) - 1)
+            index = index | (payload[x] << (i * n)) | (x << (c * n + i * u))
+        self.start = self.tables.orbit[index]
         # sum_h O_h psi_0 over every guess, once a search runs two iterations
         self.first: Optional[np.ndarray] = None
 
     def _images(self, start: int, count: int) -> np.ndarray:
-        """Layout indices of the images of every register state under guesses
-        start..start+count-1, one row each: register i of entry (x_{c-1}..x_0,
-        w_{c-1}..w_0) holds the image of (x_i, w_i) under the row's guess."""
-        guesses = np.arange(start, start + count)[:, None, None]
-        xt, wt = self.family.maps(guesses, np.arange(1 << self.db.u)[:, None],
-                                  np.arange(1 << self.db.n_out))
-        return self._layout_indices(xt, wt)
-
-    def _layout_indices(self, xt: np.ndarray, wt: np.ndarray) -> np.ndarray:
-        """Indices whose register i holds (xt, wt)[row, x_i, w_i]: one row per
-        leading table entry, one column per (x_{c-1}..x_0, w_{c-1}..w_0) of
-        the tables' broadcast extents."""
+        """Orbit positions of the image of every orbit under guesses
+        start..start+count-1, one row each: each register's image of each
+        state (w << u) | x goes to its full-layout bits, an int32 under the
+        qubit cap, and the orbit of the OR over the registers is looked up."""
         c, u, n = self.db.c, self.db.u, self.db.n_out
-        dims = np.broadcast_shapes(xt.shape, wt.shape)
-        out = np.zeros(dims[:1] + dims[1:2] * c + dims[2:] * c, dtype=np.int64)
-        for i in range(c):
-            shape = [dims[0]] + [1] * (2 * c)
-            shape[c - i], shape[2 * c - i] = dims[1], dims[2]
-            out |= ((xt << (c * n + i * u)) | (wt << (i * n))).reshape(shape)
-        return out.reshape(dims[0], -1)
+        xt, wt = (image.astype(np.int32) for image in self.family.maps(
+            np.arange(start, start + count)[:, None, None],
+            np.arange(1 << u), np.arange(1 << n)[:, None]))
+        index = 0
+        for i, states in enumerate(self.tables.states):
+            bits = wt << (i * n)
+            bits |= xt << (c * n + i * u)
+            index = index | bits.reshape(count, -1)[:, states]
+        return self.tables.orbit[index]
 
     def _build_maps(self) -> None:
-        """Every guess's map, its layout plus its slot's offset, as one int32
-        table; a block holds fewer than 2^26 entries under the qubit cap."""
+        """Every guess's map, its orbit permutation plus its slot's offset,
+        as one int32 table; a block holds fewer than 2^26 entries under the
+        qubit cap."""
         self.maps = np.empty((1 << self.m, self.size), dtype=np.int32)
         slots = np.arange(self.block)[:, None] * self.size
         for start in range(0, 1 << self.m, self.block):
@@ -574,9 +776,12 @@ class _JointCircuit:
                    excluded: Set[int]) -> Tuple[int, List[int]]:
         """One full amplified search; returns the measured guess and samples."""
         branches = self._amplify(iterations, excluded)
-        probs = np.einsum("ij,ij->i", branches, branches)
+        probs = np.einsum("ij,ij,j->i", branches, branches, self.tables.weights)
         g = int(rng.choice(branches.shape[0], p=probs / probs.sum()))
-        return g, self._sample_branch(branches[g], g, rng)
+        # S is freed before the measured branch is expanded
+        branch = branches[g].copy()
+        del branches
+        return g, self._sample_branch(branch, g, rng)
 
     def _amplify(self, iterations: int, excluded: Set[int]) -> np.ndarray:
         """The state after the search's iterations, one row per guess's branch:
@@ -643,13 +848,17 @@ class _JointCircuit:
     def _block_test(self, state: np.ndarray):
         """test(start, out): write O_h state to out[h - start] for the guesses
         h of the block from start, scattering state through their maps,
-        reflecting the input-tuple rows and gathering back."""
+        reflecting each class's rows and gathering back."""
         if self.maps is None:
             self._build_maps()
-        sign, basis = _test_reflection(self.db.u, self.db.c)
+        sign = _test_reflection(self.db.u, self.db.c)[0]
         work = np.empty(self.block * self.size)
-        tuples = work.reshape(self.block, basis.shape[0], -1)
-        overlap = np.empty((self.block, basis.shape[1], tuples.shape[2]))
+        slots = work.reshape(self.block, self.size)
+        classes = []
+        folds = self.tables.folds()
+        for (offset, rows, cols), (basis, fold) in zip(self.tables.classes, folds):
+            blocks = slots[:, offset:offset + rows * cols].reshape(self.block, rows, cols)
+            classes.append((blocks, basis, fold, np.empty((self.block, fold.shape[0], cols))))
         # the block's maps in int64, copied once for the scatter and the
         # gather (take would cast an int32 index to a full int64 copy, and a
         # scatter casts it in small buffers at twice the time); one guess's
@@ -660,9 +869,9 @@ class _JointCircuit:
         def test(start: int, out: np.ndarray) -> None:
             np.copyto(index, self.maps[start:start + self.block])
             work[flat] = state
-            np.matmul(basis.T, tuples, out=overlap)
-            np.multiply(overlap, -2.0 * sign, out=overlap)
-            np.matmul(basis, overlap, out=tuples)
+            for blocks, basis, fold, overlap in classes:
+                np.matmul(fold, blocks, out=overlap)
+                np.matmul(basis, overlap, out=blocks)
             np.take(work, flat, out=out.reshape(flat.shape), mode="clip")
             if sign > 0:
                 out += state
@@ -673,11 +882,13 @@ class _JointCircuit:
 
     def _sample_branch(self, branch: np.ndarray, g: int,
                        rng: np.random.Generator) -> List[int]:
-        """Apply guess g's transform to its branch, Hadamard the inputs and
-        measure them register by register."""
+        """Apply guess g's transform to its branch, expand it to every
+        register state, Hadamard the inputs and measure them register by
+        register."""
         u, low = self.db.u, self.db.c * self.db.n_out
-        state = np.empty_like(branch)
-        state[self._images(g, 1)[0]] = branch
+        moved = np.empty_like(branch)
+        moved[self._images(g, 1)[0]] = branch
+        state = moved[self.tables.orbit]
         for q in range(low, low + self.db.c * u):
             qsim.hadamard_qubit(state, q)
         samples = []

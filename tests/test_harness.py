@@ -99,7 +99,8 @@ def test_validate_checks_u_only_where_offline_simon_reads_it():
 
 
 def test_cli_sweeps_n_below_u_on_a_known_plaintext_config(tmp_path):
-    # efx_kpa sets u = 4, which the run never reads at alpha = 0.0625
+    # efx_kpa sets u = 4, which the run never reads at alpha = 0.0625: the
+    # row reports the u the run used, u = n = 3, as iterations_formula does
     cfg_path = tmp_path / "efx_kpa.cfg"
     cfg_path.write_text((CONFIGS / "efx_kpa.cfg").read_text().replace("trials = 200",
                                                                         "trials = 2"))
@@ -108,7 +109,8 @@ def test_cli_sweeps_n_below_u_on_a_known_plaintext_config(tmp_path):
                      "--out", str(out)]) == cli.EXIT_OK
     header, row = out.read_text().splitlines()
     row = dict(zip(header.split(","), row.split(",")))
-    assert (row["n"], row["u"], row["trials"]) == ("3", "4", "2")
+    assert (row["n"], row["u"], row["trials"]) == ("3", "3", "2")
+    assert row["iterations_formula"] == str(harness.iterations_formula(3, 4, 3))
 
 
 def test_validate_rejects_a_qubit_cap_over_the_default():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -126,6 +127,26 @@ def test_database_overlap_distance_bound():
         ip = database_overlap(full, partial)
         alpha = len(missing) / 16
         assert 2 * (1 - ip) <= 2 * 6 * alpha + 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(2, 7), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_planted_guess_keeps_the_missing_data_bound(n, kappa, c, seed, data):
+    # the planted guess passes the full database with probability 1, so under
+    # a known-plaintext mask it passes at least with the squared overlap of
+    # the full and the masked database states, which fidelity_bound bounds
+    size = 1 << n
+    missing = data.draw(st.sets(st.integers(0, size - 1), max_size=size // 2))
+    inst = efx_instance(n, kappa, seed)
+    full = build_database_kpa(inst, range(size), c)
+    partial = build_database_kpa(inst, [x for x in range(size) if x not in missing], c)
+    family = guess_family_for(inst, n)
+    planted = inst.key_material.k
+    assert pass_probability(full, planted, family) == 1.0
+    overlap = database_overlap(full, partial)
+    assert pass_probability(partial, planted, family) >= overlap ** 2 - 1e-12
+    assert overlap ** 2 >= fidelity_bound(c, len(missing) / size) - 1e-12
 
 
 def test_database_overlap_shape_mismatch():
@@ -768,34 +789,80 @@ def test_exact_qubit_budget_has_one_formula():
         inst = build_instance(kind, n, kappa, 7)
         circuit = offline_simon._JointCircuit(build_database_cpa(inst, u, c),
                                               guess_family_for(inst, u))
-        assert (1 << circuit.m) * circuit.size == 1 << qubits, cfg
+        # the guesses times every register state of the expansion; a vector
+        # holds one amplitude per multiset of c register states
+        assert (1 << circuit.m) * circuit.tables.orbit.size == 1 << qubits, cfg
+        assert circuit.size == math.comb((1 << (u + n)) + c - 1, c), cfg
+        assert np.array_equal(np.unique(circuit.tables.orbit), np.arange(circuit.size))
+
+
+def _search_bytes(circuit):
+    """Bytes a search may hold beyond the cached orbit tables: the table S
+    at 8 B and the int32 maps at 4 B per amplitude over the orbits, 64 B per
+    orbit for the register-space vectors (A, B, the shared first step, the
+    test's work buffer and its int64 index), and 16 B per register state for
+    the measured branch's expansion (the float64 state and its index)."""
+    return (12 * (1 << circuit.m) * circuit.size + 64 * circuit.size
+            + 16 * circuit.tables.orbit.size)
 
 
 @pytest.mark.parametrize("kappa, u, c", [(3, 2, 3), (1, 3, 3)])
 def test_joint_circuit_memory_per_amplitude(kappa, u, c):
     import tracemalloc
 
-    # EFX n = 3 at 19 qubits: the test's V holds 22 of 64 tuples at u = 2 and
-    # 168 of 512 at u = 3
+    # EFX n = 3 at 19 qubits: 5,984 orbits of 32,768 register states at
+    # u = 2 and 45,760 of 262,144 at u = 3 (the test's V holds 22 of 64 and
+    # 168 of 512 tuples)
     inst = efx_instance(3, kappa, 11)
     db = build_database_cpa(inst, u, c)
     family = guess_family_for(inst, u)
-    offline_simon._test_reflection(u, c)
+    # V, the orbit tables and their folded tests are cached per shape
+    offline_simon._orbit_tables(u, 3, c).folds()
     # at least one iteration, so the test step runs even where m = 1 needs none
     iterations = max(1, qsim.search_iterations(family.search_bits))
     tracemalloc.start()
     try:
         circuit = offline_simon._JointCircuit(db, family)
-        assert (1 << circuit.m) * circuit.size == 1 << 19
+        assert (1 << circuit.m) * circuit.tables.orbit.size == 1 << 19
         rng = np.random.default_rng(0)
         first, _ = circuit.run_search(rng, iterations, set())
         circuit.run_search(rng, iterations, {first})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the float64 table S and the int32 maps, plus register-space vectors and
-    # V^T times the rows that weigh most at m = 1
-    assert peak < offline_simon.JOINT_BYTES_PER_AMPLITUDE * (1 << 19) <= 28 * (1 << 19)
+    # S and the maps over the orbits, register-space vectors and the measured
+    # branch's expansion; JOINT_BYTES_PER_AMPLITUDE of the dense layout bounds it
+    assert peak < _search_bytes(circuit) < offline_simon.JOINT_BYTES_PER_AMPLITUDE * (1 << 19)
+
+
+def _dense_images(circuit, g):
+    """Full-layout index of the image of every register tuple under guess g:
+    the dense layout (low bits first: the c payloads, then the c inputs,
+    register 0 lowest) in which the circuit used to scatter and gather."""
+    c, u, n = circuit.db.c, circuit.db.u, circuit.db.n_out
+    index = np.arange(1 << (c * (u + n)))
+    image = np.zeros_like(index)
+    for i in range(c):
+        x2, w2 = circuit.family.maps(g, (index >> (c * n + i * u)) & ((1 << u) - 1),
+                                     (index >> (i * n)) & ((1 << n) - 1))
+        image |= (x2 << (c * n + i * u)) | (w2 << (i * n))
+    return image
+
+
+def _expanded(circuit, vectors):
+    """Orbit vectors (one per row) with every register state's amplitude."""
+    return np.asarray(vectors)[..., circuit.tables.orbit]
+
+
+def _dense_test(circuit, h, full):
+    """F_h^T T F_h applied to a full-layout vector: scatter through guess h's
+    images, apply the reference operator to the input-tuple rows, gather."""
+    u, c = circuit.db.u, circuit.db.c
+    image = _dense_images(circuit, h)
+    moved = np.empty_like(full)
+    moved[image] = full
+    operator = _test_operator_reference(u, c)
+    return (operator @ moved.reshape(1 << (c * u), -1)).reshape(-1)[image]
 
 
 def _test_operator_reference(u, c):
@@ -830,40 +897,40 @@ def test_test_reflection_is_the_hadamard_sandwich(u, c):
 
 @pytest.mark.parametrize("block", [1 << 4, offline_simon._TEST_BLOCK])
 def test_test_step_leaves_excluded_guesses_bit_for_bit(monkeypatch, block):
-    # 2^4 entries test one guess at a time in 16 map chunks; the default
-    # block holds all four guesses of the 2^8 register states
+    # 2^4 entries test one guess at a time; the default block holds all four
+    # guesses of the 136 orbits of the 2^8 register states
     monkeypatch.setattr(offline_simon, "_TEST_BLOCK", block)
     inst = efx_instance(2, 2, 3)
     db = build_database_cpa(inst, 2, 2)
     circuit = offline_simon._JointCircuit(db, guess_family_for(inst, 2))
+    assert circuit.size == 136
     assert circuit.block == (1 if block < circuit.size else 4)
     excluded = {1, 2}
     state = np.random.default_rng(4).standard_normal(circuit.size)
     out = np.empty((1 << circuit.m, circuit.size))
     circuit._test(state, excluded, out)
-    operator = _test_operator_reference(2, 2)
+    full = _expanded(circuit, state)
     for h in range(1 << circuit.m):
         if h in excluded:
             assert np.array_equal(out[h], state)
             continue
-        # O_h = F_h^T T F_h: scatter through guess h's map, test, gather back
-        image = circuit._images(h, 1)[0]
-        moved = np.empty_like(state)
-        moved[image] = state
-        expected = (operator @ moved.reshape(1 << 4, -1)).reshape(-1)[image]
-        assert np.allclose(out[h], expected, rtol=0.0, atol=1e-12)
+        # O_h = F_h^T T F_h on every register state of the expansion
+        assert np.allclose(_expanded(circuit, out[h]), _dense_test(circuit, h, full),
+                           rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("block", [1 << 4, 1 << 9, offline_simon._TEST_BLOCK])
 def test_joint_circuit_maps_are_layouts_plus_slot_offsets(monkeypatch, block):
-    # each guess's map is its layout shifted into its slot of the block, and
-    # building the maps leaves the measured branch's placement as it was
+    # each guess's map is its orbit permutation shifted into its slot of the
+    # block: the orbit of a register tuple's image is the permuted orbit of
+    # the tuple; building the maps leaves the measured branch's placement as
+    # it was
     monkeypatch.setattr(offline_simon, "_TEST_BLOCK", block)
     inst = efx_instance(2, 2, 3)
     db = build_database_cpa(inst, 2, 2)
     circuit = offline_simon._JointCircuit(db, guess_family_for(inst, 2))
     branch = np.random.default_rng(6).standard_normal(circuit.size)
-    branch /= np.linalg.norm(branch)
+    branch /= np.sqrt(circuit.tables.weights @ np.square(branch))
     space = 1 << circuit.m
     unmapped = [circuit._sample_branch(branch, g, np.random.default_rng(g))
                 for g in range(space)]
@@ -872,9 +939,11 @@ def test_joint_circuit_maps_are_layouts_plus_slot_offsets(monkeypatch, block):
     for start in range(0, space, circuit.block):
         entries = np.sort(circuit.maps[start:start + circuit.block], axis=None)
         assert np.array_equal(entries, np.arange(circuit.block * circuit.size))
+    orbit = circuit.tables.orbit
     for g in range(space):
-        assert np.array_equal(circuit.maps[g] - (g % circuit.block) * circuit.size,
-                              circuit._images(g, 1)[0])
+        permutation = circuit.maps[g] - (g % circuit.block) * circuit.size
+        assert np.array_equal(permutation, circuit._images(g, 1)[0])
+        assert np.array_equal(permutation[orbit], orbit[_dense_images(circuit, g)])
         assert circuit._sample_branch(branch, g, np.random.default_rng(g)) == unmapped[g]
 
 
@@ -894,16 +963,13 @@ def test_test_step_sums_the_rows_in_guess_order(monkeypatch, block, excluded):
     state = np.random.default_rng(5).standard_normal(circuit.size)
     rows = np.full((1 << circuit.m, circuit.size), np.nan)
     assert circuit._test(state, excluded, rows) is None
-    operator = _test_operator_reference(2, 2)
+    full = _expanded(circuit, state)
     for h in range(1 << circuit.m):
         if h in excluded:
             assert np.array_equal(rows[h], state)
             continue
-        image = circuit._images(h, 1)[0]
-        moved = np.empty_like(state)
-        moved[image] = state
-        expected = (operator @ moved.reshape(1 << 4, -1)).reshape(-1)[image]
-        assert np.allclose(rows[h], expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(_expanded(circuit, rows[h]), _dense_test(circuit, h, full),
+                           rtol=0.0, atol=1e-12)
     in_order = rows[0].copy()
     for row in rows[1:]:
         in_order += row
@@ -911,11 +977,35 @@ def test_test_step_sums_the_rows_in_guess_order(monkeypatch, block, excluded):
     assert np.array_equal(in_order / (1 << circuit.m), np.mean(rows, axis=0))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(_small_exact_instances()), st.integers(1, 3),
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_small_exact_instances()), st.integers(0, 2 ** 32 - 1), st.data())
+def test_orbit_test_matches_the_dense_reference(case, seed, data):
+    # every guess's row, expanded to every register state, is the dense
+    # F_h^T T F_h of the expanded state; excluded rows are the state itself
+    kind, n, kappa, u, c = case
+    inst = build_instance(kind, n, kappa, seed)
+    family = guess_family_for(inst, u)
+    circuit = offline_simon._JointCircuit(build_database_cpa(inst, u, c), family)
+    space = 1 << circuit.m
+    excluded = data.draw(st.sets(st.integers(0, space - 1), max_size=space - 1))
+    state = np.random.default_rng(seed).standard_normal(circuit.size)
+    rows = np.full((space, circuit.size), np.nan)
+    circuit._test(state, excluded, rows)
+    full = _expanded(circuit, state)
+    for h in range(space):
+        if h in excluded:
+            assert np.array_equal(rows[h], state)
+        else:
+            assert np.allclose(_expanded(circuit, rows[h]), _dense_test(circuit, h, full),
+                               rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_small_exact_instances()), st.integers(0, 3),
        st.integers(0, 2 ** 32 - 1), st.data())
-def test_joint_circuit_keeps_the_state_normalised(case, iterations, seed, data):
-    # the branches' squared norms sum to 1 before the draw normalises them
+def test_amplified_branches_are_symmetric(case, iterations, seed, data):
+    # every branch, expanded, is unchanged by each permutation of the c
+    # registers (applied to their inputs and payloads alike)
     kind, n, kappa, u, c = case
     inst = build_instance(kind, n, kappa, seed)
     family = guess_family_for(inst, u)
@@ -923,7 +1013,30 @@ def test_joint_circuit_keeps_the_state_normalised(case, iterations, seed, data):
                                  max_size=(1 << family.search_bits) - 1))
     circuit = offline_simon._JointCircuit(build_database_cpa(inst, u, c), family)
     branches = circuit._amplify(iterations, excluded)
-    assert abs(np.sum(np.square(branches)) - 1.0) <= 1e-12
+    # axes: guess, inputs x_{c-1}..x_0, payloads w_{c-1}..w_0
+    full = _expanded(circuit, branches).reshape((-1,) + (1 << u,) * c + (1 << n,) * c)
+    for perm in itertools.permutations(range(c)):
+        axes = [0] + [1 + p for p in perm] + [1 + c + p for p in perm]
+        assert np.array_equal(full, full.transpose(axes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_small_exact_instances()), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_joint_circuit_keeps_the_state_normalised(case, iterations, seed, data):
+    # the branches' orbit-weighted squared norms sum to 1 before the draw
+    # normalises them, and each equals its expansion's squared norm
+    kind, n, kappa, u, c = case
+    inst = build_instance(kind, n, kappa, seed)
+    family = guess_family_for(inst, u)
+    excluded = data.draw(st.sets(st.integers(0, (1 << family.search_bits) - 1),
+                                 max_size=(1 << family.search_bits) - 1))
+    circuit = offline_simon._JointCircuit(build_database_cpa(inst, u, c), family)
+    branches = circuit._amplify(iterations, excluded)
+    norms = np.square(branches) @ circuit.tables.weights
+    assert abs(np.sum(norms) - 1.0) <= 1e-12
+    assert np.allclose(norms, np.square(_expanded(circuit, branches)).sum(axis=1),
+                       rtol=0.0, atol=1e-12)
 
 
 def _row_mean_branches(circuit, iterations, excluded):
@@ -972,15 +1085,18 @@ def test_zero_iteration_search_holds_register_vectors_only():
     import tracemalloc
 
     # EFX n = 3, kappa = 1, u = 3 has one guess bit and no iterations: the
-    # search needs neither the maps of every guess nor the tested rows
+    # search needs neither the maps of every guess nor the tested rows, only
+    # register-space vectors over the orbits and the measured branch's
+    # expansion to every register state
     inst = efx_instance(3, 1, 11)
     db = build_database_cpa(inst, 3, 3)
     family = guess_family_for(inst, 3)
     assert qsim.search_iterations(family.search_bits) == 0
+    offline_simon._orbit_tables(3, 3, 3)
     tracemalloc.start()
     try:
         circuit = offline_simon._JointCircuit(db, family)
-        assert (1 << circuit.m) * circuit.size == 1 << 19
+        assert (1 << circuit.m) * circuit.tables.orbit.size == 1 << 19
         rng = np.random.default_rng(0)
         first, _ = circuit.run_search(rng, 0, set())
         circuit.run_search(rng, 0, {first})
@@ -988,7 +1104,33 @@ def test_zero_iteration_search_holds_register_vectors_only():
     finally:
         tracemalloc.stop()
     assert circuit.maps is None
-    assert peak < 16 * (1 << 19)
+    assert peak < 64 * circuit.size + 16 * circuit.tables.orbit.size < 16 * (1 << 19)
+
+
+def test_a_24_qubit_search_stays_small():
+    import tracemalloc
+
+    # EFX n = 4, kappa = 4, u = 2, c = 3: 64 guesses and 2^18 register states
+    # (45,760 orbits), 6 iterations; the orbit tables are built inside the
+    # traced search. Measured peak: 39.0 MB, where the dense layout needed
+    # about 26 B for each of the 2^24 joint amplitudes (436 MB)
+    inst = efx_instance(4, 4, 11)
+    db = build_database_cpa(inst, 2, 3)
+    family = guess_family_for(inst, 2)
+    assert offline_simon.exact_qubits(family.search_bits, 2, 4, 3) == 24
+    offline_simon._test_reflection(2, 3)
+    offline_simon._orbit_tables.cache_clear()
+    offline_simon._folded_reflection.cache_clear()
+    tracemalloc.start()
+    try:
+        circuit = offline_simon._JointCircuit(db, family)
+        guess, samples = circuit.run_search(np.random.default_rng(0),
+                                            qsim.search_iterations(family.search_bits), set())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 <= guess < 64 and len(samples) == 3
+    assert peak < 44_000_000
 
 
 # run_search outputs (guess, samples) of two searches, the second excluding the
