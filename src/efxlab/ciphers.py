@@ -211,23 +211,25 @@ def _ecbc3_layers(comps, k) -> Layers:
     return (base,), (base,), (base, e.permutation(derive_related_key(k)))
 
 
-_SUPERPOSITION = ("offline_simon", "grover_meets_simon")
+# the attacks that run an amplified search over a guess space, and every attack
+SEARCH_ATTACKS = ("offline_simon", "grover_meets_simon")
 _CLASSICAL = ("guess_and_em", "exhaustive")
+ATTACK_KINDS = SEARCH_ATTACKS + ("em_q2",) + _CLASSICAL
 _WHITENED = (("k", "kappa"), ("k1", "n"), ("k2", "n"))
 
 SPECS: Dict[ConstructionKind, ConstructionSpec] = {
     ConstructionKind.EM: ConstructionSpec(
         components=("perm",), key_fields=(("k1", "n"), ("k2", "n")),
-        attacks=_SUPERPOSITION + ("em_q2",) + _CLASSICAL, evals=1, layers=_em_layers),
+        attacks=ATTACK_KINDS, evals=1, layers=_em_layers),
     ConstructionKind.FX: ConstructionSpec(
         components=("E",), key_fields=_WHITENED,
-        attacks=_SUPERPOSITION + _CLASSICAL, evals=1, layers=_fx_layers),
+        attacks=SEARCH_ATTACKS + _CLASSICAL, evals=1, layers=_fx_layers),
     ConstructionKind.EFX: ConstructionSpec(
         components=("E1", "E2"), key_fields=_WHITENED,
-        attacks=_SUPERPOSITION + _CLASSICAL, evals=2, layers=_efx_layers),
+        attacks=SEARCH_ATTACKS + _CLASSICAL, evals=2, layers=_efx_layers),
     ConstructionKind.TWO_XOR: ConstructionSpec(
         components=("E",), key_fields=(("k", "kappa"), ("k1", "n")),
-        attacks=_SUPERPOSITION + _CLASSICAL, whitening=("k1", "k1"), evals=2,
+        attacks=SEARCH_ATTACKS + _CLASSICAL, whitening=("k1", "k1"), evals=2,
         layers=_two_xor_layers),
     ConstructionKind.DEFX: ConstructionSpec(
         components=("E1", "E2", "E3"), key_fields=_WHITENED,

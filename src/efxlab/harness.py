@@ -16,7 +16,9 @@ import numpy as np
 
 from . import bounds, classical, gf2, offline_simon, qsim
 from .ciphers import (
+    ATTACK_KINDS,
     MAX_BITS,
+    SEARCH_ATTACKS,
     SPECS,
     ConstructionKind,
     KeyMaterial,
@@ -28,9 +30,6 @@ from .ciphers import (
     report_keys,
 )
 
-# the attacks that run an amplified search over a guess space
-SEARCH_ATTACKS = ("offline_simon", "grover_meets_simon")
-ATTACK_KINDS = SEARCH_ATTACKS + ("em_q2", "guess_and_em", "exhaustive")
 # run_attack holds every trial's report until the last one ends, then its JSON
 # text: about 5.4 KB a trial by tracemalloc (100 trials of each shipped config,
 # caches warm) and 6.0 KB by peak RSS (efx_tensor, 2,100 trials against 100),
@@ -361,16 +360,19 @@ def _suite_unitarity() -> Tuple[bool, str]:
     # an orthonormal V makes each guess test sign * (I - 2 V V^T) an
     # orthogonal involution, which the two-vector EXACT search relies on;
     # on the registers' orbits it acts per class as sign * (I - 2 V_r W^T),
-    # which must be one too under the orbit-weighted norm
+    # which must be one too under the orbit-weighted norm. Two payload bits
+    # give every class of c <= 4 registers
     for u, c in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 3)):
-        sign, basis = offline_simon._test_reflection(u, c)
+        basis = offline_simon._test_reflection(u, c)[1]
         if not np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-9):
             return False, f"test reflection basis at u = {u}, c = {c} is not orthonormal"
-        for code in range(1 << (c - 1)):
-            rows, fold, weights = offline_simon._folded_reflection(u, c, code)
-            block = rng.normal(size=(weights.size, 3))
-            once = sign * (block - 2.0 * rows @ (fold @ block))
-            twice = sign * (once - 2.0 * rows @ (fold @ once))
+        tables = offline_simon._orbit_tables(u, 2, c)
+        for code, (offset, rows, cols), (v_r, fold) in zip(tables.codes, tables.classes,
+                                                             tables.folds()):
+            weights = tables.weights[offset:offset + rows * cols:cols]
+            block = rng.normal(size=(rows, 3))
+            once = tables.sign * block + v_r @ (fold @ block)
+            twice = tables.sign * once + v_r @ (fold @ once)
             where = f"folded test at u = {u}, c = {c}, class {code}"
             if np.max(np.abs(twice - block)) > 1e-9:
                 return False, f"{where} is not an involution"

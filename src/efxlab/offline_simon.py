@@ -26,10 +26,12 @@ Two fidelity modes are provided:
   updates two register-space vectors, (A, B) <- (2 mean_h O_h A + B, -A);
   it never holds the whole joint state. The c registers are identical
   copies and every operation commutes with permuting them, so the vectors
-  hold one amplitude per orbit (multiset) of register states, and only the
-  measured branch is expanded to every register state. Each test writes
-  every guess's row and sums the rows once, and the searches of one trial
-  share their first iteration's test of the common start state.
+  hold one amplitude per orbit (multiset) of register states, the orbit
+  tables of each shape hold the test as one folded reflection per class,
+  and only the measured branch is expanded to every register state. Each
+  test writes every guess's row and sums the rows once, and the searches
+  of one trial share their first iteration's test of the common start
+  state.
   With no search register the c registers never entangle, so EXACT samples
   each register's exact distribution, as TENSOR does.
 
@@ -536,39 +538,6 @@ def _orbit_parts(regs: List[np.ndarray], u: int, binom: np.ndarray):
     return code, row, col
 
 
-@lru_cache(maxsize=None)
-def _folded_reflection(u: int, c: int, code: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(V_r, W^T, weights) of the test on the rows of class code.
-
-    A row is a class's input part: one multiset of inputs per payload group.
-    V_r is _test_reflection's V at the row's representative input tuple
-    (inputs ascending within each group), W sums V over every input tuple
-    that folds onto the row, and weights counts the register tuples of the
-    row's orbits. T restricted to the class is sign * (I - 2 V_r W^T) on its
-    rows, and the orbit-weighted norm is the full layout's norm.
-    """
-    _, basis = _test_reflection(u, c)
-    pattern = _pattern(code, c)
-    keys = np.arange(1 << (c * u))
-    # a stand-in payload per group keeps the groups apart while sorting
-    groups = np.repeat(np.arange(len(pattern)), pattern)
-    regs = list(np.sort([(int(groups[i]) << u) | ((keys >> (i * u)) & ((1 << u) - 1))
-                         for i in range(c)], axis=0))
-    binom = _binomials((1 << u) + c, c)
-    row = _orbit_parts(regs, u, binom)[1]
-    rows = math.prod(int(binom[(1 << u) + m - 1, m]) for m in pattern)
-    rep = np.zeros(rows, dtype=np.int64)
-    rep[row] = sum((s & ((1 << u) - 1)) << (i * u) for i, s in enumerate(regs))
-    order = np.argsort(row, kind="stable")
-    fold = np.add.reduceat(basis[order], np.searchsorted(row[order], np.arange(rows)), axis=0)
-    arrangements = math.factorial(c) // math.prod(math.factorial(m) for m in pattern)
-    weights = np.bincount(row, minlength=rows) * float(arrangements)
-    out = (np.ascontiguousarray(basis[rep]), np.ascontiguousarray(fold.T), weights)
-    for table in out:
-        table.flags.writeable = False
-    return out
-
-
 # multisets an orbit table places at a time
 _PLACE_CHUNK = 1 << 14
 
@@ -616,8 +585,9 @@ class _OrbitTables:
     payloads, then the c inputs, register 0 lowest). orbit maps every such
     index to its orbit's position, so it ranks any tuple with one lookup;
     states holds each register's state in the sorted tuple of every orbit,
-    and weights each orbit's number of register tuples. folds() gives each
-    class's (V_r, -2 sign W^T), built on the first test.
+    and weights each orbit's number of register tuples. folds() builds, on
+    the first test, sign and each class's (V_r, -2 sign W^T), the one copy
+    of the test a search of this shape applies.
     """
 
     def __init__(self, u: int, n_out: int, c: int):
@@ -662,16 +632,37 @@ class _OrbitTables:
         for i in range(1, c):
             run = np.where(self.states[i] == self.states[i - 1], run + 1, 1)
             self.weights = self.weights * (i + 1) // run
+        self.sign: Optional[float] = None
         self._folds: Optional[list] = None
 
     def folds(self) -> list:
-        """Each class's (V_r, -2 sign W^T), built on first use."""
+        """Each class's (V_r, -2 sign W^T), built with sign on first use.
+
+        V_r is _test_reflection's V at each row's representative tuple in
+        states, and W sums V over the input tuples that fold onto the row, in
+        ascending tuple order: orbit ranks each tuple as the class's first
+        column, payloads 0, 1, ... standing in for its groups. V lives only
+        while the folds are built.
+        """
         if self._folds is None:
-            sign = _test_reflection(self.u, self.c)[0]
-            self._folds = []
-            for code in self.codes:
-                basis, fold, _ = _folded_reflection(self.u, self.c, code)
-                self._folds.append((basis, -2.0 * sign * fold))
+            u, n, c = self.u, self.n_out, self.c
+            self.sign, basis = _test_reflection(u, c)
+            inputs = [np.arange(1 << (c * u)) >> (i * u) & ((1 << u) - 1) for i in range(c)]
+            folds = []
+            for code, (offset, rows, cols) in zip(self.codes, self.classes):
+                groups = [g for g, m in enumerate(_pattern(code, c)) for _ in range(m)]
+                index = sum((g << (i * n)) | (x << (c * n + i * u))
+                            for i, (g, x) in enumerate(zip(groups, inputs)))
+                row = (self.orbit[index] - offset) // cols
+                first = self.states[:, offset:offset + rows * cols:cols] & ((1 << u) - 1)
+                order = np.argsort(row, kind="stable")
+                starts = np.searchsorted(row[order], np.arange(rows))
+                fold = np.ascontiguousarray(np.add.reduceat(basis[order], starts, axis=0).T)
+                fold *= -2.0 * self.sign
+                v_r = basis[sum(x << (i * u) for i, x in enumerate(first))]
+                v_r.flags.writeable = fold.flags.writeable = False
+                folds.append((v_r, fold))
+            self._folds = folds
         return self._folds
 
 
@@ -687,7 +678,7 @@ class _JointCircuit:
     Every gate is real, so amplitudes are float64. The joint state is one
     branch psi_g per guess. Guess g's test is O_g = F_g^T T F_g: F_g
     transforms each register as the guess does, T = sign * (I - 2 V V^T) is
-    the cached test (_test_reflection), and O_g = I for an excluded guess.
+    the rank test (_test_reflection), and O_g = I for an excluded guess.
     Each O_g is an orthogonal involution, so the state stays of the form
     psi_g = A + O_g B: one iteration (test, then reflection about the
     uniform guess mean) gives psi'_g = (2 N + B) + O_g (-A) with
@@ -698,7 +689,7 @@ class _JointCircuit:
     permuting them, so each branch stays in their symmetric subspace: a
     vector holds one amplitude per orbit (_OrbitTables), about c! times
     fewer than register states. F_g permutes the orbits, and T acts on each
-    class's block of rows as sign * (I - 2 V_r W^T) (_folded_reflection).
+    class's block of rows as sign * (I - 2 V_r W^T) (_OrbitTables.folds).
     A guess's probability weights each orbit's squared amplitude by the
     number of register tuples in it.
 
@@ -851,11 +842,11 @@ class _JointCircuit:
         reflecting each class's rows and gathering back."""
         if self.maps is None:
             self._build_maps()
-        sign = _test_reflection(self.db.u, self.db.c)[0]
+        folds = self.tables.folds()
+        sign = self.tables.sign
         work = np.empty(self.block * self.size)
         slots = work.reshape(self.block, self.size)
         classes = []
-        folds = self.tables.folds()
         for (offset, rows, cols), (basis, fold) in zip(self.tables.classes, folds):
             blocks = slots[:, offset:offset + rows * cols].reshape(self.block, rows, cols)
             classes.append((blocks, basis, fold, np.empty((self.block, fold.shape[0], cols))))
@@ -902,7 +893,6 @@ class _JointCircuit:
         return samples
 
 
-@lru_cache(maxsize=None)
 def _rank_deficient_table(u: int, c: int) -> np.ndarray:
     """Boolean table over packed c*u-bit sample tuples: rank < u."""
     total = 1 << (u * c)
@@ -914,7 +904,6 @@ def _rank_deficient_table(u: int, c: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
 def _test_reflection(u: int, c: int) -> Tuple[float, np.ndarray]:
     """(sign, V) with sign * (I - 2 V V^T) = H diag((-1)^[rank < u]) H over the
     packed c*u-bit sample tuples, H the normalized Walsh-Hadamard matrix.

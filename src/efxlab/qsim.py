@@ -343,14 +343,13 @@ def amplify_success_probability(p: float, iterations: int) -> float:
     return math.sin((2 * iterations + 1) * theta) ** 2
 
 
-def amplitude_amplify(prep: np.ndarray, test: Callable[[int], bool], iterations: int,
-                      rng: np.random.Generator) -> MeasurementOutcome:
-    """Amplitude amplification with an exact truth-table phase oracle.
-
-    prep holds the normalized amplitudes of the prepared state; the predicate
-    test marks the good basis states. Applies iterations of (reflect about
-    the good set, reflect about the prepared state) and measures the full
-    state.
+def amplified_distribution(prep: np.ndarray, test: Callable[[int], bool],
+                           iterations: int) -> np.ndarray:
+    """Exact landing distribution of amplitude amplification with a
+    truth-table phase oracle: prep holds the normalized amplitudes of the
+    prepared state, the predicate test marks the good basis states, and the
+    probability of each basis state is taken after iterations of (reflect
+    about the good set, reflect about the prepared state).
     """
     base = np.asarray(prep, dtype=np.complex128).copy()
     norm = math.sqrt(float(np.vdot(base, base).real))
@@ -368,6 +367,12 @@ def amplitude_amplify(prep: np.ndarray, test: Callable[[int], bool], iterations:
         overlap = np.vdot(base, state)
         state = 2.0 * overlap * base - state
     probs = np.abs(state) ** 2
-    probs /= probs.sum()
-    value = int(rng.choice(size, p=probs))
+    return probs / probs.sum()
+
+
+def amplitude_amplify(prep: np.ndarray, test: Callable[[int], bool], iterations: int,
+                      rng: np.random.Generator) -> MeasurementOutcome:
+    """One measurement of amplified_distribution(prep, test, iterations)."""
+    probs = amplified_distribution(prep, test, iterations)
+    value = int(rng.choice(probs.size, p=probs))
     return MeasurementOutcome("search", value, float(probs[value]))

@@ -7,11 +7,13 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efxlab import cli, harness, offline_simon, plot_svg, qsim
+from efxlab import classical, cli, harness, offline_simon, plot_svg, qsim
+from efxlab.ciphers import ConstructionKind, KeyMaterial, make_construction, make_ideal_cipher
 from efxlab.harness import parse_config, run_attack, sweep, sweep_csv, verify
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -489,6 +491,67 @@ def test_cli_alpha_sweep_refuses_a_point_before_its_baseline_runs(tmp_path, caps
                                           "alpha", "--values", "0.1"], capsys, monkeypatch)
     assert err.startswith("error: sweep point 0 (alpha=0.1): span DP: u = 8, c = 6 ")
     assert err.count("\n") == 1
+
+
+def _instance(kind, seed=1):
+    return harness.build_instance(ConstructionKind(kind), 3, 2, seed)
+
+
+def _overlap_of_disagreeing_databases():
+    full = offline_simon.build_database_kpa(_instance("EFX", 1), range(8), 2)
+    other = offline_simon.build_database_kpa(_instance("EFX", 2), range(4), 2)
+    return offline_simon.database_overlap(full, other)
+
+
+def _alpha_sweep_from_an_invalid_baseline():
+    cfg = parse_config("attack = offline_simon\nconstruction = EFX\nn = 4\nkappa = 4\n"
+                       "u = 99\nalpha = 0.1")
+    # u is read only at alpha = 0, which the sweep's baseline runs
+    assert cfg.validate() == []
+    return sweep(cfg, "alpha", [0.2])
+
+
+# raises that no other test reaches, each with its message (n = 3, kappa = 2)
+REFUSALS = {
+    "cpa-u-over-n": (lambda: offline_simon.build_database_cpa(_instance("EFX"), 4, 2),
+                     "u=4 out of range [0, 3]"),
+    "cpa-no-register": (lambda: offline_simon.build_database_cpa(_instance("EFX"), 2, 0),
+                        "need at least one register"),
+    "kpa-no-register": (lambda: offline_simon.build_database_kpa(_instance("EFX"), [1], 0),
+                        "need at least one register"),
+    "kpa-input-over-n": (lambda: offline_simon.build_database_kpa(_instance("EFX"), [8], 2),
+                         "known input 8 out of range"),
+    "overlap-disagrees": (_overlap_of_disagreeing_databases,
+                          "known payloads disagree between databases"),
+    "grover-ecbc3": (lambda: offline_simon.grover_meets_simon_attack(
+        _instance("ECBC3"), 2, np.random.default_rng(0)),
+        "grover_meets_simon does not support ECBC3"),
+    "em-q2-fx": (lambda: offline_simon.em_q2_attack(_instance("FX"), 2, np.random.default_rng(0)),
+                 "em_q2 does not support FX"),
+    "exhaustive-ecbc3": (lambda: classical.exhaustive_search(_instance("ECBC3"), [(0, 0), (1, 1)]),
+                         "exhaustive does not support ECBC3"),
+    "construction-block-sizes": (lambda: make_construction(
+        ConstructionKind.EFX, [make_ideal_cipher(3, 2, 1), make_ideal_cipher(4, 2, 2)],
+        KeyMaterial(k=0, k1=0, k2=0)), "components disagree on block size"),
+    "construction-no-k1": (lambda: make_construction(
+        ConstructionKind.EFX, [make_ideal_cipher(3, 2, 1), make_ideal_cipher(3, 2, 2)],
+        KeyMaterial(k=0, k1=None, k2=0)), "key material field k1 is required"),
+    "verify-unknown-suite": (lambda: verify(["nope"]), "unknown suite 'nope'"),
+    "sweep-alpha-baseline": (_alpha_sweep_from_an_invalid_baseline,
+                             "alpha sweep baseline invalid: u: 99 out of range [0, 4]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_name_their_cause(monkeypatch, case):
+    def no_trials(cfg, trial):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", no_trials)
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("value", ["inf", "1e300"])

@@ -816,7 +816,7 @@ def test_joint_circuit_memory_per_amplitude(kappa, u, c):
     inst = efx_instance(3, kappa, 11)
     db = build_database_cpa(inst, u, c)
     family = guess_family_for(inst, u)
-    # V, the orbit tables and their folded tests are cached per shape
+    # the orbit tables and their folded tests are cached per shape
     offline_simon._orbit_tables(u, 3, c).folds()
     # at least one iteration, so the test step runs even where m = 1 needs none
     iterations = max(1, qsim.search_iterations(family.search_bits))
@@ -893,6 +893,57 @@ def test_test_reflection_is_the_hadamard_sandwich(u, c):
     if u == 0 or c < u:
         # no tuple is deficient at u = 0, every one is below u: I and -I
         assert basis.shape[1] == 0 and sign == (1.0 if u == 0 else -1.0)
+
+
+def _folded_reflection(u, c, code):
+    """(V_r, W^T, weights) of the test on the rows of class code, by a sort
+    and rank of its own: the reference for _OrbitTables.folds.
+
+    A row is a class's input part: one multiset of inputs per payload group.
+    V_r is _test_reflection's V at the row's representative input tuple
+    (inputs ascending within each group), W sums V over every input tuple
+    that folds onto the row, and weights counts the register tuples of the
+    row's orbits.
+    """
+    _, basis = offline_simon._test_reflection(u, c)
+    pattern = offline_simon._pattern(code, c)
+    keys = np.arange(1 << (c * u))
+    # a stand-in payload per group keeps the groups apart while sorting
+    groups = np.repeat(np.arange(len(pattern)), pattern)
+    regs = list(np.sort([(int(groups[i]) << u) | ((keys >> (i * u)) & ((1 << u) - 1))
+                         for i in range(c)], axis=0))
+    binom = offline_simon._binomials((1 << u) + c, c)
+    row = offline_simon._orbit_parts(regs, u, binom)[1]
+    rows = math.prod(int(binom[(1 << u) + m - 1, m]) for m in pattern)
+    rep = np.zeros(rows, dtype=np.int64)
+    rep[row] = sum((s & ((1 << u) - 1)) << (i * u) for i, s in enumerate(regs))
+    order = np.argsort(row, kind="stable")
+    fold = np.add.reduceat(basis[order], np.searchsorted(row[order], np.arange(rows)), axis=0)
+    arrangements = math.factorial(c) // math.prod(math.factorial(m) for m in pattern)
+    weights = np.bincount(row, minlength=rows) * float(arrangements)
+    return np.ascontiguousarray(basis[rep]), np.ascontiguousarray(fold.T), weights
+
+
+@pytest.mark.parametrize("u, c, n_out", [
+    (u, c, n_out) for u in range(10) for c in range(1, 17) for n_out in range(1, 17)
+    if c * u <= 9 and c * (u + n_out) <= 16])
+def test_orbit_tables_fold_the_test_as_the_reference_does(u, c, n_out):
+    tables = offline_simon._orbit_tables(u, n_out, c)
+    folds = tables.folds()
+    sign = offline_simon._test_reflection(u, c)[0]
+    assert tables.sign == sign
+    assert len(folds) == len(tables.codes) == len(tables.classes)
+    for code, (offset, rows, cols), (basis, fold) in zip(tables.codes, tables.classes, folds):
+        ref_basis, ref_fold, ref_weights = _folded_reflection(u, c, code)
+        # bit for bit: summed in the same order, scaled by the same factor
+        assert np.array_equal(basis, ref_basis), code
+        assert np.array_equal(fold, -2.0 * sign * ref_fold), code
+        assert np.array_equal(tables.weights[offset:offset + rows * cols:cols], ref_weights)
+        assert not basis.flags.writeable and not fold.flags.writeable
+    # the tables own the one copy: no cache keeps V or the rank table
+    assert tables.folds() is folds
+    assert not hasattr(offline_simon._test_reflection, "cache_info")
+    assert not hasattr(offline_simon._rank_deficient_table, "cache_info")
 
 
 @pytest.mark.parametrize("block", [1 << 4, offline_simon._TEST_BLOCK])
@@ -1118,9 +1169,7 @@ def test_a_24_qubit_search_stays_small():
     db = build_database_cpa(inst, 2, 3)
     family = guess_family_for(inst, 2)
     assert offline_simon.exact_qubits(family.search_bits, 2, 4, 3) == 24
-    offline_simon._test_reflection(2, 3)
     offline_simon._orbit_tables.cache_clear()
-    offline_simon._folded_reflection.cache_clear()
     tracemalloc.start()
     try:
         circuit = offline_simon._JointCircuit(db, family)

@@ -391,6 +391,21 @@ def test_amplitude_amplify_matches_closed_form():
     assert abs(hits / trials - target) < 3 * sigma + 1e-9
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 11), st.integers(0, 2 ** 32 - 1))
+def test_amplified_distribution_follows_the_closed_form_curve(m, t, seed):
+    # any normalized complex state and good set: the good set's landing mass
+    # after t iterations is sin^2((2t+1) arcsin(sqrt(p))), p its prepared mass
+    rng = np.random.default_rng(seed)
+    prep = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+    prep /= np.linalg.norm(prep)
+    good = rng.random(1 << m) < rng.random()
+    p = min(1.0, float(np.sum(np.abs(prep[good]) ** 2)))
+    probs = qsim.amplified_distribution(prep, lambda i: good[i], t)
+    assert abs(probs.sum() - 1.0) < 1e-12
+    assert abs(probs[good].sum() - qsim.amplify_success_probability(p, t)) < 1e-11
+
+
 def test_amplitude_amplify_all_marked():
     prep = np.full(8, 8 ** -0.5, complex)
     rng = np.random.default_rng(14)
