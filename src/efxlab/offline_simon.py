@@ -79,8 +79,9 @@ MAX_SEARCH_BITS = 20
 # 25.3 B (m = 1) with S at 8 B and the int32 maps at 4 B an amplitude. Over
 # the registers' orbits, about c! fewer, S and the maps cost 12 B per orbit
 # amplitude; per register state the cached int32 orbit lookup costs 4 B and
-# the measured branch's expansion and measurement up to 24 B, which c = 1
-# (no symmetry) brings to 22.1 B per joint amplitude at m = 1
+# the measured branch's expansion, squared in place to be measured, 12 B at
+# c >= 2 (24 B at c = 1, whose guess images are as large), which c = 1 (no
+# symmetry) brings to 22.1 B per joint amplitude at m = 1
 JOINT_BYTES_PER_AMPLITUDE = 26
 # orbit entries an EXACT test scatters, reflects and gathers at a time
 _TEST_BLOCK = 1 << 14
@@ -89,8 +90,9 @@ _TEST_BLOCK = 1 << 14
 MAX_SPAN_DP_TRANSITIONS = 1 << 22
 SPAN_DP_BYTES_PER_TRANSITION = 200
 # (inner key, block) entries a guess family may hold: 2^kappa inner keys, each
-# with a permutation list and three int64 tables of up to 2^n entries. Each
-# costs about 200 B (170 B measured at n = 10, 60 B at n = 8).
+# with a permutation list and three int32 tables of up to 2^n entries. Each
+# costs about 200 B (48 B measured at n = 8; int64 tables cost 170 B at
+# n = 10 and 60 B at n = 8).
 MAX_FAMILY_ENTRIES = 1 << 24
 FAMILY_BYTES_PER_ENTRY = 200
 # query registers c a run may hold (em_q2: Simon samples); the span DP and the
@@ -292,9 +294,9 @@ def guess_family_for(instance: ConstructionInstance, u: int) -> GuessFamily:
         raise ValueError(f"{instance.kind.value} requires the full input domain (u = n)")
     keys = [instance.layers(k) for k in range(1 << instance.kappa)]
     # a relabel layer forces u = n, so the identity is all a shorter input sees
-    relabel = np.array([layer_table(r, n)[:1 << u] for r, _, _ in keys], dtype=np.int64)
-    inner = np.array([layer_table(i, n) for _, i, _ in keys], dtype=np.int64)
-    peel = np.array([layer_inverse_table(o, n) for _, _, o in keys], dtype=np.int64)
+    relabel = np.array([layer_table(r, n)[:1 << u] for r, _, _ in keys], dtype=np.int32)
+    inner = np.array([layer_table(i, n) for _, i, _ in keys], dtype=np.int32)
+    peel = np.array([layer_inverse_table(o, n) for _, _, o in keys], dtype=np.int32)
     return GuessFamily(u, n, instance.kappa, n - u, relabel, inner, peel, spec.evals)
 
 
@@ -463,32 +465,26 @@ def _verify_candidates(instance: ConstructionInstance, db: QueryDatabase,
 
 
 def _tensor_draw(db: QueryDatabase, family: GuessFamily, rng: np.random.Generator,
-                 iterations: int, passing: List[int], dists: np.ndarray):
+                 iterations: int, passing: List[int], dists: np.ndarray,
+                 excluded: Set[int]) -> Tuple[int, List[int]]:
     """Land on an active passing guess with the closed-form success curve,
     otherwise on a uniform other active guess; sample its registers exactly."""
     m = family.search_bits
-    space = 1 << m
-    passing_set = set(passing)
     curve = 1.0 if m == 0 else qsim.amplify_success_probability(2.0 ** (-m), iterations)
-
-    def draw(excluded: Set[int]) -> Tuple[int, List[int]]:
-        active_pass = [g for g in passing if g not in excluded]
-        active_other = [g for g in range(space)
-                        if g not in passing_set and g not in excluded]
-        if active_pass and (not active_other or rng.random() < curve):
-            g = int(active_pass[rng.integers(len(active_pass))])
-        else:
-            g = int(active_other[rng.integers(len(active_other))])
-        return g, [int(rng.choice(1 << db.u, p=dists[g])) for _ in range(db.c)]
-
-    return draw
+    passing_set = set(passing)
+    active_pass = [g for g in passing if g not in excluded]
+    active_other = [g for g in range(1 << m) if g not in passing_set and g not in excluded]
+    if active_pass and (not active_other or rng.random() < curve):
+        g = int(active_pass[rng.integers(len(active_pass))])
+    else:
+        g = int(active_other[rng.integers(len(active_other))])
+    return g, [int(rng.choice(1 << db.u, p=dists[g])) for _ in range(db.c)]
 
 
 # ---------------------------------------------------------------------------
 # EXACT-mode search: joint state simulation on the symmetric subspace
 
 
-@lru_cache(maxsize=None)
 def _binomials(top: int, k: int) -> np.ndarray:
     """C(a, j) for a < top and j <= k, as an int64 table."""
     table = np.zeros((top, k + 1), dtype=np.int64)
@@ -666,7 +662,7 @@ class _OrbitTables:
         return self._folds
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # a run's trials share one shape; a sweep's points take turns
 def _orbit_tables(u: int, n_out: int, c: int) -> _OrbitTables:
     return _OrbitTables(u, n_out, c)
 
@@ -699,17 +695,18 @@ class _JointCircuit:
     and that sum goes into A's vector, free by then. Every search's first
     iteration tests the same psi_0, so with two or more iterations its sum
     over every guess is computed once per circuit, and a search excluding
-    E re-tests only E's guesses: first - sum_{g in E} O_g psi_0 + |E| psi_0.
+    E re-tests E's blocks: first - sum_{g in E} O_g psi_0 + |E| psi_0.
 
-    The tests run on blocks of guesses of at most _TEST_BLOCK orbit entries
-    (a power of two), stacked whole: guess start + i of the block from start
-    owns work[i*size:(i+1)*size], and each class's reflection is one batched
-    product over them. maps[g] is guess g's orbit permutation plus its slot
-    offset (g % block) * size, so scattering through it applies F_g and
-    gathering undoes it. The maps are built on the first test. The measured
-    branch is placed through its guess's permutation alone, so a search with
-    no iterations builds no maps, and only that branch is expanded to every
-    register state before its Hadamards.
+    _test, the one loop that applies the O_h, runs on blocks of guesses of
+    at most _TEST_BLOCK orbit entries (a power of two), stacked whole: guess
+    start + i of the block from start owns work[i*size:(i+1)*size], and each
+    class's reflection is one batched product over them. maps[g] is guess
+    g's orbit permutation plus its slot offset (g % block) * size, so
+    scattering through it applies F_g and gathering undoes it. The maps are
+    built on the first test. The measured branch is placed through its
+    guess's permutation alone, so a search with no iterations builds no
+    maps, and only that branch is expanded to every register state, then
+    Hadamarded and squared in place for its measurements.
     """
 
     def __init__(self, db: QueryDatabase, family: GuessFamily):
@@ -743,9 +740,8 @@ class _JointCircuit:
         state (w << u) | x goes to its full-layout bits, an int32 under the
         qubit cap, and the orbit of the OR over the registers is looked up."""
         c, u, n = self.db.c, self.db.u, self.db.n_out
-        xt, wt = (image.astype(np.int32) for image in self.family.maps(
-            np.arange(start, start + count)[:, None, None],
-            np.arange(1 << u), np.arange(1 << n)[:, None]))
+        xt, wt = self.family.maps(np.arange(start, start + count)[:, None, None],
+                                  np.arange(1 << u), np.arange(1 << n)[:, None])
         index = 0
         for i, states in enumerate(self.tables.states):
             bits = wt << (i * n)
@@ -814,41 +810,26 @@ class _JointCircuit:
             self.first = np.add.reduce(rows, axis=0)
         total = self.first.copy()
         if excluded:
-            test = self._block_test(psi0)
-            for start in sorted({g - g % self.block for g in excluded}):
-                test(start, rows[start:start + self.block])
+            self._test(psi0, set(), rows, sorted({g - g % self.block for g in excluded}))
             for g in sorted(excluded):
                 np.subtract(psi0, rows[g], out=rows[g])
                 total += rows[g]
         return total
 
-    def _test(self, state: np.ndarray, excluded: Set[int], rows: np.ndarray) -> None:
-        """Write O_h state to rows[h] for every guess h, a block of guesses at
-        a time; an excluded guess's row is state itself, and a block of
-        excluded guesses is not tested."""
-        skip = np.zeros(1 << self.m, dtype=bool)
-        skip[list(excluded)] = True
-        test = self._block_test(state)
-        for start in range(0, 1 << self.m, self.block):
-            out = rows[start:start + self.block]
-            mask = skip[start:start + self.block]
-            if not mask.all():
-                test(start, out)
-            out[mask] = state
-
-    def _block_test(self, state: np.ndarray):
-        """test(start, out): write O_h state to out[h - start] for the guesses
-        h of the block from start, scattering state through their maps,
-        reflecting each class's rows and gathering back."""
+    def _test(self, state: np.ndarray, excluded: Set[int], rows: np.ndarray,
+              starts: Optional[List[int]] = None) -> None:
+        """Write O_h state to rows[h] for the guesses h of every block, or of
+        the blocks from starts: scatter state through the block's maps,
+        reflect each class's rows and gather back. An excluded guess's row
+        is state itself, and a block of excluded guesses is not tested."""
         if self.maps is None:
             self._build_maps()
         folds = self.tables.folds()
-        sign = self.tables.sign
         work = np.empty(self.block * self.size)
         slots = work.reshape(self.block, self.size)
         classes = []
-        for (offset, rows, cols), (basis, fold) in zip(self.tables.classes, folds):
-            blocks = slots[:, offset:offset + rows * cols].reshape(self.block, rows, cols)
+        for (offset, count, cols), (basis, fold) in zip(self.tables.classes, folds):
+            blocks = slots[:, offset:offset + count * cols].reshape(self.block, count, cols)
             classes.append((blocks, basis, fold, np.empty((self.block, fold.shape[0], cols))))
         # the block's maps in int64, copied once for the scatter and the
         # gather (take would cast an int32 index to a full int64 copy, and a
@@ -856,37 +837,42 @@ class _JointCircuit:
         # map is a 1-D index, which numpy scatters and gathers faster
         index = np.empty((self.block, self.size), dtype=np.int64)
         flat = index[0] if self.block == 1 else index
-
-        def test(start: int, out: np.ndarray) -> None:
-            np.copyto(index, self.maps[start:start + self.block])
-            work[flat] = state
-            for blocks, basis, fold, overlap in classes:
-                np.matmul(fold, blocks, out=overlap)
-                np.matmul(basis, overlap, out=blocks)
-            np.take(work, flat, out=out.reshape(flat.shape), mode="clip")
-            if sign > 0:
-                out += state
-            else:
-                out -= state
-
-        return test
+        skip = np.zeros(1 << self.m, dtype=bool)
+        skip[list(excluded)] = True
+        for start in range(0, 1 << self.m, self.block) if starts is None else starts:
+            out = rows[start:start + self.block]
+            mask = skip[start:start + self.block]
+            if not mask.all():
+                np.copyto(index, self.maps[start:start + self.block])
+                work[flat] = state
+                for blocks, basis, fold, overlap in classes:
+                    np.matmul(fold, blocks, out=overlap)
+                    np.matmul(basis, overlap, out=blocks)
+                np.take(work, flat, out=out.reshape(flat.shape), mode="clip")
+                if self.tables.sign > 0:
+                    out += state
+                else:
+                    out -= state
+            out[mask] = state
 
     def _sample_branch(self, branch: np.ndarray, g: int,
                        rng: np.random.Generator) -> List[int]:
         """Apply guess g's transform to its branch, expand it to every
         register state, Hadamard the inputs and measure them register by
-        register."""
+        register: the expansion is squared in place once, and each
+        measurement sums the slice of it that the earlier outcomes leave."""
         u, low = self.db.u, self.db.c * self.db.n_out
-        moved = np.empty_like(branch)
-        moved[self._images(g, 1)[0]] = branch
-        state = moved[self.tables.orbit]
+        state = np.empty_like(branch)
+        state[self._images(g, 1)[0]] = branch
+        state = state[self.tables.orbit]
         for q in range(low, low + self.db.c * u):
             qsim.hadamard_qubit(state, q)
+        np.square(state, out=state)
         samples = []
         for _ in range(self.db.c):
             # the next register's input is the lowest input axis left
             view = state.reshape(-1, 1 << u, 1 << low)
-            probs = np.square(view).sum(axis=(0, 2))
+            probs = view.sum(axis=(0, 2))
             y = int(rng.choice(1 << u, p=probs / probs.sum()))
             state = view[:, y, :]
             samples.append(y)
@@ -960,7 +946,7 @@ def generalized_offline_simon(instance: ConstructionInstance, db: QueryDatabase,
     if mode == "EXACT" and m > 0:
         draw = partial(_JointCircuit(db, family).run_search, rng, iterations)
     else:
-        draw = _tensor_draw(db, family, rng, iterations, passing, dists)
+        draw = partial(_tensor_draw, db, family, rng, iterations, passing, dists)
     c, evals = db.c, family.evals
     per_iter_evals = 2 * c * evals
     pairs = db.known_pairs()

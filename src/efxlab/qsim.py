@@ -351,15 +351,15 @@ def amplified_distribution(prep: np.ndarray, test: Callable[[int], bool],
     probability of each basis state is taken after iterations of (reflect
     about the good set, reflect about the prepared state).
     """
-    base = np.asarray(prep, dtype=np.complex128).copy()
-    norm = math.sqrt(float(np.vdot(base, base).real))
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError("preparation state is not normalized")
-    size = base.size
+    size = np.size(prep)
     if size & (size - 1):
         raise ValueError("state dimension must be a power of two")
     if size > (1 << DEFAULT_QUBIT_CAP):
         raise ValueError("state exceeds the qubit cap")
+    base = np.asarray(prep, dtype=np.complex128)
+    norm = math.sqrt(float(np.vdot(base, base).real))
+    if abs(norm - 1.0) > 1e-6:
+        raise ValueError("preparation state is not normalized")
     good = np.fromiter((bool(test(i)) for i in range(size)), dtype=bool, count=size)
     state = base.copy()
     for _ in range(iterations):

@@ -16,6 +16,11 @@ def test_zero_offline_queries():
     assert efx_classical_bound(BoundParams(n=4, kappa=8, D=4, T=0)) == (0.0, 0.0)
 
 
+def test_no_online_queries_leave_the_d_independent_form():
+    # D = 0: the small-D form is 0, the other (3/2) T / 2^(kappa + n/2) = 12/64
+    assert efx_classical_bound(BoundParams(n=4, kappa=4, D=0, T=8)) == (0.0, 0.1875)
+
+
 def test_large_t_clamps_to_one():
     # the displayed second term alone evaluates to 1.5 here, so both bounds clamp
     b1, b2 = efx_classical_bound(BoundParams(n=4, kappa=8, D=1, T=2 ** 12))

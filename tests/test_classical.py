@@ -206,3 +206,35 @@ def test_tradeoff_curve_measured_rows_and_empty_grid():
         tradeoff_curve("quantum-q1", 4, 4, [])
     with pytest.raises(ValueError):
         tradeoff_curve("nope", 4, 4, [0.0])
+
+
+def test_exhaustive_search_fails_on_contradictory_pairs():
+    # one plaintext, two ciphertexts: no key sends 0 to both
+    inst = build_instance(ConstructionKind.EFX, 3, 2, 42)
+    y = inst.encrypt(0)
+    rep = exhaustive_search(inst, [(0, y), (0, y ^ 1)], seed=7).to_json_dict()
+    assert not rep["success"] and (rep["k"], rep["k1"], rep["k2"]) == (None, None, None)
+    assert rep["D"] == 2 and rep["T"] > 0 and rep["seed"] == 7
+
+
+@pytest.mark.parametrize("D", [4, 8])
+def test_guess_and_em_fails_when_no_key_verifies(monkeypatch, D):
+    # the difference pass alone (D = 4) and the codebook scan before it (D = 8)
+    checked = []
+
+    def reject(instance, km, pairs):
+        checked.append(km)
+        return False, 1
+
+    monkeypatch.setattr(classical, "pair_check", reject)
+    inst = build_instance(ConstructionKind.EFX, 3, 2, 42)
+    rep = guess_and_em_attack(inst, D, np.random.default_rng(3), seed=3)
+    assert checked and not rep.success
+    assert (rep.k, rep.k1, rep.k2) == (None, None, None)
+    assert rep.online_queries == D and rep.time_units == rep.offline_evals + D
+
+
+def test_tradeoff_curve_refuses_a_zero_bit_block():
+    with pytest.raises(ValueError) as refused:
+        tradeoff_curve("quantum-q1", 0, 4, [0.0])
+    assert str(refused.value) == "n=0 must be at least 1 and kappa=4 nonnegative"

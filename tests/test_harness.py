@@ -317,6 +317,38 @@ def test_cli_attack_roundtrip(tmp_path):
     assert report["summary"]["trials"] == 5
 
 
+def test_cli_attack_seed_overrides_the_config(tmp_path):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text((CONFIGS / "efx_exact_tiny.cfg").read_text()
+                        .replace("trials = 200", "trials = 2"))
+    cfg = parse_config(cfg_path.read_text())
+    assert (cfg.trials, cfg.seed) == (2, 2024)
+    cfg.seed = 5
+    expected = harness.report_json(run_attack(cfg))
+    out = tmp_path / "report.json"
+    code = cli.main(["attack", "--config", str(cfg_path), "--seed", "5", "--out", str(out)])
+    report = json.loads(expected)
+    assert report["config"]["seed"] == 5
+    assert code == (cli.EXIT_OK if report["summary"]["successes"] else cli.EXIT_ATTACK_FAILURE)
+    assert out.read_bytes() == expected.encode()
+
+
+def test_an_unknown_attack_is_refused_by_validate_and_by_run_trial():
+    cfg = parse_config(BASE_CONFIG.replace("attack = offline_simon", "attack = nope"))
+    assert cfg.validate() == ["attack: unknown kind 'nope'"]
+    with pytest.raises(ValueError) as refused:
+        harness.run_trial(cfg, 0)
+    assert str(refused.value) == "unknown attack 'nope'"
+
+
+def test_parse_curve_csv_reads_no_rows_from_no_lines_and_refuses_other_columns():
+    assert plot_svg.parse_curve_csv("") == []
+    with pytest.raises(ValueError) as refused:
+        plot_svg.parse_curve_csv("attack,x,y\nq1,0,0\n")
+    assert str(refused.value) == ("curve CSV must carry columns ('attack', 'log2D_over_n', "
+                                  "'log2T_over_n'), got ['attack', 'x', 'y']")
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(BASE_CONFIG + "\nmode = EXACT\n")

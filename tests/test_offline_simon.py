@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -525,7 +526,7 @@ def test_generalized_engine_reproduces_fx_attack():
     assert (family.kappa_bits, family.suffix_bits) == (4, 0)
     for got, want in ((family.relabel, identity), (family.inner, inner),
                       (family.peel, identity)):
-        assert np.array_equal(got, want)
+        assert got.dtype == np.int32 and np.array_equal(got, want)
     rep = generalized_offline_simon(inst, db, np.random.default_rng(3), build_time=64, seed=5,
                                     online_queries=16)
     assert rep.success and (rep.k, rep.k1, rep.k2) == true_keys(inst)
@@ -1028,6 +1029,27 @@ def test_test_step_sums_the_rows_in_guess_order(monkeypatch, block, excluded):
     assert np.array_equal(in_order / (1 << circuit.m), np.mean(rows, axis=0))
 
 
+@pytest.mark.parametrize("block", [1 << 4, 1 << 9])
+def test_test_step_writes_only_the_blocks_it_is_given(monkeypatch, block):
+    # one guess a block and two: the blocks from starts get the rows a full
+    # test writes, excluded guess 3 included, and every other row is left
+    monkeypatch.setattr(offline_simon, "_TEST_BLOCK", block)
+    inst = efx_instance(2, 2, 3)
+    circuit = offline_simon._JointCircuit(build_database_cpa(inst, 2, 2),
+                                          guess_family_for(inst, 2))
+    state = np.random.default_rng(7).standard_normal(circuit.size)
+    full = np.empty((1 << circuit.m, circuit.size))
+    circuit._test(state, {3}, full)
+    rows = np.full_like(full, np.nan)
+    circuit._test(state, {3}, rows, [2])
+    written = set(range(2, 2 + circuit.block))
+    for h in range(1 << circuit.m):
+        if h in written:
+            assert np.array_equal(rows[h], full[h])
+        else:
+            assert np.isnan(rows[h]).all()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_small_exact_instances()), st.integers(0, 2 ** 32 - 1), st.data())
 def test_orbit_test_matches_the_dense_reference(case, seed, data):
@@ -1180,6 +1202,23 @@ def test_a_24_qubit_search_stays_small():
         tracemalloc.stop()
     assert 0 <= guess < 64 and len(samples) == 3
     assert peak < 44_000_000
+
+
+def test_orbit_tables_of_one_shape_stay_in_memory():
+    # EXACT searches at two shapes, as a sweep over n runs them: the cache
+    # keeps the last shape's tables, and nothing keeps the first's
+    shapes = [(2, 2, 2, 2), (3, 1, 2, 2)]
+    first = None
+    for n, kappa, u, c in shapes:
+        inst = efx_instance(n, kappa, 11)
+        report = offline_simon.offline_simon_attack(inst, u, c, "EXACT",
+                                                    np.random.default_rng(0))
+        assert report.mode == "EXACT" and report.searches >= 1
+        first = first or weakref.ref(offline_simon._orbit_tables(u, n, c))
+    assert offline_simon._orbit_tables.cache_info().currsize == 1
+    assert first() is None
+    # only the table build reads the binomials, so they are not cached apart
+    assert not hasattr(offline_simon._binomials, "cache_info")
 
 
 # run_search outputs (guess, samples) of two searches, the second excluding the

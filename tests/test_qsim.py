@@ -406,6 +406,38 @@ def test_amplified_distribution_follows_the_closed_form_curve(m, t, seed):
     assert abs(probs[good].sum() - qsim.amplify_success_probability(p, t)) < 1e-11
 
 
+@pytest.mark.parametrize("prep, message", [
+    (np.full(3, 3 ** -0.5, complex), "state dimension must be a power of two"),
+    # 2^27 amplitudes of one broadcast value: normalized, and never allocated
+    (np.broadcast_to(np.complex128(2 ** -13.5), (1 << 27,)), "state exceeds the qubit cap"),
+    (np.full(4, 0.4, complex), "preparation state is not normalized"),
+], ids=["length-3", "27-qubits", "unnormalized"])
+def test_amplified_distribution_refuses_before_copying(prep, message):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            qsim.amplified_distribution(prep, lambda i: i == 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == message
+    assert peak < 1 << 20
+
+
+def test_amplification_refuses_a_probability_above_one():
+    with pytest.raises(ValueError) as refused:
+        qsim.amplify_success_probability(1.5, 1)
+    assert str(refused.value) == "probability p=1.5 out of [0, 1]"
+
+
+def test_simon_samples_draws_nothing_for_no_registers():
+    rng = np.random.default_rng(0)
+    assert qsim.simon_samples([0, 1, 0, 1], 0, rng, out_bits=1) == []
+    assert rng.random() == np.random.default_rng(0).random()
+
+
 def test_amplitude_amplify_all_marked():
     prep = np.full(8, 8 ** -0.5, complex)
     rng = np.random.default_rng(14)
