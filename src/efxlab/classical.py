@@ -93,18 +93,72 @@ def exhaustive_search(instance: ConstructionInstance,
     if len(known_pairs) < 2:
         raise ValueError("need at least two known pairs to pin the key down")
     evals = 0
+    found = None
     for km in _key_space(kind, instance.n, instance.kappa):
         ok, spent = pair_check(instance, km, known_pairs)
         evals += spent
         if ok:
-            k, k1, k2 = report_keys(kind, km)
-            return ClassicalReport(
-                success=True, k=k, k1=k1, k2=k2,
-                online_queries=len(known_pairs), offline_evals=evals,
-                time_units=evals, mem_cells=len(known_pairs), seed=seed)
-    return ClassicalReport(success=False, k=None, k1=None, k2=None,
+            found = km
+            break
+    k, k1, k2 = report_keys(kind, found)
+    return ClassicalReport(success=found is not None, k=k, k1=k1, k2=k2,
                            online_queries=len(known_pairs), offline_evals=evals,
                            time_units=evals, mem_cells=len(known_pairs), seed=seed)
+
+
+def _try_key(instance: ConstructionInstance, guess: Optional[int], w: List[int],
+             fwd: List[int], pairs: List[Tuple[int, int]], x: int,
+             k1: int) -> Tuple[Optional[KeyMaterial], int]:
+    """(the key with whitening k1 and k2 = w[x] ^ inner(x ^ k1), or None if it
+    misses a pair; evaluations spent, one of them completing k2)."""
+    km = key_material(instance.kind, guess, k1, w[x] ^ fwd[x ^ k1])
+    ok, spent = pair_check(instance, km, pairs)
+    return (km if ok else None), 1 + spent
+
+
+def _collision_scan(instance: ConstructionInstance, guess: Optional[int],
+                    w: List[int], fwd: List[int], pairs: List[Tuple[int, int]],
+                    order: np.ndarray) -> Tuple[Optional[KeyMaterial], int, int, int]:
+    """(key or None, evaluations, points read, cells seen) of reading g(x) =
+    w[x] ^ inner(x) in order until a collision's key verifies or two fail."""
+    seen: Dict[int, int] = {}
+    evals = failed_collisions = 0
+    for read, x in enumerate(map(int, order), 1):
+        v = w[x] ^ fwd[x]
+        if v in seen:
+            # a zero whitening difference makes g constant, so every pair
+            # collides; try it alongside the coset reading
+            for k1 in (seen[v] ^ x, 0):
+                km, spent = _try_key(instance, guess, w, fwd, pairs, x, k1)
+                evals += spent
+                if km is not None:
+                    return km, evals + read, read, len(seen)
+            failed_collisions += 1
+            if failed_collisions == 2:
+                break
+        seen[v] = x
+    return None, evals + read, read, len(seen)
+
+
+def _difference_pass(instance: ConstructionInstance, guess: Optional[int],
+                     w: List[int], fwd: List[int],
+                     pairs: List[Tuple[int, int]]) -> Tuple[Optional[KeyMaterial], int, int]:
+    """(key or None, evaluations, index cells) of matching w[x] ^ w[x ^ 1] =
+    E(x ^ k1) ^ E(x ^ 1 ^ k1) against one pair (z0, z0 ^ 1), two evaluations,
+    per block of P = the largest power of two at most len(w)."""
+    index: Dict[int, List[int]] = {}
+    for x in range(0, len(w) - 1, 2):
+        index.setdefault(w[x] ^ w[x ^ 1], []).append(x)
+    evals = 0
+    for z0 in range(0, len(fwd), 1 << (len(w).bit_length() - 1)):
+        evals += 2
+        for x in index.get(fwd[z0] ^ fwd[z0 ^ 1], []):
+            for k1 in (x ^ z0, x ^ z0 ^ 1):
+                km, spent = _try_key(instance, guess, w, fwd, pairs, x, k1)
+                evals += spent
+                if km is not None:
+                    return km, evals, len(index)
+    return None, evals, len(index)
 
 
 def guess_and_em_attack(instance: ConstructionInstance, D: int,
@@ -112,112 +166,45 @@ def guess_and_em_attack(instance: ConstructionInstance, D: int,
     """Guess the inner key, peel the outer cipher layer, then break the
     residual single-whitened layer from D chosen plaintexts.
 
-    With the full codebook recorded, each guess lazily evaluates
-    g(x) = peel(C(x)) XOR E_guess(x) in random order until a collision
-    reveals the whitening difference (birthday cost around 2^(n/2); a wrong
-    guess is abandoned after a few collisions whose candidates fail). With
-    less data, XOR differences of the peeled ciphertexts of neighbouring
-    recorded points are matched against offline pairs spread one per
-    D-aligned block, covering every candidate whitening key with about
-    D + 2^(n+1)/D evaluations per guess.
+    With the full codebook a collision of g(x) = peel(C(x)) XOR E_guess(x),
+    scanned in random order, reveals the whitening difference (birthday cost
+    around 2^(n/2)). Otherwise, or after two failed collisions, a difference
+    pass covers every whitening key with about D + 2^(n+1)/P evaluations per
+    guess, P the largest power of two at most D. A peel costs one evaluation,
+    charged for the points the scan reads and for the rest before the pass.
     """
     check_attack(instance.kind, "guess_and_em")
     if D < 2:
         raise ValueError("need at least two chosen plaintexts")
     n = instance.n
-    size = 1 << n
-    if D > size:
+    if D > 1 << n:
         raise ValueError("cannot query beyond the codebook")
-    pts = list(range(D))
-    cts = [instance.encrypt(x) for x in pts]
-    pairs = list(zip(pts, cts))
-    evals = 0
-    mem_peak = 0
-    kind = instance.kind
-
-    def report(km: KeyMaterial) -> ClassicalReport:
-        k, k1, k2 = report_keys(kind, km)
-        return ClassicalReport(success=True, k=k, k1=k1, k2=k2,
-                               online_queries=D, offline_evals=evals,
-                               time_units=evals + D, mem_cells=mem_peak, seed=seed)
-
-    guesses = range(1 << instance.kappa) if instance.kappa else [None]
-    for guess in guesses:
+    cts = [instance.encrypt(x) for x in range(D)]
+    pairs = list(enumerate(cts))
+    evals = mem_peak = 0
+    found = None
+    for guess in range(1 << instance.kappa) if instance.kappa else [None]:
         # the attack accepts only kinds without a relabel layer
         _, inner, outer = instance.layers(guess)
-        fwd = layer_table(inner, n).__getitem__
-        outer_inv = layer_inverse_table(outer, n).__getitem__ if outer else None
-
-        wvals: Dict[int, int] = {}
-
-        def peel_cached(x: int) -> int:
-            nonlocal evals
-            w = wvals.get(x)
-            if w is None:
-                w = cts[x]
-                if outer_inv is not None:
-                    w = outer_inv(w)
-                    evals += 1
-                wvals[x] = w
-            return w
-
-        def g_value(x: int) -> int:
-            nonlocal evals
-            evals += 1
-            return peel_cached(x) ^ fwd(x)
-
-        def candidate(x: int, k1: int) -> Optional[ClassicalReport]:
-            nonlocal evals
-            evals += 1
-            k2 = peel_cached(x) ^ fwd(x ^ k1)
-            km = key_material(kind, guess, k1, k2)
-            ok, spent = pair_check(instance, km, pairs)
-            evals += spent
-            return report(km) if ok else None
-
-        if D == size:
-            # full codebook: the right key collides on a whitening coset, so
-            # scan in random order; wrong keys mostly stop after a couple of
-            # collisions whose candidates fail, the rest falls through to the
-            # deterministic difference pass below
-            order = rng.permutation(D)
-            seen: Dict[int, int] = {}
-            failed_collisions = 0
-            for xi in order:
-                x = int(xi)
-                v = g_value(x)
-                if v in seen:
-                    # a zero whitening difference makes g constant, so every
-                    # pair collides; try it alongside the coset reading
-                    for k1 in (seen[v] ^ x, 0):
-                        hit = candidate(x, k1)
-                        if hit:
-                            return hit
-                    failed_collisions += 1
-                    if failed_collisions >= 2:
-                        break
-                seen[v] = x
-            mem_peak = max(mem_peak, len(seen))
-        # match XOR differences of the peeled ciphertexts of neighbouring
-        # recorded points against one offline pair per D-aligned block;
-        # w(x1) ^ w(x2) = E(x1 ^ k1) ^ E(x2 ^ k1) pins k1 and covers every
-        # candidate whitening key
-        for x in pts:
-            peel_cached(x)
-        diff_index: Dict[int, List[int]] = {}
-        for x in range(0, D - 1, 2):
-            diff_index.setdefault(wvals[x] ^ wvals[x ^ 1], []).append(x)
-        mem_peak = max(mem_peak, len(diff_index))
-        for z0 in range(0, size, max(D, 2)):
-            z1 = z0 ^ 1
-            evals += 2
-            target = fwd(z0) ^ fwd(z1)
-            for x in diff_index.get(target, []):
-                for k1 in (x ^ z0, x ^ z1):
-                    hit = candidate(x, k1)
-                    if hit:
-                        return hit
-    return ClassicalReport(success=False, k=None, k1=None, k2=None,
+        fwd = layer_table(inner, n)
+        peel = layer_inverse_table(outer, n) if outer else None
+        w = [peel[ct] for ct in cts] if outer else cts
+        read = 0
+        if D == 1 << n:
+            found, spent, read, cells = _collision_scan(
+                instance, guess, w, fwd, pairs, rng.permutation(D))
+            evals += spent + (read if outer else 0)
+            if found is not None:
+                break
+            mem_peak = max(mem_peak, cells)
+        evals += D - read if outer else 0
+        found, spent, cells = _difference_pass(instance, guess, w, fwd, pairs)
+        evals += spent
+        mem_peak = max(mem_peak, cells)
+        if found is not None:
+            break
+    k, k1, k2 = report_keys(instance.kind, found)
+    return ClassicalReport(success=found is not None, k=k, k1=k1, k2=k2,
                            online_queries=D, offline_evals=evals,
                            time_units=evals + D, mem_cells=mem_peak, seed=seed)
 
@@ -250,8 +237,6 @@ def tradeoff_curve(attack: str, n: int, kappa: int,
         raise ValueError(f"n={n} must be at least 1 and kappa={kappa} nonnegative")
     if not d_grid:
         raise ValueError("empty D grid")
-    rows = []
-    for log2_d in d_grid:
-        t = curve_log2_time(attack, n, kappa, float(log2_d))
-        rows.append((attack, float(log2_d) / n, t / n, "formula"))
-    return rows
+    return [(attack, float(log2_d) / n,
+             curve_log2_time(attack, n, kappa, float(log2_d)) / n, "formula")
+            for log2_d in d_grid]

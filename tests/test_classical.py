@@ -1,8 +1,20 @@
+from typing import Dict, List, Optional
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efxlab import classical
-from efxlab.ciphers import ConstructionKind, derive_seed
+from efxlab.ciphers import (
+    ConstructionKind,
+    derive_seed,
+    key_material,
+    layer_inverse_table,
+    layer_table,
+    pair_check,
+    report_keys,
+)
 from efxlab.classical import (
     classical_period_find,
     curve_log2_time,
@@ -238,3 +250,129 @@ def test_tradeoff_curve_refuses_a_zero_bit_block():
     with pytest.raises(ValueError) as refused:
         tradeoff_curve("quantum-q1", 0, 4, [0.0])
     assert str(refused.value) == "n=0 must be at least 1 and kappa=4 nonnegative"
+
+
+def _reference_guess_and_em(instance, D, rng, seed=0):
+    """guess_and_em_attack as three closures over one counter, peeling each
+    point lazily on first use: the reference for the straight-line attack.
+    Its difference pass steps by the largest power of two at most D."""
+    n = instance.n
+    size = 1 << n
+    pts = list(range(D))
+    cts = [instance.encrypt(x) for x in pts]
+    pairs = list(zip(pts, cts))
+    evals = 0
+    mem_peak = 0
+    kind = instance.kind
+
+    def report(km):
+        k, k1, k2 = report_keys(kind, km)
+        return classical.ClassicalReport(
+            success=True, k=k, k1=k1, k2=k2, online_queries=D, offline_evals=evals,
+            time_units=evals + D, mem_cells=mem_peak, seed=seed)
+
+    guesses = range(1 << instance.kappa) if instance.kappa else [None]
+    for guess in guesses:
+        _, inner, outer = instance.layers(guess)
+        fwd = layer_table(inner, n).__getitem__
+        outer_inv = layer_inverse_table(outer, n).__getitem__ if outer else None
+        wvals: Dict[int, int] = {}
+
+        def peel_cached(x):
+            nonlocal evals
+            w = wvals.get(x)
+            if w is None:
+                w = cts[x]
+                if outer_inv is not None:
+                    w = outer_inv(w)
+                    evals += 1
+                wvals[x] = w
+            return w
+
+        def g_value(x):
+            nonlocal evals
+            evals += 1
+            return peel_cached(x) ^ fwd(x)
+
+        def candidate(x, k1) -> Optional[classical.ClassicalReport]:
+            nonlocal evals
+            evals += 1
+            km = key_material(kind, guess, k1, peel_cached(x) ^ fwd(x ^ k1))
+            ok, spent = pair_check(instance, km, pairs)
+            evals += spent
+            return report(km) if ok else None
+
+        if D == size:
+            order = rng.permutation(D)
+            seen: Dict[int, int] = {}
+            failed_collisions = 0
+            for xi in order:
+                x = int(xi)
+                v = g_value(x)
+                if v in seen:
+                    for k1 in (seen[v] ^ x, 0):
+                        hit = candidate(x, k1)
+                        if hit:
+                            return hit
+                    failed_collisions += 1
+                    if failed_collisions >= 2:
+                        break
+                seen[v] = x
+            mem_peak = max(mem_peak, len(seen))
+        for x in pts:
+            peel_cached(x)
+        diff_index: Dict[int, List[int]] = {}
+        for x in range(0, D - 1, 2):
+            diff_index.setdefault(wvals[x] ^ wvals[x ^ 1], []).append(x)
+        mem_peak = max(mem_peak, len(diff_index))
+        for z0 in range(0, size, 1 << (D.bit_length() - 1)):
+            z1 = z0 ^ 1
+            evals += 2
+            target = fwd(z0) ^ fwd(z1)
+            for x in diff_index.get(target, []):
+                for k1 in (x ^ z0, x ^ z1):
+                    hit = candidate(x, k1)
+                    if hit:
+                        return hit
+    return classical.ClassicalReport(
+        success=False, k=None, k1=None, k2=None, online_queries=D, offline_evals=evals,
+        time_units=evals + D, mem_cells=mem_peak, seed=seed)
+
+
+_GUESS_AND_EM_KINDS = (ConstructionKind.EM, ConstructionKind.FX, ConstructionKind.EFX,
+                       ConstructionKind.TWO_XOR)
+
+
+@st.composite
+def _guess_and_em_cases(draw):
+    kind = draw(st.sampled_from(_GUESS_AND_EM_KINDS))
+    n = draw(st.integers(2, 6))
+    kappa = draw(st.integers(1, 4))
+    D = draw(st.integers(2, 1 << n))
+    return kind, n, kappa, D, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_guess_and_em_cases())
+def test_guess_and_em_matches_the_closure_reference(case):
+    # every counter, the key and the rng draws: the full-codebook scan charges
+    # a peel only for the points it reads, and its seen table counts toward
+    # mem_cells only when the guess goes on to the difference pass
+    kind, n, kappa, D, seed = case
+    reports = [attack(build_instance(kind, n, kappa, seed), D,
+                      np.random.default_rng(seed), seed=seed).to_json_dict()
+               for attack in (guess_and_em_attack, _reference_guess_and_em)]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("kind", [ConstructionKind.EFX, ConstructionKind.TWO_XOR])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_guess_and_em_succeeds_at_every_data_size(kind, n):
+    # the planted key verifies once the difference pass reaches its k1, and
+    # the offline grid reaches every k1 whether or not D is a power of two
+    for D in range(2, (1 << n) + 1):
+        for t in range(20):
+            seed = derive_seed(54, n, D, t)
+            inst = build_instance(kind, n, n, seed)
+            rep = guess_and_em_attack(inst, D, np.random.default_rng(seed), seed=seed)
+            assert rep.success, (D, t)
