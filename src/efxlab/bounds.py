@@ -102,6 +102,20 @@ def efx_classical_bound(p: BoundParams) -> Tuple[float, float]:
     return bound_small_d, bound_any_d
 
 
+def _best_over_splits(n: int, kappa: int, log2_prod: float) -> float:
+    """Largest small-D bound over 65 splits of D*T = 2^log2_prod, D <= 2^(n/2)."""
+    best = 0.0
+    max_log2_d = min(n / 2.0, log2_prod)
+    steps = 64
+    for i in range(steps + 1):
+        log2_d = max_log2_d * i / steps
+        d = _pow2(log2_d)
+        t = _pow2(log2_prod - log2_d)
+        b, _ = efx_classical_bound(BoundParams(n=n, kappa=kappa, D=d, T=t))
+        best = max(best, b)
+    return best
+
+
 def efx_required_resources(n: int, kappa: int,
                            target_advantage: float) -> Tuple[float, float]:
     """Smallest (D*T product, T) at which the two bounds reach the target.
@@ -116,25 +130,12 @@ def efx_required_resources(n: int, kappa: int,
         raise ValueError("target advantage must be in (0, 1]")
 
     t_floor = target_advantage * _pow2(kappa + n / 2.0) / 1.5
-
-    def best_over_splits(log2_prod: float) -> float:
-        best = 0.0
-        max_log2_d = min(n / 2.0, log2_prod)
-        steps = 64
-        for i in range(steps + 1):
-            log2_d = max_log2_d * i / steps
-            d = _pow2(log2_d)
-            t = _pow2(log2_prod - log2_d)
-            b, _ = efx_classical_bound(BoundParams(n=n, kappa=kappa, D=d, T=t))
-            best = max(best, b)
-        return best
-
     lo, hi = -20.0, 4.0 * (kappa + n) + 40.0
-    if best_over_splits(hi) < target_advantage:
+    if _best_over_splits(n, kappa, hi) < target_advantage:
         raise ValueError("target advantage unreachable within the search range")
     for _ in range(80):
         mid = (lo + hi) / 2.0
-        if best_over_splits(mid) >= target_advantage:
+        if _best_over_splits(n, kappa, mid) >= target_advantage:
             hi = mid
         else:
             lo = mid

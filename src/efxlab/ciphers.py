@@ -211,25 +211,23 @@ def _ecbc3_layers(comps, k) -> Layers:
     return (base,), (base,), (base, e.permutation(derive_related_key(k)))
 
 
-# the attacks that run an amplified search over a guess space, and every attack
-SEARCH_ATTACKS = ("offline_simon", "grover_meets_simon")
-_CLASSICAL = ("guess_and_em", "exhaustive")
-ATTACK_KINDS = SEARCH_ATTACKS + ("em_q2",) + _CLASSICAL
+# the attacks (rows of harness.ATTACKS) that every whitened block cipher accepts
+_BLOCK_ATTACKS = ("offline_simon", "grover_meets_simon", "guess_and_em", "exhaustive")
 _WHITENED = (("k", "kappa"), ("k1", "n"), ("k2", "n"))
 
 SPECS: Dict[ConstructionKind, ConstructionSpec] = {
     ConstructionKind.EM: ConstructionSpec(
         components=("perm",), key_fields=(("k1", "n"), ("k2", "n")),
-        attacks=ATTACK_KINDS, evals=1, layers=_em_layers),
+        attacks=_BLOCK_ATTACKS + ("em_q2",), evals=1, layers=_em_layers),
     ConstructionKind.FX: ConstructionSpec(
         components=("E",), key_fields=_WHITENED,
-        attacks=SEARCH_ATTACKS + _CLASSICAL, evals=1, layers=_fx_layers),
+        attacks=_BLOCK_ATTACKS, evals=1, layers=_fx_layers),
     ConstructionKind.EFX: ConstructionSpec(
         components=("E1", "E2"), key_fields=_WHITENED,
-        attacks=SEARCH_ATTACKS + _CLASSICAL, evals=2, layers=_efx_layers),
+        attacks=_BLOCK_ATTACKS, evals=2, layers=_efx_layers),
     ConstructionKind.TWO_XOR: ConstructionSpec(
         components=("E",), key_fields=(("k", "kappa"), ("k1", "n")),
-        attacks=SEARCH_ATTACKS + _CLASSICAL, whitening=("k1", "k1"), evals=2,
+        attacks=_BLOCK_ATTACKS, whitening=("k1", "k1"), evals=2,
         layers=_two_xor_layers),
     ConstructionKind.DEFX: ConstructionSpec(
         components=("E1", "E2", "E3"), key_fields=_WHITENED,

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import bounds, classical, gf2, offline_simon, qsim
 from .ciphers import (
-    ATTACK_KINDS,
     MAX_BITS,
-    SEARCH_ATTACKS,
     SPECS,
     ConstructionKind,
     KeyMaterial,
@@ -55,7 +53,8 @@ class ExperimentConfig:
 
     def validate(self) -> List[str]:
         errors = []
-        if self.attack not in ATTACK_KINDS:
+        row = ATTACKS.get(self.attack)
+        if row is None:
             errors.append(f"attack: unknown kind {self.attack!r}")
         try:
             kind = ConstructionKind(self.construction)
@@ -63,17 +62,16 @@ class ExperimentConfig:
             errors.append(f"construction: unknown kind {self.construction!r}")
             kind = None
         # one inclusive range per integer field but seed (any int); u and data,
-        # where the attack reads them (offline_simon reads u at alpha = 0
-        # only), are bounded by n, so they are declared once n is in range
+        # where the attack reads them, are bounded by n once n is in range
         ranges = {"n": (1, MAX_BITS), "kappa": (1, MAX_BITS),
                   "c": (1, offline_simon.MAX_REGISTERS), "trials": (0, MAX_TRIALS),
                   "max_searches": (1, 1 << offline_simon.MAX_SEARCH_BITS),
                   "qubit_cap": (1, qsim.DEFAULT_QUBIT_CAP)}
         if 1 <= self.n <= MAX_BITS:
-            if self.attack == "offline_simon" and self.effective_u == self.u:
+            if row and "u" in row.reads and self.effective_u == self.u:
                 ranges["u"] = (0, self.n)
-            if self.attack in ("guess_and_em", "exhaustive"):
-                ranges["data"] = (2 if self.attack == "guess_and_em" else 0, 1 << self.n)
+            if row and "data" in row.reads:
+                ranges["data"] = (row.min_data, 1 << self.n)
         bad = set()
         for name, (lo, hi) in ranges.items():
             value = getattr(self, name)
@@ -90,36 +88,32 @@ class ExperimentConfig:
             errors.append(f"mode: {self.mode!r} is not TENSOR or EXACT")
         if not 0.0 <= self.alpha < 1.0:
             errors.append(f"alpha: {self.alpha} out of [0, 1)")
-        if kind is not None:
+        if kind is not None and row is not None:
             spec = SPECS[kind]
-            if self.attack in ATTACK_KINDS and self.attack not in spec.attacks:
+            if self.attack not in spec.attacks:
                 errors.append(f"construction: {self.attack} does not support {kind.value}")
-            if spec.full_domain and self.attack == "offline_simon" \
-                    and self.effective_u != self.n:
+            if spec.full_domain and "u" in row.reads and self.effective_u != self.n:
                 errors.append(f"u: {kind.value} needs the full domain (u = n)")
-        if kind is not None and not bad & {"n", "kappa", "c"}:
-            widths = dict(key_widths(kind, self.n, self.kappa))
-            label, bits = {
-                "guess_and_em": ("kappa + n", self.effective_kappa + self.n),
-                "exhaustive": (" + ".join(widths), sum(widths.values())),
-            }.get(self.attack, ("", 0))
-            if bits > offline_simon.MAX_SEARCH_BITS:
-                errors.append(f"search space: {label} = {bits} bits, "
-                              f"over the limit of {offline_simon.MAX_SEARCH_BITS}")
-            if self.attack in SEARCH_ATTACKS and "u" not in bad:
+            if row.key_space is not None and not bad & {"n", "kappa", "c"}:
+                label, bits = row.key_space(self, dict(key_widths(kind, self.n, self.kappa)))
+                if bits > offline_simon.MAX_SEARCH_BITS:
+                    errors.append(f"search space: {label} = {bits} bits, "
+                                  f"over the limit of {offline_simon.MAX_SEARCH_BITS}")
+            if row.search and not bad & {"n", "kappa", "c", "u"}:
                 errors += offline_simon.search_limits(
                     self.effective_kappa + self.n - self.effective_u, self.effective_u,
                     self.n, self.c, self.mode, self.qubit_cap)
-        if self.attack == "em_q2" and "n" not in bad and self.n > qsim.SIMON_INPUT_CAP:
-            errors.append(f"n: em_q2 simulates Simon on {self.n} input qubits, "
-                          f"cap is {qsim.SIMON_INPUT_CAP}")
+        if row and row.simon_cap is not None and "n" not in bad and self.n > row.simon_cap:
+            errors.append(f"n: {self.attack} simulates Simon on {self.n} input qubits, "
+                          f"cap is {row.simon_cap}")
         return errors
 
     @property
     def effective_u(self) -> int:
-        """Input bits of the database: known-plaintext runs and
-        grover_meets_simon use the full domain."""
-        if self.alpha > 0 or self.attack == "grover_meets_simon":
+        """Input bits of the database: known-plaintext runs and a search that
+        does not read u (grover_meets_simon) use the full domain."""
+        row = ATTACKS.get(self.attack)
+        if self.alpha > 0 or (row and row.search and "u" not in row.reads):
             return self.n
         return self.u
 
@@ -170,34 +164,73 @@ def true_keys(instance) -> Tuple[Optional[int], Optional[int], Optional[int]]:
     return report_keys(instance.kind, instance.key_material)
 
 
+@dataclass(frozen=True)
+class Attack:
+    """What the harness knows about one attack: one row of ATTACKS.
+
+    run(cfg, instance, rng, trial_seed) runs a trial, naming the entry point
+    through its module so that a patched attribute (a tracer's wrapper, a
+    test's stub) is what runs. validate() bounds u and data (from min_data),
+    and a sweep takes an axis, only where reads names the field. A search
+    that does not read u runs over the full domain. key_space(cfg, key widths)
+    is the (label, bits) of a classical key search; simon_cap caps Simon's inputs.
+    """
+
+    run: Callable
+    reads: Tuple[str, ...]
+    search: bool = False
+    min_data: int = 0
+    key_space: Optional[Callable] = None
+    simon_cap: Optional[int] = None
+
+
+def _run_offline_simon(cfg: ExperimentConfig, instance, rng, trial_seed: int):
+    known = None
+    if cfg.alpha > 0.0:
+        mask_rng = np.random.default_rng(derive_seed(trial_seed, "mask"))
+        known = [x for x in range(1 << cfg.n) if mask_rng.random() >= cfg.alpha]
+    return offline_simon.offline_simon_attack(
+        instance, cfg.u, cfg.c, cfg.mode, rng, known_inputs=known,
+        max_searches=cfg.max_searches, seed=trial_seed)
+
+
+def _run_exhaustive(cfg: ExperimentConfig, instance, rng, trial_seed: int):
+    pairs = [(x, instance.encrypt(x)) for x in range(max(2, cfg.data))]
+    return classical.exhaustive_search(instance, pairs, seed=trial_seed)
+
+
+_SEARCH_READS = ("n", "kappa", "c", "mode", "max_searches")
+
+# SPECS[kind].attacks names the kinds that each attack accepts
+ATTACKS: Dict[str, Attack] = {
+    "offline_simon": Attack(_run_offline_simon, _SEARCH_READS + ("u", "alpha"), search=True),
+    "grover_meets_simon": Attack(
+        lambda cfg, instance, rng, seed: offline_simon.grover_meets_simon_attack(
+            instance, cfg.c, rng, mode=cfg.mode, max_searches=cfg.max_searches, seed=seed),
+        _SEARCH_READS, search=True),
+    "em_q2": Attack(
+        lambda cfg, instance, rng, seed: offline_simon.em_q2_attack(
+            instance, cfg.c, rng, seed=seed),
+        ("n", "c"), simon_cap=qsim.SIMON_INPUT_CAP),
+    "guess_and_em": Attack(
+        lambda cfg, instance, rng, seed: classical.guess_and_em_attack(
+            instance, cfg.data, rng, seed=seed),
+        ("n", "kappa", "data"), min_data=2,
+        key_space=lambda cfg, widths: ("kappa + n", cfg.effective_kappa + cfg.n)),
+    "exhaustive": Attack(
+        _run_exhaustive, ("n", "kappa", "data"),
+        key_space=lambda cfg, widths: (" + ".join(widths), sum(widths.values()))),
+}
+
+
 def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     """One seeded trial: fresh instance, fresh rng substream, one attack run."""
     trial_seed = derive_seed(cfg.seed, "trial", trial)
-    kind = ConstructionKind(cfg.construction)
-    instance = build_instance(kind, cfg.n, cfg.kappa, trial_seed)
-    rng = np.random.default_rng(derive_seed(trial_seed, "attack"))
-    if cfg.attack == "offline_simon":
-        known = None
-        if cfg.alpha > 0.0:
-            mask_rng = np.random.default_rng(derive_seed(trial_seed, "mask"))
-            known = [x for x in range(1 << cfg.n)
-                     if mask_rng.random() >= cfg.alpha]
-        report = offline_simon.offline_simon_attack(
-            instance, cfg.u, cfg.c, cfg.mode, rng, known_inputs=known,
-            max_searches=cfg.max_searches, seed=trial_seed)
-    elif cfg.attack == "grover_meets_simon":
-        report = offline_simon.grover_meets_simon_attack(
-            instance, cfg.c, rng, mode=cfg.mode,
-            max_searches=cfg.max_searches, seed=trial_seed)
-    elif cfg.attack == "em_q2":
-        report = offline_simon.em_q2_attack(instance, cfg.c, rng, seed=trial_seed)
-    elif cfg.attack == "guess_and_em":
-        report = classical.guess_and_em_attack(instance, cfg.data, rng, seed=trial_seed)
-    elif cfg.attack == "exhaustive":
-        pairs = [(x, instance.encrypt(x)) for x in range(max(2, cfg.data))]
-        report = classical.exhaustive_search(instance, pairs, seed=trial_seed)
-    else:
+    instance = build_instance(ConstructionKind(cfg.construction), cfg.n, cfg.kappa, trial_seed)
+    if cfg.attack not in ATTACKS:
         raise ValueError(f"unknown attack {cfg.attack!r}")
+    rng = np.random.default_rng(derive_seed(trial_seed, "attack"))
+    report = ATTACKS[cfg.attack].run(cfg, instance, rng, trial_seed)
     out = report.to_json_dict()
     k, k1, k2 = true_keys(instance)
     out["planted"] = {"k": k, "k1": k1, "k2": k2}
@@ -206,33 +239,30 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
     return out
 
 
+def _mean(values: Sequence[float]) -> float:
+    """Mean of values added one by one from 0.0 in order; 0.0 for none."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values) if values else 0.0
+
+
 def run_attack(cfg: ExperimentConfig) -> dict:
     """Run all trials and assemble the aggregate report (deterministic in seed)."""
     if errors := cfg.validate():
         raise ValueError("; ".join(errors))
     trials = [run_trial(cfg, i) for i in range(cfg.trials)]
     n_ok = sum(1 for t in trials if t["success"])
-
-    def mean(*keys: str) -> float:
-        if not trials:
-            return 0.0
-        total = 0.0
-        for t in trials:
-            for key in keys:
-                if key in t:
-                    total += t[key]
-                    break
-        return total / len(trials)
-
     n_planted = sum(1 for t in trials if t["recovered_planted"])
     summary = {
         "trials": cfg.trials,
         "successes": n_ok,
         "success_rate": (n_ok / cfg.trials) if cfg.trials else 0.0,
         "planted_rate": (n_planted / cfg.trials) if cfg.trials else 0.0,
-        "mean_online_queries": mean("D"),
-        "mean_offline_evals": mean("offline_evals", "T"),
-        "mean_sim_time_units": mean("sim_time_units", "time_units"),
+        "mean_online_queries": _mean([t["D"] for t in trials]),
+        "mean_offline_evals": _mean([t.get("offline_evals", t.get("T")) for t in trials]),
+        "mean_sim_time_units": _mean([t.get("sim_time_units", t.get("time_units"))
+                                      for t in trials]),
     }
     return {"config": asdict(cfg), "summary": summary, "trials": trials}
 
@@ -244,13 +274,9 @@ def report_json(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # sweeps
 
-# each sweep axis: the config field and type its values set, and the attacks
-# that read that field (offline_simon reads u only at alpha = 0; at alpha > 0
-# its database is the full domain)
-SWEEP_AXES = {"u": ("u", int, ("offline_simon",)),
-              "alpha": ("alpha", float, ("offline_simon",)),
-              "D": ("data", int, ("guess_and_em", "exhaustive")),
-              "n": ("n", int, ATTACK_KINDS)}
+# each sweep axis: the config field and type its values set; the attacks that
+# read the field are the rows of ATTACKS whose reads name it
+SWEEP_AXES = {"u": ("u", int), "alpha": ("alpha", float), "D": ("data", int), "n": ("n", int)}
 
 SWEEP_COLUMNS = ["axis", "value", "attack", "construction", "n", "kappa", "u",
                  "c", "mode", "trials", "success_rate", "planted_rate", "mean_online",
@@ -270,18 +296,18 @@ def reference_time(n: int, kappa: int, u: int) -> float:
 def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> List[dict]:
     """One attack run per axis value; rows carry measured and reference columns.
 
-    The search reference columns are filled for SEARCH_ATTACKS only, and the
-    fidelity columns on the alpha axis only; u, D and n take integer values.
-    The u column is the u the run used (effective_u), as the reference
-    columns use it.
+    The search reference columns are filled for the attacks that search only,
+    and the fidelity columns on the alpha axis only; u, D and n take integer
+    values. The u column is the u the run used (effective_u), as the
+    reference columns use it.
     An axis whose field the attack does not read, and an invalid baseline or
     point, are refused before any trial.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}")
-    field, typ, readers = SWEEP_AXES[axis]
-    if cfg.attack in ATTACK_KINDS:
-        if cfg.attack not in readers:
+    field, typ = SWEEP_AXES[axis]
+    if cfg.attack in ATTACKS:
+        if field not in ATTACKS[cfg.attack].reads:
             raise ValueError(f"axis {axis}: {cfg.attack} does not read {field}")
         if field == "u" and cfg.alpha > 0:
             raise ValueError(f"axis u: {cfg.attack} does not read u at alpha > 0 (u = n)")
@@ -302,11 +328,6 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> List[dic
         report = run_attack(point_cfg)
         summary = report["summary"]
         trials = report["trials"]
-
-        def tmean(key: str) -> float:
-            vals = [t.get("meta", {}).get(key, 0) for t in trials]
-            return sum(vals) / len(vals) if vals else 0.0
-
         row = dict.fromkeys(SWEEP_COLUMNS, "")
         row.update({"axis": axis, "value": value,
                     "success_rate": summary["success_rate"],
@@ -314,12 +335,13 @@ def sweep(cfg: ExperimentConfig, axis: str, values: Sequence[float]) -> List[dic
                     "mean_online": summary["mean_online_queries"],
                     "mean_offline": summary["mean_offline_evals"],
                     "mean_sim_time": summary["mean_sim_time_units"],
-                    "mean_search_time": tmean("search_time_units"),
+                    "mean_search_time": _mean([t.get("meta", {}).get("search_time_units", 0)
+                                               for t in trials]),
                     "iterations": trials[0].get("iterations", 0) if trials else 0})
         for col in ("attack", "construction", "n", "kappa", "c", "mode", "trials"):
             row[col] = getattr(point_cfg, col)
         row["u"] = point_cfg.effective_u
-        if point_cfg.attack in SEARCH_ATTACKS:
+        if ATTACKS[point_cfg.attack].search:
             search = (point_cfg.n, point_cfg.effective_kappa, point_cfg.effective_u)
             row["iterations_formula"] = iterations_formula(*search)
             row["ref_time"] = reference_time(*search)
@@ -396,15 +418,9 @@ def _suite_orthogonality() -> Tuple[bool, str]:
 
 
 def _random_periodic(n: int, s: int, rng: np.random.Generator) -> List[int]:
-    size = 1 << n
-    values = list(rng.permutation(size))
-    f = [-1] * size
-    vi = 0
-    for x in range(size):
-        if f[x] < 0:
-            f[x] = f[x ^ s] = int(values[vi])
-            vi += 1
-    return f
+    """A random function of period s: one distinct value per coset {x, x ^ s}."""
+    values = rng.permutation(1 << n)
+    return [int(values[min(x, x ^ s)]) for x in range(1 << n)]
 
 
 def _suite_oracle_equivalence() -> Tuple[bool, str]:
@@ -425,19 +441,15 @@ def _suite_oracle_equivalence() -> Tuple[bool, str]:
 
 
 def _promise_classification(f: List[int], n: int) -> Optional[gf2.PeriodResult]:
-    """Ground truth by exhaustive collision search; None if f breaks the promise."""
+    """Ground truth by exhaustive search: injective, or one period s with every
+    value on one pair {x, x ^ s}; None if f breaks the promise."""
     size = 1 << n
     if len(set(f)) == size:
         return gf2.INJECTIVE
     periods, _ = qsim.verified_periods(f, [])
-    if len(periods) != 1:
+    if len(periods) != 1 or len(set(f)) != size // 2:
         return None
-    s = periods[0]
-    for x in range(size):
-        for y in range(x + 1, size):
-            if f[x] == f[y] and y != (x ^ s):
-                return None
-    return gf2.PeriodResult("period", s)
+    return gf2.PeriodResult("period", periods[0])
 
 
 def _suite_bounds_grid() -> Tuple[bool, str]:
@@ -467,10 +479,8 @@ VERIFY_SUITES = {
 
 def verify(suites: Optional[Sequence[str]] = None) -> Tuple[bool, List[dict]]:
     """Run the invariant suites; returns (all_passed, machine-readable results)."""
-    names = list(suites) if suites else list(VERIFY_SUITES)
     results = []
-    all_ok = True
-    for name in names:
+    for name in suites or VERIFY_SUITES:
         if name not in VERIFY_SUITES:
             raise ValueError(f"unknown suite {name!r}")
         try:
@@ -478,5 +488,4 @@ def verify(suites: Optional[Sequence[str]] = None) -> Tuple[bool, List[dict]]:
         except Exception as exc:  # a broken invariant may surface as an exception
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         results.append({"suite": name, "passed": ok, "detail": detail})
-        all_ok = all_ok and ok
-    return all_ok, results
+    return all(result["passed"] for result in results), results

@@ -202,14 +202,6 @@ def build_database_kpa(instance: ConstructionInstance, known_inputs, c: int) -> 
     return QueryDatabase(n, n, c, payload, missing)
 
 
-def _database_from_oracle(instance: ConstructionInstance, u: int, c: int) -> QueryDatabase:
-    """Database content under superposition access (no classical counters)."""
-    n = instance.n
-    shift = n - u
-    return QueryDatabase(u, n, c, tuple(instance._raw_encrypt(x << shift)
-                                        for x in range(1 << u)))
-
-
 def database_overlap(full: QueryDatabase, partial: QueryDatabase) -> float:
     """Inner product of the complete and the masked database states.
 
@@ -1021,7 +1013,7 @@ def grover_meets_simon_attack(instance: ConstructionInstance, c: int,
     c construction queries are reported separately in the metadata.
     """
     check_attack(instance.kind, "grover_meets_simon")
-    db = _database_from_oracle(instance, instance.n, c)
+    db = build_database_cpa(instance, instance.n, c)
     report = generalized_offline_simon(
         instance, db, rng, build_time=0, mode=mode,
         max_searches=max_searches, seed=seed, query_model="Q2",

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efxlab import classical, cli, harness, offline_simon, plot_svg, qsim
-from efxlab.ciphers import ConstructionKind, KeyMaterial, make_construction, make_ideal_cipher
+from efxlab.ciphers import (SPECS, ConstructionKind, KeyMaterial, make_construction,
+                            make_ideal_cipher)
 from efxlab.harness import parse_config, run_attack, sweep, sweep_csv, verify
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -339,6 +340,39 @@ def test_an_unknown_attack_is_refused_by_validate_and_by_run_trial():
     with pytest.raises(ValueError) as refused:
         harness.run_trial(cfg, 0)
     assert str(refused.value) == "unknown attack 'nope'"
+
+
+# each attack's entry point, as its module holds it
+ENTRY_POINTS = {"offline_simon": (offline_simon, "offline_simon_attack"),
+                "grover_meets_simon": (offline_simon, "grover_meets_simon_attack"),
+                "em_q2": (offline_simon, "em_q2_attack"),
+                "guess_and_em": (classical, "guess_and_em_attack"),
+                "exhaustive": (classical, "exhaustive_search")}
+
+
+class EntryPointCalled(Exception):
+    pass
+
+
+def test_the_attack_table_has_one_row_per_attack_a_kind_accepts():
+    accepted = set().union(*(spec.attacks for spec in SPECS.values()))
+    assert accepted == set(harness.ATTACKS) == set(ENTRY_POINTS)
+
+
+@pytest.mark.parametrize("attack", sorted(ENTRY_POINTS))
+def test_run_trial_calls_the_entry_point_its_module_holds(monkeypatch, attack):
+    # a tracer wraps an entry point by patching its module attribute, so the
+    # patched attribute is what a trial must call
+    module, name = ENTRY_POINTS[attack]
+
+    def stub(*args, **kwargs):
+        raise EntryPointCalled(name)
+
+    monkeypatch.setattr(module, name, stub)
+    cfg = parse_config(f"attack = {attack}\nconstruction = EM\nn = 3\nkappa = 2\ndata = 4")
+    assert cfg.validate() == []
+    with pytest.raises(EntryPointCalled):
+        harness.run_trial(cfg, 0)
 
 
 def test_parse_curve_csv_reads_no_rows_from_no_lines_and_refuses_other_columns():

@@ -454,7 +454,7 @@ def test_gms_em_degenerates_to_simon():
 
 def test_gms_wrong_key_pass_rate_small():
     inst = build_instance(ConstructionKind.FX, 4, 4, 1700)
-    db = offline_simon._database_from_oracle(inst, 4, 16)
+    db = build_database_cpa(inst, 4, 16)
     fam = guess_family_for(inst, 4)
     km = inst.key_material
     for wrong in range(16):
