@@ -80,8 +80,8 @@ MAX_SEARCH_BITS = 20
 # the registers' orbits, about c! fewer, S and the maps cost 12 B per orbit
 # amplitude; per register state the cached int32 orbit lookup costs 4 B and
 # the measured branch's expansion, squared in place to be measured, 12 B at
-# c >= 2 (24 B at c = 1, whose guess images are as large), which c = 1 (no
-# symmetry) brings to 22.1 B per joint amplitude at m = 1
+# c >= 2 (17 B at c = 1 through the maps, 20 B without them), which c = 1
+# (no symmetry) brings to 22.0 B per joint amplitude at m = 2
 JOINT_BYTES_PER_AMPLITUDE = 26
 # orbit entries an EXACT test scatters, reflects and gathers at a time
 _TEST_BLOCK = 1 << 14
@@ -212,13 +212,9 @@ def database_overlap(full: QueryDatabase, partial: QueryDatabase) -> float:
     if (full.u, full.c, full.n_out) != (partial.u, partial.c, partial.n_out):
         raise ValueError("database shapes differ")
     size = 1 << full.u
-    mismatches = 0
-    for x in range(size):
-        if x in partial.missing:
-            if full.payload[x] != 0:
-                mismatches += 1
-        elif full.payload[x] != partial.payload[x]:
-            raise ValueError("known payloads disagree between databases")
+    if any(full.payload[x] != partial.payload[x] for x in range(size) if x not in partial.missing):
+        raise ValueError("known payloads disagree between databases")
+    mismatches = sum(full.payload[x] != 0 for x in range(size) if x in partial.missing)
     return (1.0 - mismatches / size) ** full.c
 
 
@@ -349,6 +345,11 @@ def _extend_basis(basis: Tuple[int, ...], y: int) -> Tuple[int, ...]:
     return tuple(gf2._reduced_rows(list(basis) + [y]))
 
 
+@lru_cache(maxsize=1)  # as _orbit_tables: a new shape (u, c) clears the last one's transitions
+def _span_shape(u: int, c: int) -> None:
+    _extend_basis.cache_clear()
+
+
 def exact_pass_probability(dist: np.ndarray, u: int, c: int) -> float:
     """Exact P(rank of c vectors sampled from dist < u), the c registers
     being identical copies.
@@ -356,6 +357,7 @@ def exact_pass_probability(dist: np.ndarray, u: int, c: int) -> float:
     Dynamic program over the span of the samples; equivalent to enumerating
     every c-tuple of outcomes weighted by its probability.
     """
+    _span_shape(u, c)
     dp: Dict[Tuple[int, ...], float] = {(): 1.0}
     for _ in range(c):
         new: Dict[Tuple[int, ...], float] = {}
@@ -692,13 +694,13 @@ class _JointCircuit:
     _test, the one loop that applies the O_h, runs on blocks of guesses of
     at most _TEST_BLOCK orbit entries (a power of two), stacked whole: guess
     start + i of the block from start owns work[i*size:(i+1)*size], and each
-    class's reflection is one batched product over them. maps[g] is guess
-    g's orbit permutation plus its slot offset (g % block) * size, so
-    scattering through it applies F_g and gathering undoes it. The maps are
-    built on the first test. The measured branch is placed through its
-    guess's permutation alone, so a search with no iterations builds no
-    maps, and only that branch is expanded to every register state, then
-    Hadamarded and squared in place for its measurements.
+    class's reflection is one batched product over them. maps[g], built on
+    the first test, is guess g's bare orbit permutation; the test adds the
+    slot offset (g % block) * size as it copies a block's maps into its
+    index, so scattering through it applies F_g and gathering undoes it.
+    The measured branch is placed through its guess's row, or its images
+    alone when a search without iterations built no maps, and only it is
+    expanded to every register state, Hadamarded and squared in place.
     """
 
     def __init__(self, db: QueryDatabase, family: GuessFamily):
@@ -711,10 +713,9 @@ class _JointCircuit:
         self.maps: Optional[np.ndarray] = None
         # psi_0: uniform guesses tensor the database registers, nonzero at
         # the orbit of each multiset of c inputs
-        amp = (1 << m) ** -0.5
+        self.amp = (1 << m) ** -0.5
         for _ in range(db.c):
-            amp = (1 << db.u) ** -0.5 * amp
-        self.amp = amp
+            self.amp = (1 << db.u) ** -0.5 * self.amp
         c, u, n = db.c, db.u, db.n_out
         payload = np.asarray(db.payload)
         inputs = np.arange(1 << (c * u))
@@ -727,29 +728,24 @@ class _JointCircuit:
         self.first: Optional[np.ndarray] = None
 
     def _images(self, start: int, count: int) -> np.ndarray:
-        """Orbit positions of the image of every orbit under guesses
-        start..start+count-1, one row each: each register's image of each
-        state (w << u) | x goes to its full-layout bits, an int32 under the
-        qubit cap, and the orbit of the OR over the registers is looked up."""
+        """Orbit permutations of guesses start..start+count-1, one row each:
+        each register's image of each state (w << u) | x goes to its int32
+        full-layout bits, and the orbit of their OR is looked up."""
         c, u, n = self.db.c, self.db.u, self.db.n_out
         xt, wt = self.family.maps(np.arange(start, start + count)[:, None, None],
                                   np.arange(1 << u), np.arange(1 << n)[:, None])
         index = 0
         for i, states in enumerate(self.tables.states):
-            bits = wt << (i * n)
-            bits |= xt << (c * n + i * u)
-            index = index | bits.reshape(count, -1)[:, states]
-        return self.tables.orbit[index]
+            bits = (wt << (i * n)) | (xt << (c * n + i * u))
+            index = index | np.take(bits.reshape(count, -1), states, axis=1)
+        del xt, wt, bits  # before the lookup casts index to a full int64 copy
+        return np.take(self.tables.orbit, index)
 
     def _build_maps(self) -> None:
-        """Every guess's map, its orbit permutation plus its slot's offset,
-        as one int32 table; a block holds fewer than 2^26 entries under the
-        qubit cap."""
+        """Every guess's orbit permutation as one int32 table."""
         self.maps = np.empty((1 << self.m, self.size), dtype=np.int32)
-        slots = np.arange(self.block)[:, None] * self.size
         for start in range(0, 1 << self.m, self.block):
-            np.add(self._images(start, self.block), slots,
-                   out=self.maps[start:start + self.block])
+            self.maps[start:start + self.block] = self._images(start, self.block)
 
     def run_search(self, rng: np.random.Generator, iterations: int,
                    excluded: Set[int]) -> Tuple[int, List[int]]:
@@ -823,29 +819,30 @@ class _JointCircuit:
         for (offset, count, cols), (basis, fold) in zip(self.tables.classes, folds):
             blocks = slots[:, offset:offset + count * cols].reshape(self.block, count, cols)
             classes.append((blocks, basis, fold, np.empty((self.block, fold.shape[0], cols))))
-        # the block's maps in int64, copied once for the scatter and the
-        # gather (take would cast an int32 index to a full int64 copy, and a
-        # scatter casts it in small buffers at twice the time); one guess's
-        # map is a 1-D index, which numpy scatters and gathers faster
-        index = np.empty((self.block, self.size), dtype=np.int64)
-        flat = index[0] if self.block == 1 else index
-        skip = np.zeros(1 << self.m, dtype=bool)
-        skip[list(excluded)] = True
+        # the block's maps plus their slots' offsets as one 1-D int64 index,
+        # and state once per slot: numpy scatters and gathers that faster than
+        # a broadcast or int32 one (an int32 index costs take an int64 copy)
+        index = np.empty(self.block * self.size, dtype=np.int64)
+        bases, values = 0, state
+        if self.block > 1:
+            bases = np.arange(0, index.size, self.size, dtype=np.int32).repeat(self.size)
+            values = np.tile(state, self.block)
         for start in range(0, 1 << self.m, self.block) if starts is None else starts:
-            out = rows[start:start + self.block]
-            mask = skip[start:start + self.block]
-            if not mask.all():
-                np.copyto(index, self.maps[start:start + self.block])
-                work[flat] = state
+            out = rows[start:start + self.block].reshape(-1)
+            held = [g for g in excluded if start <= g < start + self.block]
+            if len(held) < self.block:
+                np.add(self.maps[start:start + self.block].reshape(-1), bases, out=index)
+                work[index] = values
                 for blocks, basis, fold, overlap in classes:
                     np.matmul(fold, blocks, out=overlap)
                     np.matmul(basis, overlap, out=blocks)
-                np.take(work, flat, out=out.reshape(flat.shape), mode="clip")
+                np.take(work, index, out=out, mode="clip")
                 if self.tables.sign > 0:
-                    out += state
+                    out += values
                 else:
-                    out -= state
-            out[mask] = state
+                    out -= values
+            if held:
+                rows[held] = state
 
     def _sample_branch(self, branch: np.ndarray, g: int,
                        rng: np.random.Generator) -> List[int]:
@@ -854,8 +851,10 @@ class _JointCircuit:
         register: the expansion is squared in place once, and each
         measurement sums the slice of it that the earlier outcomes leave."""
         u, low = self.db.u, self.db.c * self.db.n_out
+        image = self._images(g, 1)[0] if self.maps is None else self.maps[g]
         state = np.empty_like(branch)
-        state[self._images(g, 1)[0]] = branch
+        state[image] = branch
+        del image  # without maps it is a new index as long as the branch
         state = state[self.tables.orbit]
         for q in range(low, low + self.db.c * u):
             qsim.hadamard_qubit(state, q)

@@ -413,6 +413,15 @@ def test_span_dp_transitions_counts_the_cache(u, c):
         offline_simon.span_dp_transitions(u, c)
 
 
+def test_span_dp_keeps_the_transitions_of_one_shape():
+    # a sweep's points take turns, as with the orbit tables: after a DP at
+    # u = 5, c = 6 (11,968 transitions) one at u = 2, c = 3 leaves only its own
+    for u, c in [(5, 6), (2, 3)]:
+        exact_pass_probability(np.full(1 << u, 1.0 / (1 << u)), u, c)
+    assert offline_simon._extend_basis.cache_info().currsize <= \
+        offline_simon.span_dp_transitions(2, 3)
+
+
 def test_exact_and_tensor_modes_run_at_tiny_sizes():
     for mode in ("TENSOR", "EXACT"):
         hits = 0
@@ -972,11 +981,11 @@ def test_test_step_leaves_excluded_guesses_bit_for_bit(monkeypatch, block):
 
 
 @pytest.mark.parametrize("block", [1 << 4, 1 << 9, offline_simon._TEST_BLOCK])
-def test_joint_circuit_maps_are_layouts_plus_slot_offsets(monkeypatch, block):
-    # each guess's map is its orbit permutation shifted into its slot of the
-    # block: the orbit of a register tuple's image is the permuted orbit of
-    # the tuple; building the maps leaves the measured branch's placement as
-    # it was
+def test_joint_circuit_maps_are_bare_orbit_permutations(monkeypatch, block):
+    # each guess's map is its bare orbit permutation, whatever the block: the
+    # orbit of a register tuple's image is the permuted orbit of the tuple
+    # (the test adds the slot offsets itself); building the maps leaves the
+    # measured branch's placement, now through its built row, as it was
     monkeypatch.setattr(offline_simon, "_TEST_BLOCK", block)
     inst = efx_instance(2, 2, 3)
     db = build_database_cpa(inst, 2, 2)
@@ -988,15 +997,24 @@ def test_joint_circuit_maps_are_layouts_plus_slot_offsets(monkeypatch, block):
                 for g in range(space)]
     assert circuit.maps is None
     circuit._build_maps()
-    for start in range(0, space, circuit.block):
-        entries = np.sort(circuit.maps[start:start + circuit.block], axis=None)
-        assert np.array_equal(entries, np.arange(circuit.block * circuit.size))
+    assert circuit.maps.shape == (space, circuit.size)
     orbit = circuit.tables.orbit
     for g in range(space):
-        permutation = circuit.maps[g] - (g % circuit.block) * circuit.size
-        assert np.array_equal(permutation, circuit._images(g, 1)[0])
-        assert np.array_equal(permutation[orbit], orbit[_dense_images(circuit, g)])
+        assert np.array_equal(np.sort(circuit.maps[g]), np.arange(circuit.size))
+        assert np.array_equal(circuit.maps[g][orbit], orbit[_dense_images(circuit, g)])
         assert circuit._sample_branch(branch, g, np.random.default_rng(g)) == unmapped[g]
+
+
+@pytest.mark.parametrize("n, kappa, u, c, block", [(2, 8, 1, 3, 128), (3, 3, 2, 3, 2)])
+def test_joint_circuit_stacks_whole_guesses_into_a_block(n, kappa, u, c, block):
+    # many guesses over few orbits share one block: 512 guesses of 120
+    # orbits are tested 128 at a time, so a test pays the per-block overhead
+    # 4 times, not 512; the exact_joint shape tests two 5,984-orbit guesses
+    inst = efx_instance(n, kappa, 11)
+    circuit = offline_simon._JointCircuit(build_database_cpa(inst, u, c),
+                                          guess_family_for(inst, u))
+    assert circuit.block == block
+    assert block * circuit.size <= offline_simon._TEST_BLOCK < 2 * block * circuit.size
 
 
 @pytest.mark.parametrize("excluded", [set(), {1}, {1, 2}, {0, 1}, {0, 1, 2, 3}])
@@ -1178,6 +1196,34 @@ def test_zero_iteration_search_holds_register_vectors_only():
         tracemalloc.stop()
     assert circuit.maps is None
     assert peak < 64 * circuit.size + 16 * circuit.tables.orbit.size < 16 * (1 << 19)
+
+
+@pytest.mark.parametrize("n, kappa, built, bound", [(8, 2, True, 18.0), (10, 1, False, 24.1)])
+def test_measured_branch_memory_at_one_register(n, kappa, built, bound):
+    import tracemalloc
+
+    # c = 1 has no symmetry, so every orbit is a register state. Once the
+    # maps are built the measured branch is placed through its guess's row
+    # (17.1 B per register state, 25.1 B when the rows held slot offsets);
+    # a search without iterations builds no maps and places it through its
+    # guess's images alone (20.0 B, 24.1 B before)
+    inst = efx_instance(n, kappa, 11)
+    circuit = offline_simon._JointCircuit(build_database_cpa(inst, n, 1),
+                                          guess_family_for(inst, n))
+    assert circuit.size == circuit.tables.orbit.size == 1 << (2 * n)
+    if built:
+        circuit._build_maps()
+    assert (circuit.maps is None) != built
+    branch = np.random.default_rng(1).standard_normal(circuit.size)
+    branch /= np.sqrt(circuit.tables.weights @ np.square(branch))
+    tracemalloc.start()
+    try:
+        samples = circuit._sample_branch(branch, (1 << circuit.m) - 1, np.random.default_rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == 1
+    assert peak < bound * circuit.size
 
 
 def test_a_24_qubit_search_stays_small():
