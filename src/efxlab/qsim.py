@@ -207,7 +207,11 @@ def simon_samples(f: Sequence[int], c: int, rng: np.random.Generator,
     Each draw takes one rng.random() and searches the cdf that
     Generator.choice searches, z and y alternating as the circuit draws them.
     The z distribution is built once per table and each y distribution once
-    per distinct z. The checks and their errors are the circuit's.
+    per preimage shape: the offsets x ^ x0 from its least member x0, in
+    ascending x order. A shape fixes the size, so the amplitude, and each
+    Walsh term up to the sign (-1)^(x0.y); rounding is symmetric under
+    negation, so the squared sums and cdfs of one shape are equal bit for
+    bit. The checks and their errors are the circuit's.
     """
     size = len(f)
     n_in = size.bit_length() - 1
@@ -229,19 +233,20 @@ def simon_samples(f: Sequence[int], c: int, rng: np.random.Generator,
     scale = INV_SQRT2 ** n_in
     weights = np.full(size, scale * scale)
     z_cdf = _choice_cdf(np.bincount(f_arr, weights=weights, minlength=1 << out_bits))
-    y_cdfs: Dict[int, np.ndarray] = {}
+    y_cdfs: Dict[bytes, np.ndarray] = {}
     draws = rng.random(2 * c)
     samples = []
     for z, u in zip(z_cdf.searchsorted(draws[0::2], side="right").tolist(),
                     draws[1::2].tolist()):
-        y_cdf = y_cdfs.get(z)
+        preimage = np.flatnonzero(f_arr == z)
+        shape = (preimage ^ preimage[0]).tobytes()
+        y_cdf = y_cdfs.get(shape)
         if y_cdf is None:
-            preimage = np.flatnonzero(f_arr == z)
             norm = math.sqrt(float(weights[:preimage.size].sum()))
             # numpy's complex division multiplies by 1 / norm, which rounds
             # differently from scale / norm for about a quarter of the norms
             amp = (np.full(1, scale, dtype=np.complex128) / norm * scale)[0].real
-            y_cdf = y_cdfs[z] = _choice_cdf(_walsh_weights(preimage, amp, size))
+            y_cdf = y_cdfs[shape] = _choice_cdf(_walsh_weights(preimage, amp, size))
         samples.append(int(y_cdf.searchsorted(u, side="right")))
     return samples
 
@@ -290,11 +295,14 @@ def verified_periods(f: Sequence[int], samples: Sequence[int]) -> Tuple[List[int
     """Nonzero members of the samples' nullspace that are periods of the table f.
 
     Returns them in nullspace order with the number of nonzero members
-    checked. With no samples every nonzero shift is a member.
+    checked, each in one comparison of f with f[x ^ s]. With no samples every
+    nonzero shift is a member.
     """
     size = len(f)
     candidates = [s for s in gf2.nullspace_members(samples, size.bit_length() - 1) if s]
-    periods = [s for s in candidates if all(f[x] == f[x ^ s] for x in range(size))]
+    f_arr = np.asarray(f, dtype=np.int64)
+    xs = np.arange(size)
+    periods = [s for s in candidates if np.array_equal(f_arr[xs ^ s], f_arr)]
     return periods, len(candidates)
 
 

@@ -307,32 +307,96 @@ def _circuit_draw(f, rng, out_bits):
     return outcome.value
 
 
+TABLE_SHAPES = ("permutation", "periodic", "constant", "random", "cosets")
+
+
+def shaped_table(shape, n, out_bits, rng):
+    """A table of 2^n values below 2^out_bits of the named shape."""
+    if shape == "permutation":
+        return rng.permutation(1 << n).tolist()
+    if shape == "periodic":
+        return random_periodic(n, int(rng.integers(1, 1 << n)), rng)
+    if shape == "constant":
+        return [int(rng.integers(1 << out_bits))] * (1 << n)
+    if shape == "random":
+        return rng.integers(1 << out_bits, size=1 << n).tolist()
+    # constant on the cosets of a random subspace of dimension min(n, 2), with
+    # one distinct value per coset
+    span = [0]
+    while len(span) < 1 << min(n, 2):
+        v = int(rng.integers(1, 1 << n))
+        if v not in span:
+            span += [w ^ v for w in span]
+    values = rng.permutation(1 << out_bits)
+    return [int(values[min(x ^ w for w in span)]) for x in range(1 << n)]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 12), st.sampled_from(("permutation", "periodic", "constant", "random")),
+@given(st.integers(1, 12), st.sampled_from(TABLE_SHAPES),
        st.integers(0, 2), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
 # n = 9..12, each shape at least once; the constant table at the cap is the
-# widest second Hadamard (4,096 inputs into one base)
+# widest second Hadamard (4,096 inputs into one base), and the coset tables
+# draw several preimages of one 4-element shape
 @example(9, "periodic", 1, 5, 9)
 @example(10, "random", 2, 4, 10)
 @example(11, "permutation", 0, 3, 11)
 @example(12, "constant", 2, 2, 12)
 @example(12, "periodic", 0, 4, 13)
+@example(9, "cosets", 0, 5, 14)
+@example(10, "cosets", 1, 5, 15)
+@example(11, "cosets", 2, 4, 16)
+@example(12, "cosets", 0, 5, 17)
 def test_simon_samples_equal_the_circuit_draws(n, shape, spare_bits, c, seed):
     rng = np.random.default_rng(seed)
     out_bits = n + spare_bits
-    if shape == "permutation":
-        f = rng.permutation(1 << n).tolist()
-    elif shape == "periodic":
-        f = random_periodic(n, int(rng.integers(1, 1 << n)), rng)
-    elif shape == "constant":
-        f = [int(rng.integers(1 << out_bits))] * (1 << n)
-    else:
-        f = rng.integers(1 << out_bits, size=1 << n).tolist()
+    f = shaped_table(shape, n, out_bits, rng)
     circuit_rng = np.random.default_rng(seed + 1)
     sampler_rng = np.random.default_rng(seed + 1)
     want = [_circuit_draw(f, circuit_rng, out_bits) for _ in range(c)]
     assert qsim.simon_samples(f, c, sampler_rng, out_bits) == want
     assert sampler_rng.random() == circuit_rng.random()
+
+
+def test_simon_samples_builds_one_y_distribution_per_preimage_shape(monkeypatch):
+    # every preimage of a 2-to-1 table of period s is {x, x ^ s}, one shape,
+    # so each call builds its y distribution once however many z it draws
+    walsh = qsim._walsh_weights
+    sizes = []
+
+    def counted(xs, amp, m):
+        sizes.append(xs.size)
+        return walsh(xs, amp, m)
+
+    monkeypatch.setattr(qsim, "_walsh_weights", counted)
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        f = random_periodic(8, int(rng.integers(1, 1 << 8)), rng)
+        samples = qsim.simon_samples(f, 16, rng, out_bits=8)
+        assert len(set(samples)) > 1
+    assert sizes == [2] * 10
+
+
+def _verified_periods_per_x(f, samples):
+    """verified_periods as one Python comparison per x and candidate."""
+    size = len(f)
+    candidates = [s for s in gf2.nullspace_members(samples, size.bit_length() - 1) if s]
+    periods = [s for s in candidates if all(f[x] == f[x ^ s] for x in range(size))]
+    return periods, len(candidates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.sampled_from(TABLE_SHAPES), st.integers(0, 1),
+       st.integers(0, 10), st.integers(0, 2 ** 32 - 1))
+@example(10, "constant", 0, 0, 1)
+@example(10, "cosets", 1, 3, 2)
+def test_verified_periods_equal_the_per_x_check(n, shape, spare_bits, c, seed):
+    rng = np.random.default_rng(seed)
+    f = shaped_table(shape, n, n + spare_bits, rng)
+    # the table's own Simon samples keep its periods in the nullspace; a few
+    # random rows besides them usually drop some
+    samples = qsim.simon_samples(f, c, rng, out_bits=n + spare_bits)
+    for rows in (samples, samples + rng.integers(1 << n, size=2).tolist()):
+        assert qsim.verified_periods(f, rows) == _verified_periods_per_x(f, rows)
 
 
 # the first two were simon_subroutine's own checks before any gate ran; the

@@ -1,7 +1,7 @@
 """Shape rules on the package source, checked on its syntax trees: no module
-rebinds an outer name, the attack, harness and bounds modules keep every
-function at the top level of a module or class, and the harness names an
-attack only in its table of attacks."""
+rebinds an outer name, the attack, harness and bounds modules and the Simon
+pipeline's qsim and gf2 keep every function at the top level of a module or
+class, and the harness names an attack only in its table of attacks."""
 
 import ast
 from pathlib import Path
@@ -24,7 +24,7 @@ def test_no_module_rebinds_an_outer_name(path):
 
 
 @pytest.mark.parametrize("name", ["offline_simon.py", "classical.py", "harness.py",
-                                  "bounds.py"])
+                                  "bounds.py", "qsim.py", "gf2.py"])
 def test_attack_module_nests_no_function(name):
     nested = []
     for outer in ast.walk(_tree(SRC / name)):
