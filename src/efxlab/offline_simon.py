@@ -310,20 +310,12 @@ def register_distribution(h: np.ndarray, u: int) -> np.ndarray:
 
     The mass at y is 2^(-2u) * sum_s A(s) (-1)^(s.y), where the
     autocorrelation A(s) counts the inputs x with h(x) = h(x ^ s); the sums
-    are an integer Walsh butterfly over A, so the floats are exact and the
+    are qsim.walsh over A, in integers, so the floats are exact and the
     memory is O(2^u) per table.
     """
     xs = np.arange(1 << u)
-    walsh = np.stack([(h == h[..., xs ^ s]).sum(axis=-1) for s in xs], axis=-1)
-    step = 1
-    while step < xs.size:
-        pairs = walsh.reshape(walsh.shape[:-1] + (-1, 2, step))
-        zero, one = pairs[..., 0, :], pairs[..., 1, :]
-        total = zero + one
-        np.subtract(zero, one, out=one)
-        zero[...] = total
-        step *= 2
-    return walsh / float(1 << (2 * u))
+    autocorrelation = np.stack([(h == h[..., xs ^ s]).sum(axis=-1) for s in xs], axis=-1)
+    return qsim.walsh(autocorrelation) / float(1 << (2 * u))
 
 
 def _scan_distributions(db: QueryDatabase, family: GuessFamily) -> np.ndarray:
@@ -472,7 +464,7 @@ def _tensor_draw(db: QueryDatabase, family: GuessFamily, rng: np.random.Generato
         g = int(active_pass[rng.integers(len(active_pass))])
     else:
         g = int(active_other[rng.integers(len(active_other))])
-    return g, [int(rng.choice(1 << db.u, p=dists[g])) for _ in range(db.c)]
+    return g, rng.choice(1 << db.u, size=db.c, p=dists[g]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -1035,7 +1027,7 @@ def em_q2_attack(instance: ConstructionInstance, c: int,
     check_attack(kind, "em_q2")
     n = instance.n
     codebook = [instance._raw_encrypt(x) for x in range(1 << n)]
-    f = [y ^ p for y, p in zip(codebook, instance.components[0].table)]
+    f = [y ^ p for y, p in zip(codebook, layer_table(instance.layers(None)[1], n))]
     samples = qsim.simon_samples(f, c, rng, out_bits=n)
     offline_evals = c  # one public-permutation oracle call per query
     result = gf2.recover_period(samples, n)

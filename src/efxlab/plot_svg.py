@@ -3,6 +3,7 @@ dependencies; the output is a standalone file)."""
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Sequence, Tuple
 from xml.sax.saxutils import escape
 
@@ -58,18 +59,24 @@ def _ticks(lo: float, hi: float, step: float) -> List[float]:
     return out
 
 
+def _px(x: float, lo: float, hi: float) -> float:
+    """SVG x coordinate of x on a horizontal axis from lo to hi."""
+    return MARGIN_L + (x - lo) / (hi - lo) * (WIDTH - MARGIN_L - MARGIN_R)
+
+
+def _py(y: float, lo: float, hi: float) -> float:
+    """SVG y coordinate of y on a vertical axis from lo to hi."""
+    return HEIGHT - MARGIN_B - (y - lo) / (hi - lo) * (HEIGHT - MARGIN_T - MARGIN_B)
+
+
 def plot_curves(rows: Sequence[Tuple[str, float, float, str]]) -> str:
     """Render polylines (formula rows) and markers (measured rows) as SVG."""
     xs = [r[1] for r in rows] or [0.0, 1.0]
     ys = [r[2] for r in rows] or [0.0, 1.0]
     x_lo, x_hi = 0.0, max(1.0, max(xs))
     y_lo, y_hi = 0.0, max(1.0, max(ys))
-
-    def px(x: float) -> float:
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
-
-    def py(y: float) -> float:
-        return HEIGHT - MARGIN_B - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - MARGIN_T - MARGIN_B)
+    px = partial(_px, lo=x_lo, hi=x_hi)
+    py = partial(_py, lo=y_lo, hi=y_hi)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '

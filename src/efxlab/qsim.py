@@ -190,28 +190,44 @@ def measure(sv: StateVector, register: str,
     return MeasurementOutcome(register, value, float(probs[value])), sv
 
 
+def walsh(a: np.ndarray) -> np.ndarray:
+    """In-place integer Walsh transform along the last axis; returns a.
+
+    Entry y becomes sum_x a[x] (-1)^(x.y), by one butterfly
+    (a, b) -> (a + b, a - b) per bit. The last axis has length a power of two
+    and a is C-contiguous, so each pass works on a view of a.
+    """
+    step = 1
+    while step < a.shape[-1]:
+        pairs = a.reshape(a.shape[:-1] + (-1, 2, step))
+        zero, one = pairs[..., 0, :], pairs[..., 1, :]
+        total = zero + one
+        np.subtract(zero, one, out=one)
+        zero[...] = total
+        step *= 2
+    return a
+
+
 def simon_samples(f: Sequence[int], c: int, rng: np.random.Generator,
                   out_bits: int) -> List[int]:
     """c rounds of Simon sampling, each y orthogonal to any period of f.
 
     Draws what c runs of the circuit on a fresh state of out_bits output
     qubits draw (Hadamard the input register, query f, measure the output
-    register, Hadamard again, measure the input register), with the
-    circuit's float operations in its order, so the values equal theirs on
-    the same rng. Each run is two draws, without a state:
-      z from np.bincount of the (INV_SQRT2^n)^2 weights over f, normalized
-        by its sum, as the output measurement weighs the register;
-      y from the squared Walsh sums of the preimage f^-1(z): each sum runs
-        over x in ascending order with the amplitude (amp / norm) *
-        INV_SQRT2^n, norm the root of the preimage's summed weights.
+    register, Hadamard again, measure the input register), without a state.
+    Each run is two draws from the circuit's probabilities as exact integer
+    weights:
+      z from the counts np.bincount(f), the output measurement's 2^n p(z);
+      y from the squared Walsh sums S(y) = sum over x in f^-1(z) of
+        (-1)^(x.y), the input measurement's 2^n |f^-1(z)| p(y | z).
     Each draw takes one rng.random() and searches the cdf that
-    Generator.choice searches, z and y alternating as the circuit draws them.
-    The z distribution is built once per table and each y distribution once
-    per preimage shape: the offsets x ^ x0 from its least member x0, in
-    ascending x order. A shape fixes the size, so the amplitude, and each
-    Walsh term up to the sign (-1)^(x0.y); rounding is symmetric under
-    negation, so the squared sums and cdfs of one shape are equal bit for
-    bit. The checks and their errors are the circuit's.
+    Generator.choice searches, z and y alternating as the circuit draws them,
+    so a draw differs from the circuit's only where a uniform lands within
+    rounding of a cdf step. Every z is drawn first; each preimage shape (its
+    offsets x ^ x0 from its least member x0, in ascending x order) gets one
+    0/1 indicator row, and one walsh call transforms the stack. Preimages of
+    one shape have sums that differ only in the sign (-1)^(x0.y), so they
+    share a row. The checks and their errors are the circuit's.
     """
     size = len(f)
     n_in = size.bit_length() - 1
@@ -230,59 +246,33 @@ def simon_samples(f: Sequence[int], c: int, rng: np.random.Generator,
         raise ValueError("oracle values do not fit the output register")
     if c <= 0:
         return []
-    scale = INV_SQRT2 ** n_in
-    weights = np.full(size, scale * scale)
-    z_cdf = _choice_cdf(np.bincount(f_arr, weights=weights, minlength=1 << out_bits))
-    y_cdfs: Dict[bytes, np.ndarray] = {}
     draws = rng.random(2 * c)
-    samples = []
-    for z, u in zip(z_cdf.searchsorted(draws[0::2], side="right").tolist(),
-                    draws[1::2].tolist()):
+    zs = _choice_cdf(np.bincount(f_arr)).searchsorted(draws[0::2], side="right")
+    rows: Dict[bytes, int] = {}
+    slots = []
+    for z in zs.tolist():
         preimage = np.flatnonzero(f_arr == z)
-        shape = (preimage ^ preimage[0]).tobytes()
-        y_cdf = y_cdfs.get(shape)
-        if y_cdf is None:
-            norm = math.sqrt(float(weights[:preimage.size].sum()))
-            # numpy's complex division multiplies by 1 / norm, which rounds
-            # differently from scale / norm for about a quarter of the norms
-            amp = (np.full(1, scale, dtype=np.complex128) / norm * scale)[0].real
-            y_cdf = y_cdfs[shape] = _choice_cdf(_walsh_weights(preimage, amp, size))
-        samples.append(int(y_cdf.searchsorted(u, side="right")))
-    return samples
-
-
-# sign rows per block of _walsh_weights: at most this many entries. A whole
-# 256 x 256 block (the constant f of an em_q2 instance with k1 = 0 at n = 8)
-# took about 1 MB of temporaries; blocks of 2^12 keep an n = 8 trial under
-# 200 KB, since a trial's temporaries add to the peak memory of a run
-_SIGN_BLOCK = 1 << 12
-
-
-def _walsh_weights(xs: np.ndarray, amp: float, m: int) -> np.ndarray:
-    """(sum over x in xs, in order, of (-1)^(x.y) amp)^2 for every y < m.
-
-    Each sum starts at 0.0 and adds one term per x in order, as the sparse
-    Hadamard adds one sign row per input; blocks of rows bound the sign
-    matrix at _SIGN_BLOCK entries.
-    """
-    ys = np.arange(m, dtype=np.int64)
-    acc = np.zeros(m)
-    rows = max(1, _SIGN_BLOCK // m)
-    for lo in range(0, xs.size, rows):
-        terms = np.where(np.bitwise_count(xs[lo:lo + rows, None] & ys) & 1, -amp, amp)
-        terms[0] += acc
-        acc = np.add.accumulate(terms, axis=0)[-1]
-    return acc * acc
+        slots.append(rows.setdefault((preimage ^ preimage[0]).tobytes(), len(rows)))
+    sums = np.zeros((len(rows), size), dtype=np.int64)
+    for shape, row in rows.items():
+        sums[row, np.frombuffer(shape, dtype=np.int64)] = 1
+    walsh(sums)
+    sums *= sums
+    y_cdfs = _choice_cdf(sums)
+    return [int(y_cdfs[row].searchsorted(u, side="right"))
+            for row, u in zip(slots, draws[1::2].tolist())]
 
 
 def _choice_cdf(weights: np.ndarray) -> np.ndarray:
-    """The cdf that rng.choice(len(weights), p=weights / weights.sum()) searches.
+    """The cdf that rng.choice(len(weights), p=weights / weights.sum()) searches,
+    along the last axis.
 
     A draw is cdf.searchsorted(rng.random(), side="right"), as in
     Generator.choice.
     """
-    cdf = (weights / weights.sum()).cumsum()
-    cdf /= cdf[-1]
+    cdf = weights / weights.sum(axis=-1, keepdims=True)
+    np.cumsum(cdf, axis=-1, out=cdf)
+    cdf /= cdf[..., -1:]
     return cdf
 
 

@@ -357,23 +357,49 @@ def test_simon_samples_equal_the_circuit_draws(n, shape, spare_bits, c, seed):
     assert sampler_rng.random() == circuit_rng.random()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_walsh_is_the_sign_matrix_product_in_place(n, rows, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-1000, 1000, size=(rows, 1 << n))
+    xs = np.arange(1 << n)
+    signs = 1 - 2 * (np.bitwise_count(xs[:, None] & xs) & 1).astype(np.int64)
+    want = a @ signs
+    before = a.copy()
+    assert qsim.walsh(a) is a
+    assert np.array_equal(a, want)
+    assert np.array_equal(qsim.walsh(a), before * (1 << n))
+
+
+def _counted_walsh(monkeypatch):
+    """Patch qsim.walsh to record the row count of each call."""
+    walsh = qsim.walsh
+    rows = []
+
+    def counted(a):
+        rows.append(a.shape[0])
+        return walsh(a)
+
+    monkeypatch.setattr(qsim, "walsh", counted)
+    return rows
+
+
 def test_simon_samples_builds_one_y_distribution_per_preimage_shape(monkeypatch):
     # every preimage of a 2-to-1 table of period s is {x, x ^ s}, one shape,
-    # so each call builds its y distribution once however many z it draws
-    walsh = qsim._walsh_weights
-    sizes = []
-
-    def counted(xs, amp, m):
-        sizes.append(xs.size)
-        return walsh(xs, amp, m)
-
-    monkeypatch.setattr(qsim, "_walsh_weights", counted)
+    # so each call transforms one row however many z it draws
+    rows = _counted_walsh(monkeypatch)
     rng = np.random.default_rng(3)
     for _ in range(10):
         f = random_periodic(8, int(rng.integers(1, 1 << 8)), rng)
         samples = qsim.simon_samples(f, 16, rng, out_bits=8)
         assert len(set(samples)) > 1
-    assert sizes == [2] * 10
+    assert rows == [1] * 10
+
+
+def test_simon_samples_on_a_constant_table_transform_one_row(monkeypatch):
+    rows = _counted_walsh(monkeypatch)
+    assert qsim.simon_samples([5] * (1 << 12), 16, np.random.default_rng(0), 12) == [0] * 16
+    assert rows == [1]
 
 
 def _verified_periods_per_x(f, samples):

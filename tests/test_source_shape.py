@@ -1,7 +1,7 @@
 """Shape rules on the package source, checked on its syntax trees: no module
-rebinds an outer name, the attack, harness and bounds modules and the Simon
-pipeline's qsim and gf2 keep every function at the top level of a module or
-class, and the harness names an attack only in its table of attacks."""
+rebinds an outer name, every module keeps every function at the top level
+of a module or class, and the harness names an attack only in its table of
+attacks."""
 
 import ast
 from pathlib import Path
@@ -23,13 +23,12 @@ def test_no_module_rebinds_an_outer_name(path):
     assert found == []
 
 
-@pytest.mark.parametrize("name", ["offline_simon.py", "classical.py", "harness.py",
-                                  "bounds.py", "qsim.py", "gf2.py"])
-def test_attack_module_nests_no_function(name):
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_attack_module_nests_no_function(path):
     nested = []
-    for outer in ast.walk(_tree(SRC / name)):
+    for outer in ast.walk(_tree(path)):
         if isinstance(outer, FUNCTIONS):
-            nested += [f"{name}:{node.lineno}" for node in ast.walk(outer)
+            nested += [f"{path.name}:{node.lineno}" for node in ast.walk(outer)
                        if node is not outer and isinstance(node, FUNCTIONS)]
     assert nested == []
 
