@@ -85,10 +85,10 @@ MAX_SEARCH_BITS = 20
 JOINT_BYTES_PER_AMPLITUDE = 26
 # orbit entries an EXACT test scatters, reflects and gathers at a time
 _TEST_BLOCK = 1 << 14
-# entries the span DP's transition cache may hold; 2^22 admits u <= 7 at any
-# c. Each costs about 200 B (185 B measured at u = 6, c = 8, rising with u).
+# entries the span DP's table (_spans) may hold, 11 B each (VmHWM: 10.0-10.4 B at u = 6-7);
+# 2^22 admits u <= 7 at any c and bounds time (u = 7, c = 9: 1.3 s to build, 4-5 s a DP call)
 MAX_SPAN_DP_TRANSITIONS = 1 << 22
-SPAN_DP_BYTES_PER_TRANSITION = 200
+SPAN_DP_BYTES_PER_TRANSITION = 11
 # (inner key, block) entries a guess family may hold: 2^kappa inner keys, each
 # with a permutation list and three int32 tables of up to 2^n entries. Each
 # costs about 200 B (48 B measured at n = 8; int64 tables cost 170 B at
@@ -96,7 +96,7 @@ SPAN_DP_BYTES_PER_TRANSITION = 200
 MAX_FAMILY_ENTRIES = 1 << 24
 FAMILY_BYTES_PER_ENTRY = 200
 # query registers c a run may hold (em_q2: Simon samples); the span DP and the
-# sampling loops run c steps, and a u = 4, c = 1024 TENSOR trial took 5.5 s
+# sampling loops run c steps, and a u = 4, c = 1024 TENSOR trial took 4.8 s
 # on a 2-vCPU VM
 MAX_REGISTERS = 1024
 
@@ -110,9 +110,8 @@ def exact_qubits(search_bits: int, u: int, n_out: int, c: int) -> int:
 
 
 def span_dp_transitions(u: int, c: int) -> int:
-    """Entries _extend_basis caches when the span DP runs on c registers of u
-    bits: each of the 2^u outcomes against each span of dimension at most
-    min(c - 1, u), so 2^u times a sum of Gaussian binomials [u choose k]_2."""
+    """Entries of _spans(u, c), the span DP's table: each of the 2^u outcomes against each span
+    of dimension at most min(c - 1, u), 2^u times a sum of Gaussian binomials [u choose k]_2."""
     spans, subspaces = 0, 1
     for k in range(min(c - 1, u) + 1):
         spans += subspaces
@@ -332,35 +331,48 @@ def _scan_distributions(db: QueryDatabase, family: GuessFamily) -> np.ndarray:
         for start in range(0, space, step)])
 
 
-@lru_cache(maxsize=None)
-def _extend_basis(basis: Tuple[int, ...], y: int) -> Tuple[int, ...]:
-    return tuple(gf2._reduced_rows(list(basis) + [y]))
-
-
-@lru_cache(maxsize=1)  # as _orbit_tables: a new shape (u, c) clears the last one's transitions
-def _span_shape(u: int, c: int) -> None:
-    _extend_basis.cache_clear()
+@lru_cache(maxsize=1)  # as _orbit_tables: a new shape (u, c) drops the last one's table
+def _spans(u: int, c: int) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
+    """(step, dims): the spans at most c samples of u bits reach, numbered from the empty
+    span 0 as found, so by dimension dims[i]; step[i][y] is the number of span i grown by
+    sample y, for every span of dimension below c."""
+    members, step, number = [[0]], [], {1: 0}  # number: a span's member bitmask -> i
+    for i, span in enumerate(members):  # members grows as spans are found
+        if len(span) >> c:  # dimension c or more
+            break
+        mask, row = sum(1 << v for v in span), [-1] * (1 << u)
+        for y in range(1 << u):
+            if row[y] < 0:  # every member of y's coset grows the span alike
+                coset = [v ^ y for v in span]
+                j = number.setdefault(mask | sum(1 << v for v in coset), len(members))
+                if j == len(members):
+                    members.append(span + coset)
+                for v in coset:
+                    row[v] = j
+        step.append(tuple(row))
+    return tuple(step), tuple(len(span).bit_length() - 1 for span in members)
 
 
 def exact_pass_probability(dist: np.ndarray, u: int, c: int) -> float:
     """Exact P(rank of c vectors sampled from dist < u), the c registers
     being identical copies.
 
-    Dynamic program over the span of the samples; equivalent to enumerating
-    every c-tuple of outcomes weighted by its probability.
+    Dynamic program over the span of the samples, numbered by _spans;
+    equivalent to enumerating every c-tuple of outcomes weighted by its probability.
     """
-    _span_shape(u, c)
-    dp: Dict[Tuple[int, ...], float] = {(): 1.0}
+    step, dims = _spans(u, c)
+    dp: Dict[int, float] = {0: 1.0}
     for _ in range(c):
-        new: Dict[Tuple[int, ...], float] = {}
-        for basis, pr in dp.items():
+        new: Dict[int, float] = {}
+        for span, pr in dp.items():
+            row = step[span]
             for y, py in enumerate(dist):
                 if py <= 0.0:
                     continue
-                b2 = _extend_basis(basis, int(y))
-                new[b2] = new.get(b2, 0.0) + pr * float(py)
+                s = row[y]
+                new[s] = new.get(s, 0.0) + pr * float(py)
         dp = new
-    return sum(p for basis, p in dp.items() if len(basis) < u)
+    return sum(p for span, p in dp.items() if dims[span] < u)
 
 
 # ---------------------------------------------------------------------------
@@ -863,14 +875,12 @@ class _JointCircuit:
 
 
 def _rank_deficient_table(u: int, c: int) -> np.ndarray:
-    """Boolean table over packed c*u-bit sample tuples: rank < u."""
-    total = 1 << (u * c)
-    out = np.zeros(total, dtype=bool)
-    mask = (1 << u) - 1
-    for key in range(total):
-        rows = [(key >> (i * u)) & mask for i in range(c)]
-        out[key] = len(gf2._reduced_rows(rows)) < u
-    return out
+    """Boolean table over packed c*u-bit sample tuples (sample i at bits i*u): rank < u."""
+    step, dims = map(np.asarray, _spans(u, c))
+    spans = np.zeros(1, dtype=np.intp)
+    for _ in range(c):
+        spans = step[spans].T.ravel()
+    return dims[spans] < u
 
 
 def _test_reflection(u: int, c: int) -> Tuple[float, np.ndarray]:

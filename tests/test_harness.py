@@ -191,7 +191,7 @@ def test_validate_rejects_a_span_dp_over_the_limit():
                        "u = 8\nc = 4")
     (error,) = cfg.validate()
     assert error == ("span DP: u = 8, c = 4 caches 27,700,736 transitions, about "
-                     "5,540,147,200 bytes, over the limit of 4,194,304")
+                     "304,708,096 bytes, over the limit of 4,194,304")
     cfg.c = 3  # 2,829,056 transitions
     assert cfg.validate() == []
     cfg.u, cfg.c = 7, 100  # every subspace of F_2^7: 3,739,136 transitions

@@ -200,6 +200,52 @@ def test_exact_pass_probability_matches_tuple_enumeration(case):
     assert abs(exact - brute_force_pass_probability([dist] * c, u)) < 1e-12
 
 
+def tuple_span_pass_probability(dist, u, c):
+    """Reference: the span DP keyed by each span's canonical basis tuple, with
+    a local dict for its transitions; the numbered DP must equal it bit for bit."""
+    grown = {}
+    dp = {(): 1.0}
+    for _ in range(c):
+        new = {}
+        for basis, pr in dp.items():
+            for y, py in enumerate(dist):
+                if py <= 0.0:
+                    continue
+                if (basis, y) not in grown:
+                    grown[basis, y] = tuple(gf2._reduced_rows(list(basis) + [y]))
+                b2 = grown[basis, y]
+                new[b2] = new.get(b2, 0.0) + pr * float(py)
+        dp = new
+    return sum(p for basis, p in dp.items() if len(basis) < u)
+
+
+@st.composite
+def sparse_distribution_and_copies(draw):
+    """A random distribution over u-bit outcomes, u = 1..5, with about half
+    its entries zero, and c = 1..7 copies."""
+    u = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.integers(0, 1000) | st.just(0), min_size=1 << u,
+                            max_size=1 << u).filter(any))
+    return np.array(weights) / sum(weights), u, draw(st.integers(1, 7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_distribution_and_copies())
+def test_exact_pass_probability_equals_the_tuple_span_dp(case):
+    # the numbered spans change the DP's keys, not its float order
+    dist, u, c = case
+    assert exact_pass_probability(dist, u, c) == tuple_span_pass_probability(dist, u, c)
+
+
+@pytest.mark.parametrize("u, c", [(u, c) for u in range(1, 13) for c in range(1, 13)
+                                  if u * c <= 12])
+def test_rank_deficient_table_is_the_rank_of_each_tuple(u, c):
+    mask = (1 << u) - 1
+    expected = [gf2.rank([(key >> (i * u)) & mask for i in range(c)], u) < u
+                for key in range(1 << (u * c))]
+    assert offline_simon._rank_deficient_table(u, c).tolist() == expected
+
+
 def test_correct_guess_passes_with_probability_one():
     for seed in range(10):
         inst = efx_instance(4, 4, 200 + seed)
@@ -406,11 +452,10 @@ def test_validate_and_the_engine_refuse_with_one_message(monkeypatch, config):
 
 @pytest.mark.parametrize("u, c", [(1, 4), (2, 3), (3, 2), (3, 5), (4, 6)])
 def test_span_dp_transitions_counts_the_cache(u, c):
-    offline_simon._extend_basis.cache_clear()
-    uniform = np.full(1 << u, 1.0 / (1 << u))
-    exact_pass_probability(uniform, u, c)
-    assert offline_simon._extend_basis.cache_info().currsize == \
-        offline_simon.span_dp_transitions(u, c)
+    step, dims = offline_simon._spans(u, c)
+    assert len(step) == offline_simon.span_dp_transitions(u, c) >> u
+    assert all(len(row) == 1 << u for row in step)
+    assert max(dims[:len(step)]) < c and max(map(max, step)) < len(dims)
 
 
 def test_span_dp_keeps_the_transitions_of_one_shape():
@@ -418,8 +463,8 @@ def test_span_dp_keeps_the_transitions_of_one_shape():
     # u = 5, c = 6 (11,968 transitions) one at u = 2, c = 3 leaves only its own
     for u, c in [(5, 6), (2, 3)]:
         exact_pass_probability(np.full(1 << u, 1.0 / (1 << u)), u, c)
-    assert offline_simon._extend_basis.cache_info().currsize <= \
-        offline_simon.span_dp_transitions(2, 3)
+    assert offline_simon._spans.cache_info().currsize == 1
+    assert len(offline_simon._spans(2, 3)[0]) << 2 == offline_simon.span_dp_transitions(2, 3)
 
 
 def test_exact_and_tensor_modes_run_at_tiny_sizes():

@@ -1,7 +1,7 @@
 """Shape rules on the package source, checked on its syntax trees: no module
 rebinds an outer name, every module keeps every function at the top level
-of a module or class, and the harness names an attack only in its table of
-attacks."""
+of a module or class, every cache holds one entry, and the harness names an
+attack only in its table of attacks."""
 
 import ast
 from pathlib import Path
@@ -31,6 +31,25 @@ def test_attack_module_nests_no_function(path):
             nested += [f"{path.name}:{node.lineno}" for node in ast.walk(outer)
                        if node is not outer and isinstance(node, FUNCTIONS)]
     assert nested == []
+
+
+def _holds_one_entry(decorator: ast.expr) -> bool:
+    return isinstance(decorator, ast.Call) and any(
+        keyword.arg == "maxsize" and getattr(keyword.value, "value", None) == 1
+        for keyword in decorator.keywords)
+
+
+def test_every_cache_holds_one_entry():
+    # a cache keeps only its last key (one shape of a sweep at a time), so no
+    # functools.lru_cache or cache in the package grows with the keys a run visits
+    caches = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            for decorator in node.decorator_list if isinstance(node, FUNCTIONS) else []:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if getattr(target, "attr", getattr(target, "id", None)) in ("lru_cache", "cache"):
+                    caches.append((f"{path.name}:{node.lineno}", _holds_one_entry(decorator)))
+    assert caches and [site for site, one in caches if not one] == []
 
 
 def _names_the_attack(node: ast.expr) -> bool:
