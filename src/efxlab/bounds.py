@@ -9,7 +9,6 @@ denominators) the vacuous bound 1 is returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 # the largest power of two a float holds is 2^1023
@@ -33,29 +32,6 @@ def _bounded(value: int) -> str:
     return f"a {'negative ' if value < 0 else ''}value of {digits} digits"
 
 
-@dataclass
-class BoundParams:
-    """Parameters of the distinguishing game.
-
-    n and kappa are bit sizes, D counts online construction queries, T counts
-    offline cipher queries (both directions).
-    """
-
-    n: int
-    kappa: int
-    D: float = 0.0
-    T: float = 0.0
-
-    def validate(self) -> None:
-        check_sizes(self.n, self.kappa)
-        for name in ("D", "T"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative")
-        if self.D > 2.0 ** self.n:
-            raise ValueError("D cannot exceed the codebook")
-
-
 def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
@@ -65,16 +41,24 @@ def _pow2(e: float) -> float:
     return math.inf if e > 1023 else 2.0 ** e
 
 
-def efx_classical_bound(p: BoundParams) -> Tuple[float, float]:
+def efx_classical_bound(n: int, kappa: int, *, D: float,
+                        T: float) -> Tuple[float, float]:
     """The two advantage bounds (small-D form, D-independent form).
+
+    n and kappa are bit sizes, D counts online construction queries, T counts
+    offline cipher queries (both directions).
 
     The small-D form is 1/a + (3/2) T min(D, 2^(n/2)) / 2^(kappa+n)
     + a^2 T^2 D / (2^(2 kappa + 2) (2^n - D + 1)(2^n - a T / 2^kappa - D + 1))
     with the balancing choice 1/a = (T^2 D / 2^(2(kappa+n)))^(1/3); the
     D-independent form is (3/2) T / 2^(kappa + n/2). Both clamp to [0, 1].
     """
-    p.validate()
-    n, kappa, D, T = p.n, p.kappa, p.D, p.T
+    check_sizes(n, kappa)
+    for name, value in (("D", D), ("T", T)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative")
+    if D > 2.0 ** n:
+        raise ValueError("D cannot exceed the codebook")
     bound_any_d = _clamp01(1.5 * T / _pow2(kappa + n / 2.0))
     if T == 0.0:
         return 0.0, 0.0
@@ -111,7 +95,7 @@ def _best_over_splits(n: int, kappa: int, log2_prod: float) -> float:
         log2_d = max_log2_d * i / steps
         d = _pow2(log2_d)
         t = _pow2(log2_prod - log2_d)
-        b, _ = efx_classical_bound(BoundParams(n=n, kappa=kappa, D=d, T=t))
+        b, _ = efx_classical_bound(n, kappa, D=d, T=t)
         best = max(best, b)
     return best
 

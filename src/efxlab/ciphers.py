@@ -108,15 +108,13 @@ class KeyMaterial:
 
     k is the kappa-bit inner key, k1/k2 are n-bit whitening keys. TWO_XOR
     stores its single whitening key z in k1. ECBC3 carries the two fixed
-    unknown message blocks in m1/m2. The kind's ConstructionSpec names the
+    unknown message blocks in k1/k2. The kind's ConstructionSpec names the
     fields it uses.
     """
 
     k: Optional[int] = None
     k1: Optional[int] = None
     k2: Optional[int] = None
-    m1: Optional[int] = None
-    m2: Optional[int] = None
 
 
 # A layer is a chain of permutations applied in order; () is the identity.
@@ -234,8 +232,8 @@ SPECS: Dict[ConstructionKind, ConstructionSpec] = {
         attacks=("offline_simon", "exhaustive"), evals=3, layers=_defx_layers,
         full_domain=True),
     ConstructionKind.ECBC3: ConstructionSpec(
-        components=("E",), key_fields=(("k", "kappa"), ("m1", "n"), ("m2", "n")),
-        attacks=("offline_simon",), whitening=("m1", "m2"), evals=4,
+        components=("E",), key_fields=_WHITENED,
+        attacks=("offline_simon",), evals=4,
         layers=_ecbc3_layers, full_domain=True, forward_only=True),
 }
 

@@ -66,9 +66,8 @@ def _cmd_bounds(args) -> int:
     lines = ["log2D,log2T,bound_small_D,bound_any_D,quantum_bound"]
     for log2_d in grid_d:
         for log2_t in grid_t:
-            p = bounds.BoundParams(n=args.n, kappa=args.kappa,
-                                   D=2.0 ** log2_d, T=2.0 ** log2_t)
-            b1, b2 = bounds.efx_classical_bound(p)
+            b1, b2 = bounds.efx_classical_bound(args.n, args.kappa, D=2.0 ** log2_d,
+                                                T=2.0 ** log2_t)
             qb = bounds.quantum_distinguish_bound(2.0 ** (log2_t / 2.0), args.kappa)
             lines.append(f"{log2_d},{log2_t},{b1:.8g},{b2:.8g},{qb:.8g}")
     _emit("\n".join(lines) + "\n", args.out)

@@ -459,7 +459,7 @@ def _suite_bounds_grid() -> Tuple[bool, str]:
         kappa = int(rng.integers(1, 16))
         d = float(2.0 ** rng.uniform(0, n))
         t = float(2.0 ** rng.uniform(0, 2 * (kappa + n)))
-        b1, b2 = bounds.efx_classical_bound(bounds.BoundParams(n=n, kappa=kappa, D=d, T=t))
+        b1, b2 = bounds.efx_classical_bound(n, kappa, D=d, T=t)
         if not (0.0 <= b1 <= 1.0 and 0.0 <= b2 <= 1.0):
             return False, f"bound escaped [0,1] at n={n} kappa={kappa} D={d} T={t}"
         q = float(2.0 ** rng.uniform(0, kappa))

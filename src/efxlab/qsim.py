@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -231,6 +231,8 @@ def simon_samples(f: Sequence[int], c: int, rng: np.random.Generator,
     """
     size = len(f)
     n_in = size.bit_length() - 1
+    if n_in < 0:
+        raise ValueError("register 'in' has negative size")
     if size != (1 << n_in):
         raise ValueError("oracle table length must be a power of two")
     if n_in > SIMON_INPUT_CAP:
@@ -341,12 +343,12 @@ def amplify_success_probability(p: float, iterations: int) -> float:
     return math.sin((2 * iterations + 1) * theta) ** 2
 
 
-def amplified_distribution(prep: np.ndarray, test: Callable[[int], bool],
+def amplified_distribution(prep: np.ndarray, marked: Sequence[int],
                            iterations: int) -> np.ndarray:
     """Exact landing distribution of amplitude amplification with a
     truth-table phase oracle: prep holds the normalized amplitudes of the
-    prepared state, the predicate test marks the good basis states, and the
-    probability of each basis state is taken after iterations of (reflect
+    prepared state, marked lists the indices of the good basis states, and
+    the probability of each basis state is taken after iterations of (reflect
     about the good set, reflect about the prepared state).
     """
     size = np.size(prep)
@@ -354,11 +356,13 @@ def amplified_distribution(prep: np.ndarray, test: Callable[[int], bool],
         raise ValueError("state dimension must be a power of two")
     if size > (1 << DEFAULT_QUBIT_CAP):
         raise ValueError("state exceeds the qubit cap")
+    good = np.asarray(marked, dtype=np.int64)
+    if good.size and (good.min() < 0 or good.max() >= size):
+        raise ValueError("marked index outside the state")
     base = np.asarray(prep, dtype=np.complex128)
     norm = math.sqrt(float(np.vdot(base, base).real))
     if abs(norm - 1.0) > 1e-6:
         raise ValueError("preparation state is not normalized")
-    good = np.fromiter((bool(test(i)) for i in range(size)), dtype=bool, count=size)
     state = base.copy()
     for _ in range(iterations):
         state[good] = -state[good]
@@ -368,9 +372,9 @@ def amplified_distribution(prep: np.ndarray, test: Callable[[int], bool],
     return probs / probs.sum()
 
 
-def amplitude_amplify(prep: np.ndarray, test: Callable[[int], bool], iterations: int,
+def amplitude_amplify(prep: np.ndarray, marked: Sequence[int], iterations: int,
                       rng: np.random.Generator) -> MeasurementOutcome:
-    """One measurement of amplified_distribution(prep, test, iterations)."""
-    probs = amplified_distribution(prep, test, iterations)
+    """One measurement of amplified_distribution(prep, marked, iterations)."""
+    probs = amplified_distribution(prep, marked, iterations)
     value = int(rng.choice(probs.size, p=probs))
     return MeasurementOutcome("search", value, float(probs[value]))

@@ -119,10 +119,8 @@ def test_criterion_03_amplification_curve():
         target = qsim.amplify_success_probability(p, t)
         prep = np.full(1 << m, (1 << m) ** -0.5, dtype=complex)
         marked = int(rng.integers(1 << m))
-        hits = sum(
-            qsim.amplitude_amplify(prep, lambda i: i == marked, t, rng).value
-            == marked
-            for _ in range(trials))
+        hits = sum(qsim.amplitude_amplify(prep, [marked], t, rng).value == marked
+                   for _ in range(trials))
         rate = hits / trials
         sigma = math.sqrt(target * (1.0 - target) / trials)
         ok = abs(rate - target) <= 3.0 * sigma + 1e-12
@@ -255,7 +253,7 @@ def test_criterion_08_defx_and_ecbc_mac():
         rates[kind.value] = hits / trials
     ok = all(rate >= 0.85 for rate in rates.values())
     report(8, ok, "DEFX recovered at {DEFX:.1%}, ECBC mapped onto it and "
-           "recovered (k, m1, m2) at {ECBC3:.1%}".format(**rates))
+           "recovered (k, k1, k2) at {ECBC3:.1%}".format(**rates))
 
 
 def test_criterion_09_exact_tensor_agreement():
@@ -319,22 +317,19 @@ def test_criterion_11_bound_evaluators():
         kappa = int(rng.integers(1, 16))
         d = float(2.0 ** rng.uniform(0, n))
         t = float(2.0 ** rng.uniform(0, 3 * (kappa + n)))
-        b1, b2 = bounds.efx_classical_bound(
-            bounds.BoundParams(n=n, kappa=kappa, D=d, T=t))
+        b1, b2 = bounds.efx_classical_bound(n, kappa, D=d, T=t)
         qb = bounds.quantum_distinguish_bound(float(2.0 ** rng.uniform(0, kappa)),
                                               kappa)
         clamp_ok = clamp_ok and 0 <= b1 <= 1 and 0 <= b2 <= 1 and 0 <= qb <= 1
     roundtrip_ok = True
     for target in (0.05, 0.3, 0.9):
         dt_floor, t_floor = bounds.efx_required_resources(4, 8, target)
-        _, b2 = bounds.efx_classical_bound(
-            bounds.BoundParams(n=4, kappa=8, D=1.0, T=t_floor))
+        _, b2 = bounds.efx_classical_bound(4, 8, D=1.0, T=t_floor)
         best = 0.0
         for i in range(65):
             log2_d = 2.0 * i / 64
             d = min(2.0 ** log2_d, dt_floor)
-            b1, _ = bounds.efx_classical_bound(
-                bounds.BoundParams(n=4, kappa=8, D=d, T=dt_floor / d))
+            b1, _ = bounds.efx_classical_bound(4, 8, D=d, T=dt_floor / d)
             best = max(best, b1)
         roundtrip_ok = roundtrip_ok and b2 >= target - 1e-9 and best >= target - 1e-6
     report(11, clamp_ok and roundtrip_ok,

@@ -163,7 +163,7 @@ def test_efx_identity_stubs_collapse():
 def test_ecbc3_identity_stubs_collapse():
     e = identity_cipher(3, 3)
     inst = make_construction(ConstructionKind.ECBC3, [e],
-                             KeyMaterial(k=0, m1=0, m2=0))
+                             KeyMaterial(k=0, k1=0, k2=0))
     assert all(inst._raw_encrypt(x) == x for x in range(8))
 
 
@@ -206,7 +206,7 @@ def _all_kind_instances(n=4, seed=515):
         make_construction(ConstructionKind.EFX, comps3[:2], KeyMaterial(k=7, k1=3, k2=9)),
         make_construction(ConstructionKind.TWO_XOR, [e], KeyMaterial(k=7, k1=3)),
         make_construction(ConstructionKind.DEFX, comps3, KeyMaterial(k=7, k1=3, k2=9)),
-        make_construction(ConstructionKind.ECBC3, [e], KeyMaterial(k=7, m1=3, m2=9)),
+        make_construction(ConstructionKind.ECBC3, [e], KeyMaterial(k=7, k1=3, k2=9)),
     ]
 
 
@@ -233,7 +233,7 @@ def test_em_decrypt_matches_table_inversion():
 
 def test_ecbc3_decrypt_errors():
     e = make_ideal_cipher(4, 4, 9)
-    inst = make_construction(ConstructionKind.ECBC3, [e], KeyMaterial(k=1, m1=2, m2=3))
+    inst = make_construction(ConstructionKind.ECBC3, [e], KeyMaterial(k=1, k1=2, k2=3))
     with pytest.raises(ValueError):
         decrypt_with(inst.kind, inst.components, inst.key_material, 0)
 
@@ -297,8 +297,8 @@ def reference_encrypt(kind, comps, km, x):
     e = comps[0]
     kb = derive_related_key(km.k)
     v = fwd(e, km.k, x)
-    v = fwd(e, km.k, km.m1 ^ v)
-    v = fwd(e, km.k, km.m2 ^ v)
+    v = fwd(e, km.k, km.k1 ^ v)
+    v = fwd(e, km.k, km.k2 ^ v)
     return fwd(e, kb, v)
 
 
@@ -348,6 +348,16 @@ def test_registry_covers_every_kind():
         assert set(spec.attacks) == REFERENCE_ATTACKS[kind], kind
         if kind in REFERENCE_LAYERS:
             assert spec.evals == REFERENCE_LAYERS[kind]
+
+
+def test_declared_costs_match_the_layers():
+    # evals prices every offline_evals and sim_time_units charge and
+    # full_domain sets the u = n refusal; both must follow from the layers
+    for kind in ConstructionKind:
+        inst = build_instance(kind, 4, 4, ciphers.derive_seed("costs", kind.value))
+        relabel, inner, outer = inst.layers(inst.key_material.k)
+        assert SPECS[kind].evals == len(relabel) + len(inner) + len(outer), kind
+        assert SPECS[kind].full_domain == bool(relabel), kind
 
 
 def test_spec_encrypt_decrypt_match_reference_formulas():

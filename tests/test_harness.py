@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -649,10 +650,23 @@ def test_cli_curves_and_plot(tmp_path):
     assert svg_path.read_text().startswith("<svg")
 
 
-def test_cli_bounds_and_verify(tmp_path, capsys):
-    assert cli.main(["bounds", "--n", "4", "--kappa", "8"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out.startswith("log2D,log2T,")
+# sha256 of the whole CSV: the default grid, and an explicit one with zero,
+# fractional and clamping exponents
+BOUNDS_DIGESTS = [
+    (["--n", "4", "--kappa", "8"],
+     "300a3f86e3948eae1718a1686ce10fbf70700452e8672bff58b73debcb5bf5b2"),
+    (["--n", "6", "--kappa", "12", "--grid-d", "0", "1", "2.5", "3",
+      "--grid-t", "0", "5", "9", "18"],
+     "0749d7baf3939d4e252d940a0d2d39e7a3f688fdd38c2d72fdb27c1bc0320340"),
+]
+
+
+def test_cli_bounds_and_verify(capsys):
+    for args, digest in BOUNDS_DIGESTS:
+        assert cli.main(["bounds"] + args) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("log2D,log2T,")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
     assert cli.main(["verify", "--suite", "bounds-grid"]) == 0
 
 

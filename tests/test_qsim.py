@@ -435,8 +435,9 @@ def test_verified_periods_equal_the_per_x_check(n, shape, spare_bits, c, seed):
     ([0, 1], -1, "negative size"),
     ([0] * (1 << 12), 15, "27 qubits exceed the cap of 26"),
     ([0], 0, "at least one qubit"),
+    ([], 1, "negative size"),
 ], ids=["length-3", "n-13", "value-4-in-2-bits", "value-negative", "out-negative",
-        "27-qubits", "no-qubits"])
+        "27-qubits", "no-qubits", "no-table"])
 def test_simon_samples_reject_what_the_circuit_rejected(f, out_bits, message):
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match=message):
@@ -462,7 +463,7 @@ def test_amplitude_amplify_exact_case():
     prep = np.full(4, 0.5, complex)
     rng = np.random.default_rng(12)
     for _ in range(20):
-        outcome = qsim.amplitude_amplify(prep, lambda i: i == 2, 1, rng)
+        outcome = qsim.amplitude_amplify(prep, [2], 1, rng)
         assert outcome.value == 2
         assert abs(outcome.probability - 1.0) < 1e-12
 
@@ -474,7 +475,7 @@ def test_amplitude_amplify_matches_closed_form():
     prep = np.full(1 << m, (1 << m) ** -0.5, complex)
     rng = np.random.default_rng(13)
     trials = 2000
-    hits = sum(qsim.amplitude_amplify(prep, lambda i: i == 5, t, rng).value == 5
+    hits = sum(qsim.amplitude_amplify(prep, [5], t, rng).value == 5
                for _ in range(trials))
     target = qsim.amplify_success_probability(p, t)
     sigma = math.sqrt(target * (1 - target) / trials)
@@ -491,7 +492,7 @@ def test_amplified_distribution_follows_the_closed_form_curve(m, t, seed):
     prep /= np.linalg.norm(prep)
     good = rng.random(1 << m) < rng.random()
     p = min(1.0, float(np.sum(np.abs(prep[good]) ** 2)))
-    probs = qsim.amplified_distribution(prep, lambda i: good[i], t)
+    probs = qsim.amplified_distribution(prep, np.flatnonzero(good), t)
     assert abs(probs.sum() - 1.0) < 1e-12
     assert abs(probs[good].sum() - qsim.amplify_success_probability(p, t)) < 1e-11
 
@@ -508,12 +509,26 @@ def test_amplified_distribution_refuses_before_copying(prep, message):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as refused:
-            qsim.amplified_distribution(prep, lambda i: i == 0, 1)
+            qsim.amplified_distribution(prep, [0], 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert str(refused.value) == message
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("marked", [[8], [-1], [0, 3, 9]])
+def test_amplified_distribution_refuses_a_marked_index_outside_the_state(marked):
+    prep = np.full(8, 8 ** -0.5, complex)
+    with pytest.raises(ValueError) as refused:
+        qsim.amplified_distribution(prep, marked, 1)
+    assert str(refused.value) == "marked index outside the state"
+
+
+def test_amplified_distribution_marks_no_state_for_no_indices():
+    # no good state: each iteration reflects the prepared state about itself
+    prep = np.full(8, 8 ** -0.5, complex)
+    assert np.allclose(qsim.amplified_distribution(prep, [], 3), 1 / 8)
 
 
 def test_amplification_refuses_a_probability_above_one():
@@ -531,7 +546,7 @@ def test_simon_samples_draws_nothing_for_no_registers():
 def test_amplitude_amplify_all_marked():
     prep = np.full(8, 8 ** -0.5, complex)
     rng = np.random.default_rng(14)
-    outcome = qsim.amplitude_amplify(prep, lambda i: True, 0, rng)
+    outcome = qsim.amplitude_amplify(prep, range(8), 0, rng)
     assert 0 <= outcome.value < 8
 
 
