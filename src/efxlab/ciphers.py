@@ -23,13 +23,23 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "little")
 
 
-@dataclass
 class Permutation:
-    """Explicit bijection on n-bit blocks together with its inverse table."""
+    """Explicit bijection on n-bit blocks; the inverse table is built the
+    first time it is read, unless one is given."""
 
-    n: int
-    table: List[int]
-    inverse_table: List[int]
+    def __init__(self, n: int, table: List[int],
+                 inverse_table: Optional[List[int]] = None) -> None:
+        self.n = n
+        self.table = table
+        self._inverse = inverse_table
+
+    @property
+    def inverse_table(self) -> List[int]:
+        if self._inverse is None:
+            self._inverse = [0] * len(self.table)
+            for x, y in enumerate(self.table):
+                self._inverse[y] = x
+        return self._inverse
 
 
 def make_permutation(n: int, seed: int) -> Permutation:
@@ -50,10 +60,7 @@ def make_permutation(n: int, seed: int) -> Permutation:
         while j > i:
             j = getrandbits(bits)
         table[i], table[j] = table[j], table[i]
-    inverse = [0] * (1 << n)
-    for x, y in enumerate(table):
-        inverse[y] = x
-    return Permutation(n, table, inverse)
+    return Permutation(n, table)
 
 
 @dataclass
@@ -286,6 +293,18 @@ def encrypt_with(kind: ConstructionKind, components: Sequence,
     return x
 
 
+def codebook_with(kind: ConstructionKind, components: Sequence,
+                  km: KeyMaterial) -> List[int]:
+    """encrypt_with(kind, components, km, x) for every n-bit x, in order,
+    composed from the three layer tables in one pass."""
+    spec = SPECS[kind]
+    relabel, inner, outer = spec.layers(components, km.k)
+    w1, w2 = (getattr(km, slot) for slot in spec.whitening)
+    n = components[0].n
+    inner, outer = layer_table(inner, n), layer_table(outer, n)
+    return [outer[w2 ^ inner[w1 ^ x]] for x in layer_table(relabel, n)]
+
+
 def decrypt_with(kind: ConstructionKind, components: Sequence,
                  km: KeyMaterial, y: int) -> int:
     spec = SPECS[kind]
@@ -309,6 +328,16 @@ def pair_check(instance: ConstructionInstance, km: KeyMaterial,
         if encrypt_with(instance.kind, instance.components, km, pt) != ct:
             return False, evals
     return True, evals
+
+
+def codebook_check(instance: ConstructionInstance, km: KeyMaterial,
+                   codebook: Sequence[int]) -> Tuple[bool, int]:
+    """pair_check(instance, km, enumerate(codebook)), the pairs compared
+    against codebook_with's table: the same verdict and evaluations."""
+    table = codebook_with(instance.kind, instance.components, km)
+    miss = next((x for x, (y, ct) in enumerate(zip(table, codebook)) if y != ct), None)
+    tried = len(codebook) if miss is None else miss + 1
+    return miss is None, tried * SPECS[instance.kind].evals
 
 
 def complete_key(kind: ConstructionKind, components: Sequence,

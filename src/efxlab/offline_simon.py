@@ -66,8 +66,9 @@ from .ciphers import (
     ConstructionInstance,
     KeyMaterial,
     check_attack,
+    codebook_check,
+    codebook_with,
     complete_key,
-    layer_inverse_table,
     layer_table,
     pair_check,
     report_keys,
@@ -90,9 +91,10 @@ _TEST_BLOCK = 1 << 14
 MAX_SPAN_DP_TRANSITIONS = 1 << 22
 SPAN_DP_BYTES_PER_TRANSITION = 11
 # (inner key, block) entries a guess family may hold: 2^kappa inner keys, each
-# with a permutation list and three int32 tables of up to 2^n entries. Each
-# costs about 200 B (48 B measured at n = 8; int64 tables cost 170 B at
-# n = 10 and 60 B at n = 8).
+# with its permutation lists (no inverse lists) and three int32 tables of up
+# to 2^n entries. 200 B an entry is an upper bound: building an EFX family
+# grew VmHWM by 35 B an entry at n = 8 and 101 B at n = 10 (kappa = 11-14),
+# where a list entry past 256 holds an int object of its own.
 MAX_FAMILY_ENTRIES = 1 << 24
 FAMILY_BYTES_PER_ENTRY = 200
 # query registers c a run may hold (em_q2: Simon samples); the span DP and the
@@ -283,7 +285,11 @@ def guess_family_for(instance: ConstructionInstance, u: int) -> GuessFamily:
     # a relabel layer forces u = n, so the identity is all a shorter input sees
     relabel = np.array([layer_table(r, n)[:1 << u] for r, _, _ in keys], dtype=np.int32)
     inner = np.array([layer_table(i, n) for _, i, _ in keys], dtype=np.int32)
-    peel = np.array([layer_inverse_table(o, n) for _, _, o in keys], dtype=np.int32)
+    # peel inverts each key's composed outer table by scattering it, so no
+    # permutation builds an inverse list
+    outer = np.array([layer_table(o, n) for _, _, o in keys], dtype=np.int32)
+    peel = np.empty_like(outer)
+    peel[np.arange(len(keys))[:, None], outer] = np.arange(1 << n, dtype=np.int32)
     return GuessFamily(u, n, instance.kappa, n - u, relabel, inner, peel, spec.evals)
 
 
@@ -1036,7 +1042,7 @@ def em_q2_attack(instance: ConstructionInstance, c: int,
     kind = instance.kind
     check_attack(kind, "em_q2")
     n = instance.n
-    codebook = [instance._raw_encrypt(x) for x in range(1 << n)]
+    codebook = codebook_with(kind, instance.components, instance.key_material)
     f = [y ^ p for y, p in zip(codebook, layer_table(instance.layers(None)[1], n))]
     samples = qsim.simon_samples(f, c, rng, out_bits=n)
     offline_evals = c  # one public-permutation oracle call per query
@@ -1052,7 +1058,7 @@ def em_q2_attack(instance: ConstructionInstance, c: int,
     if result.is_period:
         km, evals = complete_key(kind, instance.components, None, result.period,
                                  0, instance.encrypt(0))
-        ok, checked = pair_check(instance, km, enumerate(codebook))
+        ok, checked = codebook_check(instance, km, codebook)
         offline_evals += evals + checked
         if not ok:
             flags.append("period-verification-failed")

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,13 +12,18 @@ from efxlab.ciphers import (
     ConstructionKind,
     KeyMaterial,
     Permutation,
+    codebook_check,
+    codebook_with,
     complete_key,
     decrypt_with,
     derive_related_key,
     encrypt_with,
+    key_widths,
+    layer_inverse_table,
     make_construction,
     make_ideal_cipher,
     make_permutation,
+    pair_check,
     report_keys,
 )
 from efxlab.harness import build_instance
@@ -58,6 +64,20 @@ def _assert_stdlib_shuffle(n, seed):
     random.Random(seed).shuffle(expected)
     assert p.table == expected
     assert all(p.inverse_table[y] == x for x, y in enumerate(p.table))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_permutation_inverse_is_built_on_first_read(n):
+    p = make_permutation(n, 6007 + n)
+    assert p._inverse is None  # make_permutation builds no inverse list
+    inverse = p.inverse_table
+    assert p.inverse_table is inverse
+    assert [inverse[y] for y in p.table] == list(range(1 << n))
+    assert [p.table[x] for x in inverse] == list(range(1 << n))
+    # the two-argument form is a Permutation like any other
+    q = Permutation(n, list(p.table))
+    assert q.n == n and q.inverse_table == inverse
+    assert Permutation(n, p.table, inverse).inverse_table is inverse
 
 
 @settings(max_examples=200, deadline=None)
@@ -370,6 +390,53 @@ def test_spec_encrypt_decrypt_match_reference_formulas():
             if kind != ConstructionKind.ECBC3:
                 assert decrypt_with(kind, comps, km, y) == x
                 assert decrypt_with(kind, comps, km, x) == reference_decrypt(kind, comps, km, x)
+
+
+def _drawn_key_material(data, kind, n, kappa):
+    """Key material for kind with every field drawn, k1 = 0 among the draws."""
+    fields = {}
+    for name, bits in key_widths(kind, n, kappa):
+        values = st.integers(0, (1 << bits) - 1)
+        fields[name] = data.draw(st.just(0) | values if name == "k1" else values, name)
+    return KeyMaterial(**fields)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(ConstructionKind) + ["bare EM"]), st.integers(1, 8),
+       st.integers(1, 4), st.integers(0, 2 ** 32), st.data())
+def test_codebook_with_and_codebook_check_follow_the_per_pair_path(kind, n, kappa, seed,
+                                                                   data):
+    if kind == "bare EM":
+        # EM over a hand-built identity, as in test_em_q2_degenerate_constant_function
+        kind, comps = ConstructionKind.EM, [Permutation(n, list(range(1 << n)))]
+    else:
+        comps = build_instance(kind, n, kappa, seed).components
+    km = _drawn_key_material(data, kind, n, kappa)
+    other = _drawn_key_material(data, kind, n, kappa)
+    inst = make_construction(kind, comps, km)
+    codebook = codebook_with(kind, comps, km)
+    for key in (km, other):
+        assert codebook_with(kind, comps, key) == \
+            [encrypt_with(kind, comps, key, x) for x in range(1 << n)]
+        assert codebook_check(inst, key, codebook) == pair_check(inst, key, enumerate(codebook))
+    assert codebook_check(inst, km, codebook) == (True, SPECS[kind].evals << n)
+    # one wrong entry: the check stops there, charging the pairs up to it
+    corrupted, miss = list(codebook), data.draw(st.integers(0, (1 << n) - 1), "miss")
+    corrupted[miss] ^= data.draw(st.integers(1, (1 << n) - 1), "flip")
+    assert codebook_check(inst, km, corrupted) == \
+        pair_check(inst, km, enumerate(corrupted)) == (False, SPECS[kind].evals * (miss + 1))
+
+
+@pytest.mark.parametrize("kind", list(ConstructionKind), ids=lambda kind: kind.value)
+def test_guess_family_peel_is_the_outer_inverse(kind):
+    # peel scatters each key's composed outer table; ECBC3's outer layer is
+    # two permutations, EM's and FX's is empty
+    for n, kappa in ((1, 1), (3, 2), (5, 3)):
+        inst = build_instance(kind, n, kappa, ciphers.derive_seed("peel", kind.value, n))
+        family = guess_family_for(inst, n)
+        expected = np.array([layer_inverse_table(inst.layers(k)[2], n)
+                             for k in range(1 << inst.kappa)])
+        assert family.peel.dtype == np.int32 and np.array_equal(family.peel, expected)
 
 
 def test_guess_maps_at_planted_guess_make_the_database_periodic():

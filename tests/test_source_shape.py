@@ -1,7 +1,8 @@
 """Shape rules on the package source, checked on its syntax trees: no module
 rebinds an outer name, every module keeps every function at the top level
-of a module or class, every cache holds one entry, and the harness names an
-attack only in its table of attacks."""
+of a module or class, every cache holds one entry, no comprehension
+encrypts block by block, and the harness names an attack only in its table
+of attacks."""
 
 import ast
 from pathlib import Path
@@ -50,6 +51,26 @@ def test_every_cache_holds_one_entry():
                 if getattr(target, "attr", getattr(target, "id", None)) in ("lru_cache", "cache"):
                     caches.append((f"{path.name}:{node.lineno}", _holds_one_entry(decorator)))
     assert caches and [site for site, one in caches if not one] == []
+
+
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+PER_BLOCK = ("_raw_encrypt", "encrypt_with")
+
+
+def _callee(node: ast.Call):
+    return getattr(node.func, "attr", getattr(node.func, "id", None))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_comprehension_encrypts_block_by_block(path):
+    # a whole codebook is composed from the layer tables (ciphers.codebook_with),
+    # not one Python cipher evaluation per block
+    found = []
+    for comprehension in ast.walk(_tree(path)):
+        if isinstance(comprehension, COMPREHENSIONS):
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(comprehension)
+                      if isinstance(node, ast.Call) and _callee(node) in PER_BLOCK]
+    assert found == []
 
 
 def _names_the_attack(node: ast.expr) -> bool:
