@@ -370,8 +370,8 @@ class ConstructionInstance:
         self.online_forward += 1
         return self._raw_encrypt(x)
 
-    # uncounted access, used by simulators that realize black-box quantum
-    # oracles; callers account for oracle applications themselves
+    # uncounted access: in the package only encrypt calls it; tests use it to
+    # read the cipher without counting an online query
     def _raw_encrypt(self, x: int) -> int:
         return encrypt_with(self.kind, self.components, self.key_material, x)
 

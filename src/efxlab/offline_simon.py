@@ -27,11 +27,11 @@ Two fidelity modes are provided:
   it never holds the whole joint state. The c registers are identical
   copies and every operation commutes with permuting them, so the vectors
   hold one amplitude per orbit (multiset) of register states, the orbit
-  tables of each shape hold the test as one folded reflection per class,
-  and only the measured branch is expanded to every register state. Each
-  test writes every guess's row and sums the rows once, and the searches
-  of one trial share their first iteration's test of the common start
-  state.
+  tables of each shape hold the test (its rank table from gf2.rank) as one
+  folded reflection per class, and only the measured branch is expanded to
+  every register state. Each test writes every guess's row and sums the
+  rows once, and the searches of one trial share their first iteration's
+  test of the common start state.
   With no search register the c registers never entangle, so EXACT samples
   each register's exact distribution, as TENSOR does.
 
@@ -42,13 +42,16 @@ times, excluding candidates that failed verification; the database is
 rebuilt from the stored classical answers between searches, so online
 queries never exceed the initial pass.
 
-Cost accounting: sim_time_units models the quantum circuit time; database
-build or rebuild costs n*2^u, each amplification iteration costs n^3 for the
-reversible rank computation plus 2*c*evals cipher applications (compute and
-uncompute), and the final sampling pass costs n^3 + c*evals. offline_evals
-counts every cipher table application, including the classical candidate
-verification (one evaluation per layer per re-encrypted pair), which happens
-outside the quantum time budget.
+Cost accounting: the search loop only draws, verifies and excludes, and the
+costs follow from its counts. Over s searches of t iterations each,
+sim_time_units = max(s, 1)*build_time + s*((t + 1)*n^3 + (2*t + 1)*c*evals):
+one database build per search (n*2^u for the offline attack; a run with no
+search still pays one), n^3 for the reversible rank computation in each
+iteration and in the final sampling pass, and 2*c*evals cipher applications
+per iteration (compute and uncompute) plus c*evals for the pass.
+offline_evals = s*(2*t + 1)*c*evals plus the classical candidate verification
+(one evaluation per layer per re-encrypted pair), outside the quantum time
+budget; search_time_units is sim_time_units less the first build.
 """
 
 from __future__ import annotations
@@ -474,7 +477,7 @@ def _tensor_draw(db: QueryDatabase, family: GuessFamily, rng: np.random.Generato
     """Land on an active passing guess with the closed-form success curve,
     otherwise on a uniform other active guess; sample its registers exactly."""
     m = family.search_bits
-    curve = 1.0 if m == 0 else qsim.amplify_success_probability(2.0 ** (-m), iterations)
+    curve = qsim.amplify_success_probability(2.0 ** (-m), iterations)
     passing_set = set(passing)
     active_pass = [g for g in passing if g not in excluded]
     active_other = [g for g in range(1 << m) if g not in passing_set and g not in excluded]
@@ -556,7 +559,7 @@ def _colex_multisets(size: int, c: int) -> Tuple[np.ndarray, np.ndarray]:
     """
     values = np.arange(size, dtype=np.int32)
     lookup, tuples = values, values[None, :]
-    binom = _binomials(size + c, c + 1) if c > 1 else None
+    binom = _binomials(size + c, c + 1)
     for k in range(1, c):
         below = [binom[tuples[j] + j, j + 1] for j in range(k)]
         above = [binom[tuples[j] + j + 1, j + 2] for j in range(k)]
@@ -882,11 +885,9 @@ class _JointCircuit:
 
 def _rank_deficient_table(u: int, c: int) -> np.ndarray:
     """Boolean table over packed c*u-bit sample tuples (sample i at bits i*u): rank < u."""
-    step, dims = map(np.asarray, _spans(u, c))
-    spans = np.zeros(1, dtype=np.intp)
-    for _ in range(c):
-        spans = step[spans].T.ravel()
-    return dims[spans] < u
+    mask = (1 << u) - 1
+    return np.array([gf2.rank([(key >> (i * u)) & mask for i in range(c)], u) < u
+                     for key in range(1 << (c * u))])
 
 
 def _test_reflection(u: int, c: int) -> Tuple[float, np.ndarray]:
@@ -924,9 +925,8 @@ def generalized_offline_simon(instance: ConstructionInstance, db: QueryDatabase,
     Only the draw of the measured guess and its samples depends on the mode:
     EXACT simulates the joint state when there is a guess register, and
     otherwise samples each unentangled register's exact distribution, as
-    TENSOR does. build_time is charged before the first search and for each
-    rebuild after it, which search_time_units counts; candidate verification
-    counts in offline_evals only. fields are the other AttackReport fields.
+    TENSOR does. The costs follow from the counts after the loop (Cost
+    accounting above). fields are the other AttackReport fields.
     """
     if mode not in ("TENSOR", "EXACT"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -946,31 +946,26 @@ def generalized_offline_simon(instance: ConstructionInstance, db: QueryDatabase,
         draw = partial(_JointCircuit(db, family).run_search, rng, iterations)
     else:
         draw = partial(_tensor_draw, db, family, rng, iterations, passing, dists)
-    c, evals = db.c, family.evals
-    per_iter_evals = 2 * c * evals
     pairs = db.known_pairs()
-    offline_evals, sim_time = 0, build_time
     excluded: Set[int] = set()
-    searches, recovered = 0, None
+    searches, verify_evals, recovered = 0, 0, None
     while searches < max_searches and len(excluded) < space:
         searches += 1
-        if searches > 1:
-            sim_time += build_time
-        # the amplification iterations, then the sampling pass on the measured guess
-        offline_evals += iterations * per_iter_evals + c * evals
-        sim_time += (iterations * (db.n_out ** 3 + per_iter_evals)
-                     + db.n_out ** 3 + c * evals)
         g, samples = draw(excluded)
         recovered, spent = _verify_candidates(instance, db, family, pairs, g, samples)
-        offline_evals += spent
+        verify_evals += spent
         if recovered is not None:
             break
         excluded.add(g)
+    # per search: a build, the iterations, then the sampling pass on the measured guess
+    search_evals = (2 * iterations + 1) * db.c * family.evals
+    sim_time = (max(searches, 1) * build_time
+                + searches * ((iterations + 1) * db.n_out ** 3 + search_evals))
     k, k1, k2 = report_keys(instance.kind, recovered)
     return AttackReport(
         success=recovered is not None,
         k=k, k1=k1, k2=k2,
-        offline_evals=offline_evals,
+        offline_evals=searches * search_evals + verify_evals,
         amplification_iterations=iterations,
         sim_time_units=sim_time,
         mode=mode,

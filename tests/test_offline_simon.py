@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from efxlab import ciphers, gf2, offline_simon, qsim
 from efxlab.ciphers import ConstructionKind, KeyMaterial, derive_seed, make_construction
-from efxlab.harness import ExperimentConfig, build_instance, parse_config, true_keys
+from efxlab.harness import (
+    ExperimentConfig,
+    build_instance,
+    parse_config,
+    report_json,
+    run_attack,
+    true_keys,
+)
 from efxlab.offline_simon import (
     GuessFamily,
     build_database_cpa,
@@ -244,6 +251,15 @@ def test_rank_deficient_table_is_the_rank_of_each_tuple(u, c):
     expected = [gf2.rank([(key >> (i * u)) & mask for i in range(c)], u) < u
                 for key in range(1 << (u * c))]
     assert offline_simon._rank_deficient_table(u, c).tolist() == expected
+    # Simon's criterion, apart from any row reduction: a tuple is deficient
+    # exactly when some nonzero t is orthogonal to every sample
+    keys = np.arange(1 << (u * c))
+    samples = [(keys >> (i * u)) & mask for i in range(c)]
+    orthogonal = np.zeros(keys.size, dtype=bool)
+    for t in range(1, 1 << u):
+        orthogonal |= np.logical_and.reduce([np.bitwise_count(y & t) & 1 == 0
+                                             for y in samples])
+    assert orthogonal.tolist() == expected
 
 
 def test_correct_guess_passes_with_probability_one():
@@ -638,11 +654,46 @@ def test_attack_report_json_stable_fields():
 def test_verifier_tries_every_nullspace_member():
     # one register at u = 10 leaves at least a 9-dimensional nullspace, so the
     # period is one of 512 or more candidates
-    from efxlab.harness import parse_config, run_attack
     cfg = parse_config("attack = offline_simon\nconstruction = EFX\nn = 10\n"
                        "kappa = 1\nu = 10\nc = 1\nmode = TENSOR\ntrials = 3\nseed = 5")
     assert cfg.validate() == []
     assert run_attack(cfg)["summary"]["successes"] == 3
+
+
+# configs the shipped configs and benchmark workloads do not cover: TENSOR on
+# every kind the search attacks, searches without a search register (m = 0)
+# or without iterations, EXACT with and without iterations, known plaintexts
+# at alpha = 0.5, max_searches of 1 and 3, and grover_meets_simon; six trials
+# each at seed 33
+ENGINE_GRID = [
+    "construction = EM\nn = 3\nkappa = 1\nu = 2\nc = 3",
+    "construction = FX\nn = 3\nkappa = 2\nu = 2\nc = 3",
+    "construction = EFX\nn = 3\nkappa = 2\nu = 1\nc = 2",
+    "construction = TWO_XOR\nn = 3\nkappa = 2\nu = 2\nc = 3",
+    "construction = DEFX\nn = 2\nkappa = 2\nu = 2\nc = 2",
+    "construction = ECBC3\nn = 2\nkappa = 2\nu = 2\nc = 2",
+    "construction = EFX\nn = 2\nkappa = 2\nu = 1\nc = 3\nmode = EXACT",
+    "construction = FX\nn = 2\nkappa = 1\nu = 2\nc = 2\nmode = EXACT",
+    "construction = EM\nn = 2\nkappa = 1\nu = 2\nc = 2",
+    "construction = EM\nn = 2\nkappa = 1\nu = 2\nc = 2\nmode = EXACT",
+    "construction = EFX\nn = 3\nkappa = 2\nu = 3\nc = 3\nalpha = 0.5\nmax_searches = 1",
+    "construction = EFX\nn = 3\nkappa = 2\nu = 3\nc = 3\nalpha = 0.5\nmax_searches = 3",
+    "construction = EFX\nn = 3\nkappa = 3\nu = 2\nc = 2\nmax_searches = 1",
+    "construction = EFX\nn = 3\nkappa = 3\nu = 2\nc = 2\nmax_searches = 3",
+    "attack = grover_meets_simon\nconstruction = FX\nn = 3\nkappa = 2\nc = 3",
+    "attack = grover_meets_simon\nconstruction = EFX\nn = 3\nkappa = 2\nc = 3",
+]
+# sha256 of the grid's report_json texts, concatenated in grid order; recorded
+# while the engine still charged each search's cost inside its loop
+ENGINE_GRID_DIGEST = "7a015ae0dfdb8c0de0356da6c2978ca3111889dfe187950af6e33b72fe4056e2"
+
+
+def test_engine_reports_on_the_grid_are_pinned():
+    digest = hashlib.sha256()
+    for text in ENGINE_GRID:
+        cfg = parse_config(text + "\ntrials = 6\nseed = 33")
+        digest.update(report_json(run_attack(cfg)).encode())
+    assert digest.hexdigest() == ENGINE_GRID_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Shape rules on the package source, checked on its syntax trees: no module
 rebinds an outer name, every module keeps every function at the top level
 of a module or class, every cache holds one entry, no comprehension
-encrypts block by block, and the harness names an attack only in its table
-of attacks."""
+encrypts block by block, the harness names an attack only in its table
+of attacks, and no function is there only for its own test."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import efxlab
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "efxlab"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -97,3 +100,32 @@ def test_harness_tests_an_attack_name_only_in_its_table():
             if any(map(_names_the_attack, operands)) and any(map(_is_literal, operands)):
                 found.append(f"harness.py:{node.lineno}")
     assert found == []
+
+
+# functions that nothing in the package references and efxlab does not export,
+# each with the reason it stays
+TEST_ONLY_ALLOWED = {
+    **dict.fromkeys(("hadamard", "apply_xor_oracle", "apply_inplace_perm", "measure",
+                     "decrypt_with", "classical_period_find"),
+                    "traced by name by benchmarks/bench_trace.py"),
+    **dict.fromkeys(("efx_required_resources", "extqsearch_classical_time"),
+                    "read only by acceptance criteria 10 and 11"),
+}
+
+
+def _names_read(tree: ast.AST) -> Counter:
+    return Counter(getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_function_has_a_caller_in_the_package():
+    # code whose only caller is its own test goes: every function or method is
+    # named in the package outside its own body, exported, or allowed above;
+    # special methods are called by the language
+    trees = [_tree(path) for path in sorted(SRC.glob("*.py"))]
+    read = sum(map(_names_read, trees), Counter())
+    unreferenced = {node.name for tree in trees for node in ast.walk(tree)
+                    if isinstance(node, FUNCTIONS)
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and read[node.name] == _names_read(node)[node.name]}
+    assert unreferenced - set(efxlab.__all__) == set(TEST_ONLY_ALLOWED)
