@@ -90,7 +90,7 @@ JOINT_BYTES_PER_AMPLITUDE = 26
 # orbit entries an EXACT test scatters, reflects and gathers at a time
 _TEST_BLOCK = 1 << 14
 # entries the span DP's table (_spans) may hold, 11 B each (VmHWM: 10.0-10.4 B at u = 6-7);
-# 2^22 admits u <= 7 at any c and bounds time (u = 7, c = 9: 1.3 s to build, 4-5 s a DP call)
+# 2^22 admits u <= 7 at any c and bounds time (u = 7, c = 9: 1.0 s to build, 3.4-4.3 s a DP call)
 MAX_SPAN_DP_TRANSITIONS = 1 << 22
 SPAN_DP_BYTES_PER_TRANSITION = 11
 # (inner key, block) entries a guess family may hold: 2^kappa inner keys, each
@@ -317,12 +317,34 @@ def register_distribution(h: np.ndarray, u: int) -> np.ndarray:
     register sum_x |x>|h(x)>; a stack of tables gives one row per table.
 
     The mass at y is 2^(-2u) * sum_s A(s) (-1)^(s.y), where the
-    autocorrelation A(s) counts the inputs x with h(x) = h(x ^ s); the sums
-    are qsim.walsh over A, in integers, so the floats are exact and the
-    memory is O(2^u) per table.
+    autocorrelation A(s) counts the inputs x with h(x) = h(x ^ s). A comes
+    from the pairs of equal payloads: each table is argsorted once,
+    A(0) = 2^u, and for k = 1, 2, ... while some sorted neighbours k apart
+    are equal, each such pair of inputs x, x' adds 2 at x ^ x'. The sums are
+    qsim.walsh over A, in integers, so the floats are exact, equal to those
+    of comparing the whole table once per s, and the memory is O(2^u) per
+    table. A pass costs O(2^u) per table plus its pairs, and a stack takes
+    as many passes as its largest group of equal payloads. Against one
+    comparison per s, at u = 6-8 on a 2-vCPU VM, a random table took
+    0.07-0.19x the time, a known-plaintext table with half its payloads
+    zero 0.82-1.11x, and a constant table, the worst case (2^u passes,
+    4^u compares), 1.76-2.02x.
     """
-    xs = np.arange(1 << u)
-    autocorrelation = np.stack([(h == h[..., xs ^ s]).sum(axis=-1) for s in xs], axis=-1)
+    size = 1 << u
+    # the stable sort pages in less of numpy's sort code than the default
+    # (128 against 320 kB resident), and the sort's tie order does not matter
+    order = np.argsort(h, axis=-1, kind="stable").reshape(-1, size)
+    ranked = np.take_along_axis(h.reshape(-1, size), order, axis=-1)
+    autocorrelation = np.zeros(h.size, dtype=np.int64)
+    k = 1
+    while (pairs := np.nonzero(ranked[:, k:] == ranked[:, :-k]))[0].size:
+        rows, cols = pairs
+        shifts = rows * size + (order[rows, cols] ^ order[rows, cols + k])
+        autocorrelation += np.bincount(shifts, minlength=h.size)
+        k += 1
+    autocorrelation = autocorrelation.reshape(h.shape)
+    autocorrelation *= 2
+    autocorrelation[..., 0] = size
     return qsim.walsh(autocorrelation) / float(1 << (2 * u))
 
 
@@ -330,7 +352,10 @@ def _scan_distributions(db: QueryDatabase, family: GuessFamily) -> np.ndarray:
     """register_distribution of every guess, one row per guess.
 
     Guesses are mapped in chunks of at most 2^20 >> (n_out - u) register
-    entries.
+    entries, and each chunk is one stack for register_distribution, which
+    makes as many passes as the chunk's largest group of equal payloads.
+    The 2^14 guesses of TWO_XOR n=7 kappa=14 u=7 scan in 0.36-0.39 s on a
+    2-vCPU VM (3.0-3.8 s with one comparison of each whole table per s).
     """
     space = 1 << family.search_bits
     step = max(1, (1 << 20) >> db.n_out)
@@ -368,17 +393,18 @@ def exact_pass_probability(dist: np.ndarray, u: int, c: int) -> float:
 
     Dynamic program over the span of the samples, numbered by _spans;
     equivalent to enumerating every c-tuple of outcomes weighted by its probability.
+    Each span's row of _spans is zipped with dist, so every step multiplies
+    the numpy float64 masses of dist in outcome order, the same products
+    added in the same order as a DP keyed by canonical basis tuples.
     """
     step, dims = _spans(u, c)
     dp: Dict[int, float] = {0: 1.0}
     for _ in range(c):
         new: Dict[int, float] = {}
         for span, pr in dp.items():
-            row = step[span]
-            for y, py in enumerate(dist):
+            for s, py in zip(step[span], dist):
                 if py <= 0.0:
                     continue
-                s = row[y]
                 new[s] = new.get(s, 0.0) + pr * float(py)
         dp = new
     return sum(p for span, p in dp.items() if dims[span] < u)

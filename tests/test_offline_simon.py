@@ -298,6 +298,94 @@ def test_single_register_single_bit_hand_enumeration():
     assert exact_pass_probability(dist, 1, 1) == 1.0
 
 
+def dense_register_distribution(h, u):
+    """Reference: the autocorrelation A(s) = #{x : h(x) = h(x ^ s)} from one
+    comparison of the whole table per s, then the same integer Walsh sums."""
+    xs = np.arange(1 << u)
+    autocorrelation = np.stack([(h == h[..., xs ^ s]).sum(axis=-1) for s in xs], axis=-1)
+    return qsim.walsh(autocorrelation) / float(1 << (2 * u))
+
+
+@st.composite
+def payload_stacks(draw):
+    """A stack of 1-3 payload tables over u = 0..8 input bits, each of one
+    kind: chosen-plaintext (random n_out-bit values), known-plaintext
+    (placeholder zeros at the missing inputs), constant, or with an exact
+    period s (h(x) = h(x ^ s))."""
+    u = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = 1 << u
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["cpa", "kpa", "constant", "periodic"]),
+                              min_size=1, max_size=3)):
+        values = rng.integers(0, 1 << draw(st.integers(max(u, 1), 12)), size)
+        if kind == "kpa":
+            values[rng.random(size) < draw(st.sampled_from([0.0625, 0.5, 0.9]))] = 0
+        elif kind == "constant":
+            values[:] = values[0]
+        elif kind == "periodic":
+            period = int(rng.integers(size))
+            values = values[np.minimum(np.arange(size), np.arange(size) ^ period)]
+        rows.append(values)
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    return np.array(rows, dtype=dtype) if len(rows) > 1 else rows[0].astype(dtype), u
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload_stacks())
+def test_register_distribution_equals_the_dense_autocorrelation(case):
+    h, u = case
+    assert np.array_equal(register_distribution(h, u), dense_register_distribution(h, u))
+
+
+def test_scan_rows_are_the_per_guess_distributions_across_chunks():
+    # EFX n = 12, kappa = 1, u = 1: 4,096 guesses, mapped 256 at a time
+    inst = efx_instance(12, 1, 5)
+    db = build_database_cpa(inst, 1, 3)
+    family = guess_family_for(inst, 1)
+    dists = offline_simon._scan_distributions(db, family)
+    assert dists.shape == (4096, 2)
+    for g in range(4096):
+        row = register_distribution(transformed_payload(db.payload, family, g), 1)
+        assert np.array_equal(dists[g], row)
+
+
+# the three workload shapes that scan guesses (kpa_tensor, cpa_tensor and
+# exact_joint), three trials each at the digest seed; the reports see the
+# scan's floats only through pass/fail decisions, so these pin the floats
+SCAN_SHAPES = [
+    "construction = EFX\nn = 4\nkappa = 4\nu = 4\nc = 6\nalpha = 0.0625",
+    "construction = EFX\nn = 4\nkappa = 4\nu = 2\nc = 6",
+    "construction = EFX\nn = 3\nkappa = 3\nu = 2\nc = 3\nmode = EXACT",
+]
+# sha256 of every _scan_distributions result's bytes and of every
+# exact_pass_probability value's hex form, in call order; recorded while the
+# scan compared whole tables and the DP read each outcome through row[y]
+SCAN_DIGEST = "29d47e1253989ffb672886e82e0ad0cfc171ea926e00dead9643aea581f99405"
+PASS_DIGEST = "16b62817d31ba2d6f3b0cf517f1c424996276d3c7c2039034ad7169ca0ccdee4"
+
+
+def test_scan_and_pass_probability_floats_are_pinned(monkeypatch):
+    scans, passes = hashlib.sha256(), hashlib.sha256()
+    scan, pass_probability = offline_simon._scan_distributions, exact_pass_probability
+
+    def recorded_scan(db, family):
+        dists = scan(db, family)
+        scans.update(dists.tobytes())
+        return dists
+
+    def recorded_pass_probability(dist, u, c):
+        p = pass_probability(dist, u, c)
+        passes.update(p.hex().encode())
+        return p
+
+    monkeypatch.setattr(offline_simon, "_scan_distributions", recorded_scan)
+    monkeypatch.setattr(offline_simon, "exact_pass_probability", recorded_pass_probability)
+    for text in SCAN_SHAPES:
+        run_attack(parse_config(text + "\ntrials = 3\nseed = 2024"))
+    assert (scans.hexdigest(), passes.hexdigest()) == (SCAN_DIGEST, PASS_DIGEST)
+
+
 # ---------------------------------------------------------------------------
 # attacks
 
