@@ -24,14 +24,13 @@ def derive_seed(*parts) -> int:
 
 
 class Permutation:
-    """Explicit bijection on n-bit blocks; the inverse table is built the
-    first time it is read, unless one is given."""
+    """Explicit bijection on n-bit blocks; the inverse table is built from
+    table the first time it is read."""
 
-    def __init__(self, n: int, table: List[int],
-                 inverse_table: Optional[List[int]] = None) -> None:
+    def __init__(self, n: int, table: List[int]) -> None:
         self.n = n
         self.table = table
-        self._inverse = inverse_table
+        self._inverse: Optional[List[int]] = None
 
     @property
     def inverse_table(self) -> List[int]:

@@ -53,8 +53,8 @@ def _reduced_rows(rows: Sequence[int]) -> List[int]:
     return basis
 
 
-def rank(rows: Sequence[int], n: int) -> int:
-    """Dimension of the span of n-bit rows over GF(2)."""
+def rank(rows: Sequence[int]) -> int:
+    """Dimension of the span of the rows over GF(2)."""
     return len(_reduced_rows(rows))
 
 
@@ -81,7 +81,7 @@ def recover_period(samples: Sequence[int], n: int) -> PeriodResult:
     Anything below rank n-1 is reported as undetermined; callers decide how to
     treat that (the attack loop counts it as a suspicious pass).
     """
-    r = rank(samples, n)
+    r = rank(samples)
     if r == n:
         return INJECTIVE
     if r == n - 1:

@@ -382,19 +382,19 @@ def _suite_unitarity() -> Tuple[bool, str]:
     # an orthonormal V makes each guess test sign * (I - 2 V V^T) an
     # orthogonal involution, which the two-vector EXACT search relies on;
     # on the registers' orbits it acts per class as sign * (I - 2 V_r W^T),
-    # which must be one too under the orbit-weighted norm. Two payload bits
-    # give every class of c <= 4 registers
+    # which must be one too under the orbit-weighted norm, with the sign that
+    # folds() returns. Two payload bits give every class of c <= 4 registers
     for u, c in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 3)):
         basis = offline_simon._test_reflection(u, c)[1]
         if not np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-9):
             return False, f"test reflection basis at u = {u}, c = {c} is not orthonormal"
         tables = offline_simon._orbit_tables(u, 2, c)
-        for code, (offset, rows, cols), (v_r, fold) in zip(tables.codes, tables.classes,
-                                                             tables.folds()):
+        sign, folds = tables.folds()
+        for code, (offset, rows, cols), (v_r, fold) in zip(tables.codes, tables.classes, folds):
             weights = tables.weights[offset:offset + rows * cols:cols]
             block = rng.normal(size=(rows, 3))
-            once = tables.sign * block + v_r @ (fold @ block)
-            twice = tables.sign * once + v_r @ (fold @ once)
+            once = sign * block + v_r @ (fold @ block)
+            twice = sign * once + v_r @ (fold @ once)
             where = f"folded test at u = {u}, c = {c}, class {code}"
             if np.max(np.abs(twice - block)) > 1e-9:
                 return False, f"{where} is not an involution"

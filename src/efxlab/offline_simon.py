@@ -244,18 +244,15 @@ class GuessFamily:
     and y1, the (n-u)-bit whitening suffix, above it. The tables are dense
     and indexed by the inner key y2: relabel over the u-bit input, inner and
     peel (the inverted outer layer) over n_out-bit values, each the identity
-    where the construction has no such layer. evals is the cipher-evaluation
-    charge for transforming one register once.
+    where the construction has no such layer; their shapes carry u and n_out.
+    The engine charges each register transform SPECS[kind].evals evaluations.
     """
 
-    u: int
-    n_out: int
     kappa_bits: int
     suffix_bits: int
     relabel: np.ndarray
     inner: np.ndarray
     peel: np.ndarray
-    evals: int = 1
 
     @property
     def search_bits(self) -> int:
@@ -293,7 +290,7 @@ def guess_family_for(instance: ConstructionInstance, u: int) -> GuessFamily:
     outer = np.array([layer_table(o, n) for _, _, o in keys], dtype=np.int32)
     peel = np.empty_like(outer)
     peel[np.arange(len(keys))[:, None], outer] = np.arange(1 << n, dtype=np.int32)
-    return GuessFamily(u, n, instance.kappa, n - u, relabel, inner, peel, spec.evals)
+    return GuessFamily(instance.kappa, n - u, relabel, inner, peel)
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +298,12 @@ def guess_family_for(instance: ConstructionInstance, u: int) -> GuessFamily:
 
 
 def transformed_payload(payload: Sequence[int], family: GuessFamily, g) -> np.ndarray:
-    """The payload table after guess g's maps, indexed by the relabeled input;
-    an array of guesses gives one row per guess."""
-    g = np.asarray(g)
-    rows = (np.arange(g.size)[:, None],) if g.ndim else ()
-    x2, w2 = family.maps(g[..., None], np.arange(len(payload)),
+    """The payload table after the maps of each guess of the 1-D array g,
+    one row per guess, indexed by the relabeled input."""
+    x2, w2 = family.maps(g[:, None], np.arange(len(payload)),
                          np.asarray(payload, dtype=np.int64))
     h = np.empty_like(w2)
-    h[rows + (x2,)] = w2
+    h[np.arange(g.size)[:, None], x2] = w2
     return h
 
 
@@ -416,7 +411,8 @@ def exact_pass_probability(dist: np.ndarray, u: int, c: int) -> float:
 
 @dataclass
 class AttackReport:
-    """Outcome and exact resource counters of one attack run."""
+    """Outcome and exact resource counters of one attack run. ambiguous, and
+    the flag that to_json_dict puts ahead of flags, read passing_count > 1."""
 
     success: bool
     k: Optional[int]
@@ -430,11 +426,14 @@ class AttackReport:
     seed: int
     query_model: str = "Q1"
     searches: int = 0
-    ambiguous: bool = False
     passing_count: int = 0
     flags: List[str] = field(default_factory=list)
     search_time_units: int = 0
     recovery_queries: int = 0
+
+    @property
+    def ambiguous(self) -> bool:
+        return self.passing_count > 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -453,7 +452,7 @@ class AttackReport:
                 "searches": self.searches,
                 "ambiguous": self.ambiguous,
                 "passing_count": self.passing_count,
-                "flags": list(self.flags),
+                "flags": (["ambiguous-passing-set"] if self.ambiguous else []) + self.flags,
                 "search_time_units": self.search_time_units,
                 "recovery_queries": self.recovery_queries,
             },
@@ -615,8 +614,8 @@ class _OrbitTables:
     index to its orbit's position, so it ranks any tuple with one lookup;
     states holds each register's state in the sorted tuple of every orbit,
     and weights each orbit's number of register tuples. folds() builds, on
-    the first test, sign and each class's (V_r, -2 sign W^T), the one copy
-    of the test a search of this shape applies.
+    the first test, the test's sign and each class's (V_r, -2 sign W^T),
+    the one copy of the test a search of this shape applies.
     """
 
     def __init__(self, u: int, n_out: int, c: int):
@@ -661,11 +660,11 @@ class _OrbitTables:
         for i in range(1, c):
             run = np.where(self.states[i] == self.states[i - 1], run + 1, 1)
             self.weights = self.weights * (i + 1) // run
-        self.sign: Optional[float] = None
-        self._folds: Optional[list] = None
+        self._folds: Optional[Tuple[float, list]] = None
 
-    def folds(self) -> list:
-        """Each class's (V_r, -2 sign W^T), built with sign on first use.
+    def folds(self) -> Tuple[float, list]:
+        """(sign, folds): _test_reflection's sign and each class's
+        (V_r, -2 sign W^T), built on first use and kept.
 
         V_r is _test_reflection's V at each row's representative tuple in
         states, and W sums V over the input tuples that fold onto the row, in
@@ -675,7 +674,7 @@ class _OrbitTables:
         """
         if self._folds is None:
             u, n, c = self.u, self.n_out, self.c
-            self.sign, basis = _test_reflection(u, c)
+            sign, basis = _test_reflection(u, c)
             inputs = [np.arange(1 << (c * u)) >> (i * u) & ((1 << u) - 1) for i in range(c)]
             folds = []
             for code, (offset, rows, cols) in zip(self.codes, self.classes):
@@ -687,11 +686,11 @@ class _OrbitTables:
                 order = np.argsort(row, kind="stable")
                 starts = np.searchsorted(row[order], np.arange(rows))
                 fold = np.ascontiguousarray(np.add.reduceat(basis[order], starts, axis=0).T)
-                fold *= -2.0 * self.sign
+                fold *= -2.0 * sign
                 v_r = basis[sum(x << (i * u) for i, x in enumerate(first))]
                 v_r.flags.writeable = fold.flags.writeable = False
                 folds.append((v_r, fold))
-            self._folds = folds
+            self._folds = sign, folds
         return self._folds
 
 
@@ -851,7 +850,7 @@ class _JointCircuit:
         is state itself, and a block of excluded guesses is not tested."""
         if self.maps is None:
             self._build_maps()
-        folds = self.tables.folds()
+        sign, folds = self.tables.folds()
         work = np.empty(self.block * self.size)
         slots = work.reshape(self.block, self.size)
         classes = []
@@ -876,7 +875,7 @@ class _JointCircuit:
                     np.matmul(fold, blocks, out=overlap)
                     np.matmul(basis, overlap, out=blocks)
                 np.take(work, index, out=out, mode="clip")
-                if self.tables.sign > 0:
+                if sign > 0:
                     out += values
                 else:
                     out -= values
@@ -912,7 +911,7 @@ class _JointCircuit:
 def _rank_deficient_table(u: int, c: int) -> np.ndarray:
     """Boolean table over packed c*u-bit sample tuples (sample i at bits i*u): rank < u."""
     mask = (1 << u) - 1
-    return np.array([gf2.rank([(key >> (i * u)) & mask for i in range(c)], u) < u
+    return np.array([gf2.rank([(key >> (i * u)) & mask for i in range(c)]) < u
                      for key in range(1 << (c * u))])
 
 
@@ -967,7 +966,6 @@ def generalized_offline_simon(instance: ConstructionInstance, db: QueryDatabase,
     dists = _scan_distributions(db, family)
     passing = [g for g in range(space)
                if exact_pass_probability(dists[g], db.u, db.c) >= 0.5]
-    ambiguous = len(passing) > 1
     if mode == "EXACT" and m > 0:
         draw = partial(_JointCircuit(db, family).run_search, rng, iterations)
     else:
@@ -984,7 +982,7 @@ def generalized_offline_simon(instance: ConstructionInstance, db: QueryDatabase,
             break
         excluded.add(g)
     # per search: a build, the iterations, then the sampling pass on the measured guess
-    search_evals = (2 * iterations + 1) * db.c * family.evals
+    search_evals = (2 * iterations + 1) * db.c * SPECS[instance.kind].evals
     sim_time = (max(searches, 1) * build_time
                 + searches * ((iterations + 1) * db.n_out ** 3 + search_evals))
     k, k1, k2 = report_keys(instance.kind, recovered)
@@ -997,9 +995,7 @@ def generalized_offline_simon(instance: ConstructionInstance, db: QueryDatabase,
         mode=mode,
         seed=seed,
         searches=searches,
-        ambiguous=ambiguous,
         passing_count=len(passing),
-        flags=["ambiguous-passing-set"] if ambiguous else [],
         search_time_units=sim_time - build_time,
         **fields,
     )

@@ -26,7 +26,6 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 @dataclass
 class MeasurementOutcome:
-    register: str
     value: int
     probability: float
 
@@ -187,7 +186,7 @@ def measure(sv: StateVector, register: str,
     keep = outcomes == value
     norm = math.sqrt(float(weights[keep].sum()))
     sv._idx, sv._vals = idx[keep], vals[keep] / norm
-    return MeasurementOutcome(register, value, float(probs[value])), sv
+    return MeasurementOutcome(value, float(probs[value])), sv
 
 
 def walsh(a: np.ndarray) -> np.ndarray:
@@ -377,4 +376,4 @@ def amplitude_amplify(prep: np.ndarray, marked: Sequence[int], iterations: int,
     """One measurement of amplified_distribution(prep, marked, iterations)."""
     probs = amplified_distribution(prep, marked, iterations)
     value = int(rng.choice(probs.size, p=probs))
-    return MeasurementOutcome("search", value, float(probs[value]))
+    return MeasurementOutcome(value, float(probs[value]))

@@ -31,7 +31,7 @@ from efxlab.offline_simon import guess_family_for, transformed_payload
 
 
 def identity_permutation(n):
-    return Permutation(n, list(range(1 << n)), list(range(1 << n)))
+    return Permutation(n, list(range(1 << n)))
 
 
 def identity_cipher(n, kappa):
@@ -74,10 +74,9 @@ def test_permutation_inverse_is_built_on_first_read(n):
     assert p.inverse_table is inverse
     assert [inverse[y] for y in p.table] == list(range(1 << n))
     assert [p.table[x] for x in inverse] == list(range(1 << n))
-    # the two-argument form is a Permutation like any other
+    # a Permutation built from a copy of the table reads the same inverse
     q = Permutation(n, list(p.table))
     assert q.n == n and q.inverse_table == inverse
-    assert Permutation(n, p.table, inverse).inverse_table is inverse
 
 
 @settings(max_examples=200, deadline=None)
@@ -451,8 +450,7 @@ def test_guess_maps_at_planted_guess_make_the_database_periodic():
                             for x in range(1 << u))
             family = guess_family_for(inst, u)
             planted = (k or 0) | ((w1 & ((1 << shift) - 1)) << family.kappa_bits)
-            assert family.evals == SPECS[kind].evals
-            h = transformed_payload(payload, family, planted)
+            h = transformed_payload(payload, family, np.array([planted]))[0]
             period = w1 >> shift
             assert all(h[x] == h[x ^ period] for x in range(1 << u)), (kind, u)
 

@@ -44,7 +44,7 @@ def efx_instance(n, kappa, seed):
 def pass_probability(db, g, family):
     """Exact chance that guess g's c post-Hadamard samples have rank below u,
     computed as the attack's scan computes it."""
-    dist = register_distribution(transformed_payload(db.payload, family, g), db.u)
+    dist = register_distribution(transformed_payload(db.payload, family, np.array([g]))[0], db.u)
     return exact_pass_probability(dist, db.u, db.c)
 
 
@@ -248,7 +248,7 @@ def test_exact_pass_probability_equals_the_tuple_span_dp(case):
                                   if u * c <= 12])
 def test_rank_deficient_table_is_the_rank_of_each_tuple(u, c):
     mask = (1 << u) - 1
-    expected = [gf2.rank([(key >> (i * u)) & mask for i in range(c)], u) < u
+    expected = [gf2.rank([(key >> (i * u)) & mask for i in range(c)]) < u
                 for key in range(1 << (u * c))]
     assert offline_simon._rank_deficient_table(u, c).tolist() == expected
     # Simon's criterion, apart from any row reduction: a tuple is deficient
@@ -346,7 +346,7 @@ def test_scan_rows_are_the_per_guess_distributions_across_chunks():
     dists = offline_simon._scan_distributions(db, family)
     assert dists.shape == (4096, 2)
     for g in range(4096):
-        row = register_distribution(transformed_payload(db.payload, family, g), 1)
+        row = register_distribution(transformed_payload(db.payload, family, np.array([g]))[0], 1)
         assert np.array_equal(dists[g], row)
 
 
@@ -660,7 +660,7 @@ def test_em_q2_key_check_charges_the_completion_and_the_pairs_tried(monkeypatch)
 
 
 def test_em_q2_degenerate_constant_function():
-    perm = ciphers.Permutation(3, list(range(8)), list(range(8)))
+    perm = ciphers.Permutation(3, list(range(8)))
     inst = make_construction(ConstructionKind.EM, [perm], KeyMaterial(k1=0, k2=0))
     rng = np.random.default_rng(0)
     rep = em_q2_attack(inst, 8, rng)
@@ -696,7 +696,7 @@ def test_generalized_engine_no_periodic_member_fails(monkeypatch):
     # payloads drawn to be injective; XOR masks constant so nothing is periodic
     db = offline_simon.QueryDatabase(4, 4, 6, tuple(range(16)))
     identity = np.tile(np.arange(16), (4, 1))
-    family = GuessFamily(u=4, n_out=4, kappa_bits=2, suffix_bits=0, relabel=identity,
+    family = GuessFamily(kappa_bits=2, suffix_bits=0, relabel=identity,
                          inner=np.repeat(np.arange(4)[:, None], 16, axis=1), peel=identity)
     monkeypatch.setattr(offline_simon, "guess_family_for", lambda instance, u: family)
     rep = generalized_offline_simon(inst, db, np.random.default_rng(4), build_time=64,
@@ -723,7 +723,7 @@ def test_kpa_run_with_no_known_pair_spends_no_verification():
     inst = efx_instance(3, 2, 5)
     rep = offline_simon_attack(inst, 3, 3, "TENSOR", np.random.default_rng(0),
                                known_inputs=[])
-    assert qsim.search_iterations(2) == 1 and guess_family_for(inst, 3).evals == 2
+    assert qsim.search_iterations(2) == 1 and ciphers.SPECS[inst.kind].evals == 2
     assert not rep.success and rep.searches == 3 and rep.online_queries == 0
     assert rep.offline_evals == 54
 
@@ -737,6 +737,23 @@ def test_attack_report_json_stable_fields():
                          "iterations", "sim_time_units", "mode", "seed", "meta"}
     json.dumps(blob)  # serializable
     assert blob["seed"] == 77 and blob["mode"] == "TENSOR"
+
+
+@pytest.mark.parametrize("passing_count", [0, 1, 2, 5])
+@pytest.mark.parametrize("flags", [[], ["degenerate-undetermined"],
+                                   ["degenerate-injective", "period-verification-failed"]])
+def test_attack_report_reads_ambiguity_from_the_passing_count(passing_count, flags):
+    rep = offline_simon.AttackReport(
+        success=False, k=None, k1=None, k2=None, online_queries=0, offline_evals=0,
+        amplification_iterations=0, sim_time_units=0, mode="EXACT", seed=0,
+        passing_count=passing_count, flags=list(flags))
+    ambiguous = passing_count > 1
+    meta = rep.to_json_dict()["meta"]
+    assert rep.ambiguous is meta["ambiguous"] is ambiguous
+    assert meta["passing_count"] == passing_count
+    # the derived flag comes first, the stored ones follow in their order
+    assert meta["flags"] == ["ambiguous-passing-set"] * ambiguous + flags
+    assert rep.flags == flags  # serializing leaves the stored flags alone
 
 
 def test_verifier_tries_every_nullspace_member():
@@ -802,7 +819,7 @@ def register_and_family(draw):
     def tables(strategy):
         return np.array([draw(strategy) for _ in range(1 << kappa_bits)])
 
-    family = GuessFamily(u, n_out, kappa_bits, suffix_bits,
+    family = GuessFamily(kappa_bits, suffix_bits,
                          relabel=tables(st.permutations(range(1 << u))),
                          inner=tables(st.lists(values, min_size=width, max_size=width)),
                          peel=tables(st.permutations(range(1 << n_out))))
@@ -829,7 +846,7 @@ def test_register_distribution_matches_gate_level_simulation(case):
             qsim.hadamard_qubit(vec, q)
         born = np.bincount(np.arange(vec.size) & ((1 << u) - 1),
                            weights=np.abs(vec) ** 2, minlength=1 << u)
-        dist = register_distribution(transformed_payload(payload, family, g), u)
+        dist = register_distribution(transformed_payload(payload, family, np.array([g]))[0], u)
         assert np.allclose(dist, born, atol=1e-12)
         # an array of guesses gives, row by row, what scalar maps calls give
         x2, w2 = family.maps(g, xs, ws)
@@ -886,7 +903,7 @@ def _reference_search(db, family, iterations, excluded, rng):
     fwd, inputs = forward(guess, idx, m)
     fwd |= guess
     bwd = inverse(fwd)
-    deficient = np.array([gf2.rank([(key >> (i * u)) & ((1 << u) - 1) for i in range(c)], u) < u
+    deficient = np.array([gf2.rank([(key >> (i * u)) & ((1 << u) - 1) for i in range(c)]) < u
                           for key in range(1 << (c * u))])
     good = deficient[inputs] & ~np.isin(guess, list(excluded))
     vec = np.zeros(1 << reg, dtype=np.complex128)
@@ -1123,9 +1140,9 @@ def _folded_reflection(u, c, code):
     if c * u <= 9 and c * (u + n_out) <= 16])
 def test_orbit_tables_fold_the_test_as_the_reference_does(u, c, n_out):
     tables = offline_simon._orbit_tables(u, n_out, c)
-    folds = tables.folds()
+    got_sign, folds = tables.folds()
     sign = offline_simon._test_reflection(u, c)[0]
-    assert tables.sign == sign
+    assert got_sign == sign
     assert len(folds) == len(tables.codes) == len(tables.classes)
     for code, (offset, rows, cols), (basis, fold) in zip(tables.codes, tables.classes, folds):
         ref_basis, ref_fold, ref_weights = _folded_reflection(u, c, code)
@@ -1135,7 +1152,7 @@ def test_orbit_tables_fold_the_test_as_the_reference_does(u, c, n_out):
         assert np.array_equal(tables.weights[offset:offset + rows * cols:cols], ref_weights)
         assert not basis.flags.writeable and not fold.flags.writeable
     # the tables own the one copy: no cache keeps V or the rank table
-    assert tables.folds() is folds
+    assert tables.folds()[1] is folds
     assert not hasattr(offline_simon._test_reflection, "cache_info")
     assert not hasattr(offline_simon._rank_deficient_table, "cache_info")
 

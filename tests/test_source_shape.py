@@ -2,7 +2,8 @@
 rebinds an outer name, every module keeps every function at the top level
 of a module or class, every cache holds one entry, no comprehension
 encrypts block by block, the harness names an attack only in its table
-of attacks, and no function is there only for its own test."""
+of attacks, no function is there only for its own test, and every
+parameter is read."""
 
 import ast
 from collections import Counter
@@ -129,3 +130,28 @@ def test_every_function_has_a_caller_in_the_package():
                     and not (node.name.startswith("__") and node.name.endswith("__"))
                     and read[node.name] == _names_read(node)[node.name]}
     assert unreferenced - set(efxlab.__all__) == set(TEST_ONLY_ALLOWED)
+
+
+# parameters that no body reads, each with the reason the signature keeps it
+UNREAD_ALLOWED = {
+    ("ciphers.py", "_em_layers", "k"): "every ConstructionSpec.layers takes (components, k)",
+    ("harness.py", "_run_exhaustive", "rng"):
+        "every Attack.run takes (cfg, instance, rng, trial_seed)",
+}
+
+
+def test_every_parameter_is_read():
+    # an argument that nothing reads is a second way to call the function for
+    # no effect: every parameter of every def is read in its own body
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, FUNCTIONS):
+                args = node.args
+                params = (args.posonlyargs + args.args + args.kwonlyargs
+                          + [arg for arg in (args.vararg, args.kwarg) if arg])
+                read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+                unread |= {(path.name, node.name, arg.arg) for arg in params
+                           if arg.arg not in ("self", "cls") and arg.arg not in read}
+    assert unread == set(UNREAD_ALLOWED)
