@@ -9,7 +9,9 @@ and nothing records wall-clock time or paths.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import asdict, dataclass, replace
+from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -241,10 +243,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict:
 
 def _mean(values: Sequence[float]) -> float:
     """Mean of values added one by one from 0.0 in order; 0.0 for none."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total / len(values) if values else 0.0
+    return reduce(operator.add, values, 0.0) / len(values) if values else 0.0
 
 
 def run_attack(cfg: ExperimentConfig) -> dict:

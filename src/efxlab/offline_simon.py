@@ -57,8 +57,9 @@ budget; search_time_units is sim_time_units less the first build.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -402,7 +403,8 @@ def exact_pass_probability(dist: np.ndarray, u: int, c: int) -> float:
                     continue
                 new[s] = new.get(s, 0.0) + pr * float(py)
         dp = new
-    return sum(p for span, p in dp.items() if dims[span] < u)
+    # a left fold from 0.0 in dp order: sum() compensates float additions since Python 3.12
+    return reduce(operator.add, (p for span, p in dp.items() if dims[span] < u), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 @dataclass
 class MeasurementOutcome:
     value: int
-    probability: float
 
 
 class StateVector:
@@ -56,13 +55,12 @@ class StateVector:
             raise ValueError("state vector needs at least one qubit")
         self.num_qubits = start
         self.layout = layout
-        self._dim = 1 << start
         self._idx = np.zeros(1, dtype=np.int64)
         self._vals = np.ones(1, dtype=np.complex128)
 
     @property
     def amps(self) -> np.ndarray:
-        out = np.zeros(self._dim, dtype=np.complex128)
+        out = np.zeros(1 << self.num_qubits, dtype=np.complex128)
         out[self._idx] = self._vals
         out.flags.writeable = False
         return out
@@ -186,7 +184,7 @@ def measure(sv: StateVector, register: str,
     keep = outcomes == value
     norm = math.sqrt(float(weights[keep].sum()))
     sv._idx, sv._vals = idx[keep], vals[keep] / norm
-    return MeasurementOutcome(value, float(probs[value])), sv
+    return MeasurementOutcome(value), sv
 
 
 def walsh(a: np.ndarray) -> np.ndarray:
@@ -375,5 +373,4 @@ def amplitude_amplify(prep: np.ndarray, marked: Sequence[int], iterations: int,
                       rng: np.random.Generator) -> MeasurementOutcome:
     """One measurement of amplified_distribution(prep, marked, iterations)."""
     probs = amplified_distribution(prep, marked, iterations)
-    value = int(rng.choice(probs.size, p=probs))
-    return MeasurementOutcome(value, float(probs[value]))
+    return MeasurementOutcome(int(rng.choice(probs.size, p=probs)))

@@ -30,6 +30,11 @@ from efxlab.harness import build_instance
 from efxlab.offline_simon import guess_family_for, transformed_payload
 
 
+def read_cipher(inst, x):
+    """inst's construction at x under its key, without counting an online query."""
+    return encrypt_with(inst.kind, inst.components, inst.key_material, x)
+
+
 def identity_permutation(n):
     return Permutation(n, list(range(1 << n)))
 
@@ -169,27 +174,27 @@ def test_two_xor_is_an_efx_instance():
         efx = make_construction(ConstructionKind.EFX,
                                 [e, _RelatedKeyView(e)],
                                 KeyMaterial(k=k, k1=z, k2=z))
-        assert all(tx._raw_encrypt(x) == efx._raw_encrypt(x) for x in range(16))
+        assert all(read_cipher(tx, x) == read_cipher(efx, x) for x in range(16))
 
 
 def test_efx_identity_stubs_collapse():
     e = identity_cipher(3, 3)
     inst = make_construction(ConstructionKind.EFX, [e, e],
                              KeyMaterial(k=0, k1=0b101, k2=0b011))
-    assert all(inst._raw_encrypt(x) == (0b101 ^ 0b011 ^ x) for x in range(8))
+    assert all(read_cipher(inst, x) == (0b101 ^ 0b011 ^ x) for x in range(8))
 
 
 def test_ecbc3_identity_stubs_collapse():
     e = identity_cipher(3, 3)
     inst = make_construction(ConstructionKind.ECBC3, [e],
                              KeyMaterial(k=0, k1=0, k2=0))
-    assert all(inst._raw_encrypt(x) == x for x in range(8))
+    assert all(read_cipher(inst, x) == x for x in range(8))
 
 
 def test_em_identity_case():
     perm = identity_permutation(4)
     inst = make_construction(ConstructionKind.EM, [perm], KeyMaterial(k1=0, k2=0))
-    assert all(inst._raw_encrypt(x) == x for x in range(16))
+    assert all(read_cipher(inst, x) == x for x in range(16))
 
 
 def test_defx_equals_efx_of_inner_cipher():
@@ -202,7 +207,7 @@ def test_defx_equals_efx_of_inner_cipher():
     efx = make_construction(ConstructionKind.EFX, comps[1:], km)
     e1 = comps[0]
     for x in range(16):
-        assert defx._raw_encrypt(x) == efx._raw_encrypt(e1.permutation(km.k).table[x])
+        assert read_cipher(defx, x) == read_cipher(efx, e1.permutation(km.k).table[x])
 
 
 def test_efx_matches_hand_rolled_table_composition():
@@ -212,7 +217,7 @@ def test_efx_matches_hand_rolled_table_composition():
     t1 = e1.permutation(5).table
     t2 = e2.permutation(5).table
     for x in range(8):
-        assert inst._raw_encrypt(x) == t2[6 ^ t1[3 ^ x]]
+        assert read_cipher(inst, x) == t2[6 ^ t1[3 ^ x]]
 
 
 def _all_kind_instances(n=4, seed=515):
@@ -235,8 +240,8 @@ def test_encrypt_decrypt_roundtrip_all_kinds():
             continue
         kind, comps, km = inst.kind, inst.components, inst.key_material
         for x in range(16):
-            assert decrypt_with(kind, comps, km, inst._raw_encrypt(x)) == x
-            assert inst._raw_encrypt(decrypt_with(kind, comps, km, x)) == x
+            assert decrypt_with(kind, comps, km, read_cipher(inst, x)) == x
+            assert read_cipher(inst, decrypt_with(kind, comps, km, x)) == x
 
 
 def test_em_decrypt_matches_table_inversion():
@@ -261,14 +266,14 @@ def test_counters():
     inst = _all_kind_instances()[2]
     for x in range(5):
         inst.encrypt(x)
-    inst._raw_encrypt(5)
+    read_cipher(inst, 5)
     assert inst.online_forward == 5
 
 
 def test_instances_deterministic_in_seed_and_material():
     a = _efx_instance(4, 4, 808, k=3, k1=1, k2=2)
     b = _efx_instance(4, 4, 808, k=3, k1=1, k2=2)
-    assert all(a._raw_encrypt(x) == b._raw_encrypt(x) for x in range(16))
+    assert all(read_cipher(a, x) == read_cipher(b, x) for x in range(16))
 
 
 def test_derive_related_key():
@@ -377,6 +382,19 @@ def test_declared_costs_match_the_layers():
         relabel, inner, outer = inst.layers(inst.key_material.k)
         assert SPECS[kind].evals == len(relabel) + len(inner) + len(outer), kind
         assert SPECS[kind].full_domain == bool(relabel), kind
+
+
+def test_spec_reads_its_cost_and_domain_off_its_layers():
+    # a kind states no cost: two relabel permutations, one inner and one outer
+    # make four evaluations an encryption, and a relabel needs the full domain
+    def layers(comps, k):
+        e = comps[0]
+        return ((e.permutation(k), e.permutation(derive_related_key(k))),
+                (e.permutation(k),), (e.permutation(k),))
+
+    spec = ciphers.ConstructionSpec(components=("E",), key_fields=(("k", "kappa"),),
+                                    attacks=("offline_simon",), layers=layers)
+    assert spec.evals == 4 and spec.full_domain
 
 
 def test_spec_encrypt_decrypt_match_reference_formulas():

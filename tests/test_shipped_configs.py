@@ -6,7 +6,8 @@ entries in benchmarks/bench_workloads.py are parsed, not imported. Each
 shipped config runs as `benchmarks/run.py --check-configs` runs it; efx_kpa
 (about 11 s) is left to --check-configs, the others take under 2 s each.
 Each workload config runs its default-seed report as the benchmark's digest
-check does and must match benchmarks/digests.json.
+check does and must match benchmarks/digests.json. The 2XOR config, which
+the benchmark does not run, is pinned here at 3 trials.
 """
 
 import ast
@@ -39,6 +40,19 @@ def test_shipped_config_report_bytes(name):
     cfg.seed = SEED
     report = harness.report_json(harness.run_attack(cfg))
     assert hashlib.sha256(report.encode()).hexdigest().startswith(DIGESTS[name])
+
+
+# configs/two_xor.cfg, the paper's own construction, is not among the
+# benchmark's shipped configs: its report at 3 trials and its own seed
+TWO_XOR_DIGEST = "4e1d355e1cd897bd3af1ca70dfc955ffbb703ade21b42c6211776de7ed5b4cd1"
+
+
+def test_two_xor_config_report_bytes():
+    cfg = harness.parse_config((ROOT / "configs" / "two_xor.cfg").read_text())
+    cfg.trials = 3
+    report = harness.report_json(harness.run_attack(cfg))
+    assert hashlib.sha256(report.encode()).hexdigest() == TWO_XOR_DIGEST
+    assert json.loads(report)["summary"]["planted_rate"] == 1.0
 
 
 def _workload_configs() -> dict:

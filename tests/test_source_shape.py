@@ -2,8 +2,8 @@
 rebinds an outer name, every module keeps every function at the top level
 of a module or class, every cache holds one entry, no comprehension
 encrypts block by block, the harness names an attack only in its table
-of attacks, no function is there only for its own test, and every
-parameter is read."""
+of attacks, no function is there only for its own test, every
+parameter is read, and every attribute a class stores is read."""
 
 import ast
 from collections import Counter
@@ -58,7 +58,6 @@ def test_every_cache_holds_one_entry():
 
 
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-PER_BLOCK = ("_raw_encrypt", "encrypt_with")
 
 
 def _callee(node: ast.Call):
@@ -73,7 +72,7 @@ def test_no_comprehension_encrypts_block_by_block(path):
     for comprehension in ast.walk(_tree(path)):
         if isinstance(comprehension, COMPREHENSIONS):
             found += [f"{path.name}:{node.lineno}" for node in ast.walk(comprehension)
-                      if isinstance(node, ast.Call) and _callee(node) in PER_BLOCK]
+                      if isinstance(node, ast.Call) and _callee(node) == "encrypt_with"]
     assert found == []
 
 
@@ -155,3 +154,28 @@ def test_every_parameter_is_read():
                 unread |= {(path.name, node.name, arg.arg) for arg in params
                            if arg.arg not in ("self", "cls") and arg.arg not in read}
     assert unread == set(UNREAD_ALLOWED)
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+               for target in (d.func if isinstance(d, ast.Call) else d
+                              for d in cls.decorator_list))
+
+
+def test_every_stored_attribute_is_read():
+    # a field that nothing in the package loads is state kept for the tests
+    # alone: every attribute a class assigns on self or declares as a
+    # dataclass field is loaded as an attribute somewhere in the package
+    trees = [_tree(path) for path in sorted(SRC.glob("*.py"))]
+    stored = set()
+    for cls in (node for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)):
+        if _is_dataclass(cls):
+            stored |= {(cls.name, stmt.target.id) for stmt in cls.body
+                       if isinstance(stmt, ast.AnnAssign)}
+        stored |= {(cls.name, node.attr) for node in ast.walk(cls)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                   and getattr(node.value, "id", None) == "self"}
+    loaded = {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert {(cls, name) for cls, name in stored if name not in loaded} == set()
